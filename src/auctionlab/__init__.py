@@ -27,7 +27,6 @@ from .algorithms import (
     check_loser_independent,
     check_monotone,
     greedy_allocate,
-    greedy_critical_price,
     greedy_rule,
     optimal_allocation,
     optimal_welfare,
@@ -44,7 +43,6 @@ from .mechanisms import (
     Mechanism,
     NonMonotoneDecisionError,
     RuleMechanism,
-    expected_two_branch_utility,
     search_critical_price,
     separated_flags,
     simplify,
@@ -69,7 +67,6 @@ from .dynamics import (
     detect_cycle,
     run_best_response_dynamics,
     run_regret_dynamics,
-    scripted_order_mode,
     seeded_rng,
 )
 from .metrics import (

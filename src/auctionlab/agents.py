@@ -110,8 +110,9 @@ def best_response(
     nothing strictly improves (ties among improvements go to the smaller
     bundle)."""
     i = model.index
-    current_utility = mechanism.expected_utility(i, profile[i], profile, model.valuation)
-    utilities = counterfactual_utilities(model, profile, mechanism)
+    *utilities, current_utility = mechanism.counterfactual_utilities(
+        i, model.candidate_bids + (profile[i],), profile, model.valuation
+    )
     best_k = max(range(len(utilities)), key=lambda k: (utilities[k], -k))
     if keep_on_tie:
         if utilities[best_k] > current_utility:
@@ -135,6 +136,28 @@ def byzantine_bid(model: AgentModel, rng) -> Declaration:
     return Declaration(mask, bid)
 
 
+def hindsight_totals(
+    history: Sequence[tuple[Declaration, Profile]],
+    model: AgentModel,
+    mechanism: Mechanism,
+) -> tuple[Fraction, list[Fraction]]:
+    """Total realized utility over `history` and the total each fixed
+    candidate would have earned against the same opponents; exact."""
+    if not history:
+        raise ValidationError("regret needs at least one round of history")
+    i, valuation = model.index, model.valuation
+    realized = Fraction(0)
+    fixed = [Fraction(0)] * len(model.candidate_bids)
+    for own, profile in history:
+        *utilities, own_utility = mechanism.counterfactual_utilities(
+            i, model.candidate_bids + (own,), profile, valuation
+        )
+        realized += own_utility
+        for k, u in enumerate(utilities):
+            fixed[k] += u
+    return realized, fixed
+
+
 def external_regret(
     history: Sequence[tuple[Declaration, Profile]],
     model: AgentModel,
@@ -142,17 +165,7 @@ def external_regret(
 ) -> Fraction:
     """Per-round average shortfall against the best fixed candidate in
     hindsight; exact, may be negative."""
-    if not history:
-        raise ValidationError("regret needs at least one round of history")
-    i, valuation = model.index, model.valuation
-    realized = Fraction(0)
-    fixed = [Fraction(0)] * len(model.candidate_bids)
-    for own, profile in history:
-        realized += mechanism.expected_utility(i, own, profile, valuation)
-        for k, u in enumerate(
-            mechanism.counterfactual_utilities(i, model.candidate_bids, profile, valuation)
-        ):
-            fixed[k] += u
+    realized, fixed = hindsight_totals(history, model, mechanism)
     return Fraction(max(fixed) - realized, len(history))
 
 

@@ -29,8 +29,7 @@ CLOSED = "closed"
 
 ORACLE_MAX_ITEMS = 20
 
-CriticalPriceFn = Callable[[int, int, Profile], Optional[tuple[int, str]]]
-ThresholdProvider = Callable[[Profile, int], Callable[[int], Optional[tuple[int, str]]]]
+PriceFn = Callable[[int], Optional[tuple[int, str]]]
 
 
 @dataclass(frozen=True)
@@ -39,19 +38,17 @@ class AllocationRule:
 
     `cap` is the cardinality bound the rule enforces (None for unrestricted),
     `approx_factor` the claimed worst-case welfare factor.  When the rule has
-    a closed-form bid threshold, `fast_critical_price(agent, set_mask,
-    profile)` returns (theta, OPEN|CLOSED) or None for an unwinnable set;
-    the entry profile[agent] is ignored.  `threshold_provider(profile, agent)`
-    returns a per-round closure answering the same question for many sets
-    without recomputing the shared state.
+    closed-form bid thresholds, `thresholds(profile, agent)` returns a
+    `price_of(set_mask)` that gives (theta, OPEN|CLOSED), or None for an
+    unwinnable set, without recomputing the state shared by all sets; the
+    entry profile[agent] is ignored.
     """
 
     name: str
     allocate: Callable[[Profile], tuple[int, ...]]
     cap: int | None
     approx_factor: Fraction
-    fast_critical_price: CriticalPriceFn | None = None
-    threshold_provider: ThresholdProvider | None = None
+    thresholds: Callable[[Profile, int], PriceFn] | None = None
 
 
 def ceil_sqrt(item_count: int) -> int:
@@ -103,40 +100,23 @@ def greedy_acceptances(
     return out
 
 
-def greedy_threshold_from_acceptances(
-    acceptances: Sequence[tuple[int, int, int]], agent: int, set_mask: int
-) -> tuple[int, str]:
-    """Bid threshold for `agent` to win `set_mask` against a fixed acceptance
-    list: the first accepted bid whose set intersects, with the boundary
-    decided by who would win the tie at that value."""
-    for bid, j, s in acceptances:
-        if s & set_mask:
-            return (bid, CLOSED) if agent < j else (bid, OPEN)
-    return (0, OPEN)
-
-
-def greedy_critical_price(
-    agent: int, set_mask: int, profile: Profile, cap: int | None = None
-) -> tuple[int, str] | None:
-    if set_mask == 0:
-        return None
-    if cap is not None and set_mask.bit_count() > cap:
-        return None
-    acc = greedy_acceptances(profile, agent, cap)
-    return greedy_threshold_from_acceptances(acc, agent, set_mask)
-
-
-def greedy_threshold_provider(profile: Profile, agent: int, cap: int | None):
+def greedy_thresholds(profile: Profile, agent: int, cap: int | None) -> PriceFn:
+    """Bid thresholds for `agent` against the greedy run without him: the
+    first accepted bid whose set intersects, with the boundary decided by
+    who would win the tie at that value."""
     acceptances = greedy_acceptances(profile, agent, cap)
 
-    def price(set_mask: int) -> tuple[int, str] | None:
+    def price_of(set_mask: int) -> tuple[int, str] | None:
         if set_mask == 0:
             return None
         if cap is not None and set_mask.bit_count() > cap:
             return None
-        return greedy_threshold_from_acceptances(acceptances, agent, set_mask)
+        for bid, j, s in acceptances:
+            if s & set_mask:
+                return (bid, CLOSED) if agent < j else (bid, OPEN)
+        return (0, OPEN)
 
-    return price
+    return price_of
 
 
 def greedy_rule(cap: int | None = None) -> AllocationRule:
@@ -146,8 +126,7 @@ def greedy_rule(cap: int | None = None) -> AllocationRule:
         allocate=lambda profile: greedy_allocate(profile, cap),
         cap=cap,
         approx_factor=factor,
-        fast_critical_price=lambda i, s, p: greedy_critical_price(i, s, p, cap),
-        threshold_provider=lambda p, i: greedy_threshold_provider(p, i, cap),
+        thresholds=lambda p, i: greedy_thresholds(p, i, cap),
     )
 
 

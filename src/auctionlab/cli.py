@@ -122,15 +122,19 @@ class Instance:
         return [self.labels[j] for j in bundle_items(mask)]
 
 
-def _require(data: dict, key: str, where: str):
-    if key not in data:
+def _object(data: Any, where: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where}: expected an object")
+    return data
+
+
+def _require(data: Any, key: str, where: str):
+    if key not in _object(data, where):
         raise ValidationError(f"{where}: missing required key '{key}'")
     return data[key]
 
 
 def parse_instance(data: dict, where: str = "instance") -> Instance:
-    if not isinstance(data, dict):
-        raise ValidationError(f"{where}: expected an object")
     m = _require(data, "m", where)
     if not isinstance(m, int) or not 0 <= m <= MAX_ITEMS:
         raise ValidationError(f"{where}.m: must be an integer in [0, {MAX_ITEMS}]")
@@ -143,6 +147,8 @@ def parse_instance(data: dict, where: str = "instance") -> Instance:
     if cap is not None and (not isinstance(cap, int) or cap < 1):
         raise ValidationError(f"{where}.s: must be a positive integer")
     agents = data.get("agents", [])
+    if not isinstance(agents, list):
+        raise ValidationError(f"{where}.agents: expected a list")
     instance = Instance(m, tuple(labels), cap, [])
     for k, spec in enumerate(agents):
         aw = f"{where}.agents[{k}]"
@@ -201,27 +207,32 @@ class Experiment:
     checks: dict
 
     def build_mechanism(self) -> Mechanism:
+        try:
+            return self._build_mechanism()
+        except ValidationError as exc:
+            raise ValidationError(f"{self.name}.mechanism: {exc}") from None
+
+    def _build_mechanism(self) -> Mechanism:
         spec = self.mechanism_spec
         kind = spec["kind"]
         m = self.instance.item_count
         cap = spec.get("s", self.instance.cap)
         lottery = spec.get("appendix_b_lottery")
-        lottery = parse_fraction(lottery, "mechanism.appendix_b_lottery") if lottery is not None else None
+        lottery = parse_fraction(lottery, "appendix_b_lottery") if lottery is not None else None
         if kind == "greedy":
             return RuleMechanism(greedy_rule(cap), m)
         if kind == "two-tier":
             return RuleMechanism(two_tier_rule(m), m)
         if kind == "partition":
-            side = self.instance.mask_for(spec["partition_a"], "mechanism.partition_a")
+            side = self.instance.mask_for(spec["partition_a"], "partition_a")
             return RuleMechanism(partition_rule(m, side, cap), m)
         if kind == "filtered-greedy":
             if cap is None:
-                raise ValidationError("mechanism.s: filtered-greedy needs a cardinality cap")
+                raise ValidationError("s: filtered-greedy needs a cardinality cap")
             return FilteredGreedyMechanism(m, cap, lottery)
         if kind == "grand-bundle":
-            gamma = parse_fraction(spec["gamma"], "mechanism.gamma")
-            return GrandBundleMechanism(m, gamma, lottery)
-        raise ValidationError(f"mechanism.kind: unknown kind {kind!r}")
+            return GrandBundleMechanism(m, parse_fraction(spec["gamma"], "gamma"), lottery)
+        raise ValidationError(f"kind: unknown kind {kind!r}")
 
     def build_agents(self, mechanism: Mechanism) -> list[AgentModel]:
         behaviors = {
@@ -248,14 +259,35 @@ class Experiment:
         initial = self.dynamics_spec.get("initial")
         if initial is None:
             return None
+        where = f"{self.name}.dynamics.initial"
         decls = [EMPTY] * len(self.instance.types)
         for entry in initial:
-            aid = _require(entry, "id", "dynamics.initial")
-            if not 1 <= aid <= len(decls):
-                raise ValidationError(f"dynamics.initial: unknown agent id {aid}")
-            mask = self.instance.mask_for(entry["items"], "dynamics.initial")
-            decls[aid - 1] = single_minded(mask, entry["bid"])
+            aid = _require(entry, "id", where)
+            if not isinstance(aid, int) or not 1 <= aid <= len(decls):
+                raise ValidationError(f"{where}: unknown agent id {aid!r}")
+            mask = self.instance.mask_for(_require(entry, "items", where), where)
+            bid = _require(entry, "bid", where)
+            if not isinstance(bid, int) or bid < 0:
+                raise ValidationError(f"{where}: bid must be a non-negative integer")
+            decls[aid - 1] = single_minded(mask, bid)
         return tuple(decls)
+
+    def run_config(self, seed: int) -> RunConfig:
+        """The engine configuration of one replica.  `validate` builds it
+        too, so both commands reject the same experiments."""
+        mechanism = self.build_mechanism()
+        spec = self.dynamics_spec
+        order = spec.get("scripted_order")
+        return RunConfig(
+            mechanism=mechanism,
+            agents=self.build_agents(mechanism),
+            rounds=spec["rounds"],
+            seed=seed,
+            empty_start=spec.get("empty_start", True),
+            keep_on_tie=spec.get("keep_on_tie", True),
+            scripted_order=[a - 1 for a in order] if order else None,
+            initial_profile=self.initial_profile(),
+        )
 
 
 def parse_experiment(data: dict, instance: Instance, name: str) -> Experiment:
@@ -265,6 +297,8 @@ def parse_experiment(data: dict, instance: Instance, name: str) -> Experiment:
         raise ValidationError(f"{name}.mechanism.kind: unknown kind {kind!r}")
     if kind == "grand-bundle" and "gamma" not in mech:
         raise ValidationError(f"{name}.mechanism: grand-bundle requires gamma")
+    if kind == "partition" and "partition_a" not in mech:
+        raise ValidationError(f"{name}.mechanism: partition requires partition_a")
     if kind != "grand-bundle" and "gamma" in mech:
         raise ValidationError(f"{name}.mechanism: gamma is only valid for grand-bundle")
     if "appendix_b_lottery" in mech and kind not in ("filtered-greedy", "grand-bundle"):
@@ -293,22 +327,26 @@ def parse_experiment(data: dict, instance: Instance, name: str) -> Experiment:
                     f"{name}.dynamics.scripted_order: agent ids must be in 1..{n}"
                 )
 
-    agent_spec = data.get("agents", {})
+    agent_spec = _object(data.get("agents", {}), f"{name}.agents")
     default = agent_spec.get("default", "best-response" if dkind == "best-response" else "mw")
     if default not in BEHAVIOR_KINDS:
         raise ValidationError(f"{name}.agents.default: unknown behavior {default!r}")
     behaviors = [default] * len(instance.types)
-    for key, value in agent_spec.get("overrides", {}).items():
-        aid = int(key)
+    overrides = _object(agent_spec.get("overrides", {}), f"{name}.agents.overrides")
+    for key, value in overrides.items():
+        try:
+            aid = int(key)
+        except ValueError:
+            aid = 0
         if not 1 <= aid <= len(behaviors):
-            raise ValidationError(f"{name}.agents.overrides: unknown agent id {aid}")
+            raise ValidationError(f"{name}.agents.overrides: unknown agent id {key!r}")
         if value not in BEHAVIOR_KINDS:
             raise ValidationError(f"{name}.agents.overrides: unknown behavior {value!r}")
         behaviors[aid - 1] = value
 
-    acceptance = data.get("acceptance", {})
+    acceptance = _object(data.get("acceptance", {}), f"{name}.acceptance")
     epsilon = parse_fraction(acceptance.get("epsilon", "1/10"), f"{name}.acceptance.epsilon")
-    checks = acceptance.get("checks", {})
+    checks = _object(acceptance.get("checks", {}), f"{name}.acceptance.checks")
     return Experiment(name, instance, mech, dyn, behaviors, epsilon, checks)
 
 
@@ -355,24 +393,9 @@ def load_experiment(source: str | Path) -> Experiment:
 def run_replica(experiment: Experiment, replica: int, base_seed: int) -> dict:
     """Execute one replica and evaluate its checks; returns a summary dict
     plus the CSV trace text."""
-    mechanism = experiment.build_mechanism()
-    agents = experiment.build_agents(mechanism)
     seed = replica_seeds(base_seed, replica + 1)[replica]
-    config = RunConfig(
-        mechanism=mechanism,
-        agents=agents,
-        rounds=experiment.dynamics_spec["rounds"],
-        seed=seed,
-        empty_start=experiment.dynamics_spec.get("empty_start", True),
-        keep_on_tie=experiment.dynamics_spec.get("keep_on_tie", True),
-        scripted_order=(
-            [a - 1 for a in experiment.dynamics_spec["scripted_order"]]
-            if experiment.dynamics_spec.get("scripted_order")
-            else None
-        ),
-        epsilon=experiment.epsilon,
-        initial_profile=experiment.initial_profile(),
-    )
+    config = experiment.run_config(seed)
+    agents = config.agents
     if experiment.dynamics_spec["kind"] == "regret":
         trace = run_regret_dynamics(config)
     else:
@@ -507,11 +530,6 @@ def trace_csv(trace: Trace, experiment: Experiment) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pool_replica(payload: tuple) -> dict:
-    source, replica, seed = payload
-    return run_replica(load_experiment(source), replica, seed)
-
-
 def run_experiment(
     source: str | Path,
     out_dir: Path,
@@ -535,10 +553,10 @@ def run_experiment(
     count = replicas if replicas is not None else experiment.dynamics_spec.get("replicas", 1)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    if workers > 1 and count > 1 and isinstance(source, (str, Path)):
-        payloads = [(str(source), r, base_seed) for r in range(count)]
+    if workers > 1 and count > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_pool_replica, payloads))
+            outputs = list(pool.map(run_replica, [experiment] * count, range(count),
+                                    [base_seed] * count))
     else:
         outputs = [run_replica(experiment, r, base_seed) for r in range(count)]
 
@@ -620,8 +638,8 @@ def cmd_validate(args) -> int:
     path = Path(args.path)
     try:
         data = _read_json(path)
-        if "mechanism" in data:
-            load_experiment(path)
+        if isinstance(data, dict) and "mechanism" in data:
+            load_experiment(path).run_config(seed=0)
             print(f"OK: experiment {path}")
         else:
             instance = parse_instance(data, where=str(path))
@@ -661,10 +679,13 @@ def cmd_run(args) -> int:
         overrides["appendix_b_lottery"] = args.appendix_b_lottery
     if args.epsilon is not None:
         overrides["epsilon"] = args.epsilon
-    if args.scripted_order is not None:
-        overrides["scripted_order"] = [int(x) for x in args.scripted_order.split(",")]
     out_dir = Path(args.out_dir) if args.out_dir else Path("runs") / Path(str(args.source)).stem
     try:
+        if args.scripted_order is not None:
+            try:
+                overrides["scripted_order"] = [int(x) for x in args.scripted_order.split(",")]
+            except ValueError:
+                raise ValidationError("--scripted-order: expected comma-separated agent ids") from None
         return run_experiment(
             args.source,
             out_dir,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .agents import (
@@ -81,15 +80,11 @@ class RunConfig:
     empty_start: bool = True
     keep_on_tie: bool = True
     scripted_order: Optional[list[int]] = None
-    replicas: int = 1
-    epsilon: Fraction = Fraction(1, 10)
     initial_profile: Optional[Profile] = None
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValidationError("a run needs at least one round")
-        if self.replicas < 1:
-            raise ValidationError("replica count must be positive")
         needs_lottery = isinstance(
             self.mechanism, (FilteredGreedyMechanism, GrandBundleMechanism)
         )
@@ -171,25 +166,6 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
             )
         )
     return Trace(mechanism, tuple(agents), config.seed, "best-response", tuple(records))
-
-
-def scripted_order_mode(config: RunConfig, order: Sequence[int]) -> Trace:
-    """Best-response dynamics with updaters taken from `order` (cycled)."""
-    if not order:
-        raise ValidationError("scripted order must not be empty")
-    cfg = RunConfig(
-        mechanism=config.mechanism,
-        agents=config.agents,
-        rounds=config.rounds,
-        seed=config.seed,
-        empty_start=config.empty_start,
-        keep_on_tie=config.keep_on_tie,
-        scripted_order=list(order),
-        replicas=config.replicas,
-        epsilon=config.epsilon,
-        initial_profile=config.initial_profile,
-    )
-    return run_best_response_dynamics(cfg)
 
 
 def run_regret_dynamics(config: RunConfig) -> Trace:

@@ -22,6 +22,7 @@ from .algorithms import (
     CLOSED,
     OPEN,
     AllocationRule,
+    PriceFn,
     ceil_sqrt,
     greedy_allocate,
 )
@@ -153,16 +154,22 @@ def separated_flags(profile: Sequence[Declaration], types: Sequence[Valuation]) 
     return tuple(flags)
 
 
+def _no_price(set_mask: int) -> None:
+    return None
+
+
 class Mechanism:
     """Base for the direct mechanisms: simplify, allocate, charge critical
     prices.  Subclasses implement `_allocate` (pure, coin-conditioned) and
-    may override `critical_price` with a closed form; the generic threshold
-    search is always available and is what the closed forms are tested
+    may override `thresholds` with closed forms; the generic threshold
+    search is the default and the reference the closed forms are tested
     against."""
 
     name: str = "mechanism"
     item_count: int | None = None
     lottery: Fraction | None = None  # grand-bundle lottery probability, if enabled
+    # (probability, coin) of each resolution of the mechanism's own coin
+    branches: tuple[tuple[Fraction, Coin], ...] = ((Fraction(1), COIN_NONE),)
 
     # -- allocation ---------------------------------------------------------
 
@@ -217,13 +224,19 @@ class Mechanism:
     ) -> tuple[int, str] | None:
         """Infimum winning bid for `set_mask` and its boundary, or None when
         no bid wins.  Generic implementation: binary search over the win
-        predicate."""
+        predicate.  Subclasses answer from `thresholds` instead."""
         if set_mask == 0:
             return None
         return search_critical_price(
             lambda bid, lose: self.wins(agent, set_mask, bid, profile, coin, lose),
             self._search_upper(agent, profile),
         )
+
+    def thresholds(self, profile: Profile, agent: int, coin: Coin = COIN_NONE) -> PriceFn:
+        """`price_of(set_mask)`: the critical price of each set for `agent`
+        against `profile` under `coin`.  State shared by all sets is built
+        once per call.  Default: the generic search, one set at a time."""
+        return lambda set_mask: Mechanism.critical_price(self, agent, set_mask, profile, coin)
 
     # -- outcomes and utilities ----------------------------------------------
 
@@ -241,51 +254,6 @@ class Mechanism:
                 payments[i] = price[0]
         return Outcome(alloc, tuple(payments))
 
-    def branch_utility(
-        self,
-        agent: int,
-        decl: Declaration,
-        profile: Profile,
-        valuation: Valuation,
-        coin: Coin,
-    ) -> int:
-        """Utility of declaring `decl` under a resolved coin."""
-        if coin.lottery_agent is not None:
-            if coin.lottery_agent == agent and declared_separated_for(agent, decl, profile):
-                return valuation.value_of(full_mask(self.item_count))
-            return 0
-        if decl.is_empty:
-            return 0
-        price = self.critical_price(agent, decl.set_mask, profile, coin)
-        if wins_threshold(decl.bid, price):
-            return valuation.value_of(decl.set_mask) - price[0]
-        return 0
-
-    def _mechanism_branches(self) -> list[tuple[Fraction, Coin]]:
-        return [(Fraction(1), COIN_NONE)]
-
-    def expected_utility(
-        self, agent: int, decl: Declaration, profile: Profile, valuation: Valuation
-    ):
-        """Exact expected utility over the mechanism's own randomization.
-        Returns a plain int when the mechanism is deterministic."""
-        branches = self._mechanism_branches()
-        if self.lottery is None and len(branches) == 1:
-            return self.branch_utility(agent, decl, profile, valuation, branches[0][1])
-        total = Fraction(0)
-        weight = Fraction(1)
-        if self.lottery:
-            n = len(profile)
-            if declared_separated_for(agent, decl, profile):
-                total += self.lottery * Fraction(1, n) * valuation.value_of(
-                    full_mask(self.item_count)
-                )
-            weight -= self.lottery
-        for prob, coin in branches:
-            if prob:
-                total += weight * prob * self.branch_utility(agent, decl, profile, valuation, coin)
-        return total
-
     def counterfactual_utilities(
         self,
         agent: int,
@@ -293,9 +261,47 @@ class Mechanism:
         profile: Profile,
         valuation: Valuation,
     ) -> list:
-        """Expected utility of each candidate declaration against the same
-        opponents; this is the full-information feedback fed to learners."""
-        return [self.expected_utility(agent, d, profile, valuation) for d in decls]
+        """Exact expected utility of each candidate declaration against the
+        same opponents, over the mechanism's own randomization; this is the
+        full-information feedback fed to learners.  Plain ints when the
+        mechanism is deterministic."""
+        per_branch = []
+        for _, coin in self.branches:
+            price_of = self.thresholds(profile, agent, coin)
+            utilities = []
+            for d in decls:
+                if not d.set_mask:
+                    utilities.append(0)
+                    continue
+                price = price_of(d.set_mask)
+                if wins_threshold(d.bid, price):
+                    utilities.append(valuation.value_of(d.set_mask) - price[0])
+                else:
+                    utilities.append(0)
+            per_branch.append(utilities)
+        if self.lottery is None and len(per_branch) == 1:
+            return per_branch[0]
+        totals = [Fraction(0)] * len(decls)
+        if self.lottery:
+            share = self.lottery / len(profile) * valuation.value_of(full_mask(self.item_count))
+            for k, d in enumerate(decls):
+                if declared_separated_for(agent, d, profile):
+                    totals[k] += share
+        keep = 1 - (self.lottery or 0)
+        for (prob, _), utilities in zip(self.branches, per_branch):
+            weight = keep * prob
+            for k, u in enumerate(utilities):
+                if u:
+                    totals[k] += weight * u
+        return totals
+
+    def expected_utility(
+        self, agent: int, decl: Declaration, profile: Profile, valuation: Valuation
+    ):
+        """Exact expected utility of one declaration over the mechanism's
+        own randomization.  Returns a plain int when the mechanism is
+        deterministic."""
+        return self.counterfactual_utilities(agent, (decl,), profile, valuation)[0]
 
     # -- randomization -------------------------------------------------------
 
@@ -320,31 +326,12 @@ class RuleMechanism(Mechanism):
         return self.rule.allocate(profile)
 
     def critical_price(self, agent, set_mask, profile, coin=COIN_NONE):
-        if set_mask == 0:
-            return None
-        if self.rule.fast_critical_price is not None:
-            return self.rule.fast_critical_price(agent, set_mask, profile)
-        return super().critical_price(agent, set_mask, profile, coin)
+        return self.thresholds(profile, agent, coin)(set_mask)
 
-    def counterfactual_utilities(self, agent, decls, profile, valuation):
-        provider = self.rule.threshold_provider
-        if provider is not None:
-            price_of = provider(profile, agent)
-        elif self.rule.fast_critical_price is not None:
-            price_of = lambda mask: self.rule.fast_critical_price(agent, mask, profile)
-        else:
-            return super().counterfactual_utilities(agent, decls, profile, valuation)
-        out = []
-        for d in decls:
-            if d.is_empty:
-                out.append(0)
-                continue
-            price = price_of(d.set_mask)
-            if wins_threshold(d.bid, price):
-                out.append(valuation.value_of(d.set_mask) - price[0])
-            else:
-                out.append(0)
-        return out
+    def thresholds(self, profile, agent, coin=COIN_NONE):
+        if self.rule.thresholds is None:
+            return super().thresholds(profile, agent, coin)
+        return self.rule.thresholds(profile, agent)
 
 
 class FilteredGreedyMechanism(Mechanism):
@@ -378,14 +365,22 @@ class FilteredGreedyMechanism(Mechanism):
         return tuple(alloc)
 
     def critical_price(self, agent, set_mask, profile, coin=COIN_NONE):
+        return self.thresholds(profile, agent, coin)(set_mask)
+
+    def thresholds(self, profile, agent, coin=COIN_NONE):
         if coin.lottery_agent is not None:
-            return None
-        if set_mask == 0 or set_mask.bit_count() > self.cap:
-            return None
-        pressure = sum(
-            d.bid for j, d in enumerate(profile) if j != agent and d.set_mask & set_mask
-        )
-        return (pressure, OPEN)
+            return _no_price
+        cap = self.cap
+
+        def price_of(set_mask):
+            if set_mask == 0 or set_mask.bit_count() > cap:
+                return None
+            pressure = sum(
+                d.bid for j, d in enumerate(profile) if j != agent and d.set_mask & set_mask
+            )
+            return (pressure, OPEN)
+
+        return price_of
 
 
 class GrandBundleMechanism(Mechanism):
@@ -408,6 +403,8 @@ class GrandBundleMechanism(Mechanism):
         self.grand = full_mask(item_count)
         self._inner = FilteredGreedyMechanism(item_count, self.small_cap)
         self.name = f"grand-bundle(m={item_count}, gamma={gamma})"
+        if gamma:
+            self.branches = ((gamma, Coin(ignore_grand=True)), (1 - gamma, COIN_NONE))
 
     def _small_profile(self, profile: Profile) -> Profile:
         cap = self.small_cap
@@ -419,6 +416,11 @@ class GrandBundleMechanism(Mechanism):
             for i, d in enumerate(profile)
             if i != skip and d.set_mask == self.grand and d.bid > 0
         ]
+
+    def _small_welfare(self, profile: Profile) -> int:
+        """Declared welfare of the filtered greedy run over small sets."""
+        alloc = self._inner._allocate(profile, COIN_NONE)
+        return sum(profile[i].bid for i, mask in enumerate(alloc) if mask)
 
     def _allocate(self, profile: Profile, coin: Coin) -> tuple[int, ...]:
         live = profile
@@ -438,74 +440,44 @@ class GrandBundleMechanism(Mechanism):
         return tuple(alloc)
 
     def critical_price(self, agent, set_mask, profile, coin=COIN_NONE):
+        return self.thresholds(profile, agent, coin)(set_mask)
+
+    def thresholds(self, profile, agent, coin=COIN_NONE):
         if coin.lottery_agent is not None:
-            return None
-        size = set_mask.bit_count()
+            return _no_price
         small = self._small_profile(profile)
+        bigs = [] if coin.ignore_grand else [b for b, _ in self._grand_bids(profile, skip=agent)]
+        others_grand = sum(bigs)
+        top_bid = max(bigs, default=0)
+        # The grand branch can only fire when the top opposing grand bid
+        # strictly exceeds the rest of them.
+        grand_fires = top_bid > others_grand - top_bid
 
-        if set_mask == self.grand:
-            if coin.ignore_grand:
+        def price_of(set_mask):
+            if set_mask == self.grand:
+                if coin.ignore_grand:
+                    return None
+                welfare = self._small_welfare(with_probe(small, agent, EMPTY))
+                return (max(others_grand, welfare), OPEN)
+            if set_mask == 0 or set_mask.bit_count() > self.small_cap:
                 return None
-            others_grand = sum(b for b, _ in self._grand_bids(profile, skip=agent))
-            base = with_probe(small, agent, EMPTY)
-            welfare = sum(
-                base[i].bid for i, mask in enumerate(self._inner._allocate(base, COIN_NONE)) if mask
+            floor = sum(
+                d.bid for j, d in enumerate(small) if j != agent and d.set_mask & set_mask
             )
-            return (max(others_grand, welfare), OPEN)
-
-        if set_mask == 0 or size > self.small_cap:
-            return None
-
-        floor = sum(
-            d.bid for j, d in enumerate(small) if j != agent and d.set_mask & set_mask
-        )
-        if coin.ignore_grand:
+            if not grand_fires:
+                return (floor, OPEN)
+            # Small welfare grows one-for-one with the probing bid once it
+            # wins, so the grand branch stops firing at a fixed offset.
+            winning = with_probe(small, agent, Declaration(set_mask, floor + 1))
+            companions = self._small_welfare(winning) - (floor + 1)
+            takeover = top_bid - companions
+            if takeover > floor:
+                return (takeover, CLOSED)
             return (floor, OPEN)
-        bigs = self._grand_bids(profile, skip=agent)
-        if not bigs:
-            return (floor, OPEN)
-        top_bid, _ = max(bigs, key=lambda b: (b[0], -b[1]))
-        rest = sum(b for b, _ in bigs) - top_bid
-        if top_bid <= rest:
-            return (floor, OPEN)
-        # Small welfare grows one-for-one with the probing bid once it wins,
-        # so the grand branch stops firing at a fixed offset.
-        winning = with_probe(small, agent, Declaration(set_mask, floor + 1))
-        with_agent = sum(
-            winning[i].bid
-            for i, mask in enumerate(self._inner._allocate(winning, COIN_NONE))
-            if mask
-        )
-        companions = with_agent - (floor + 1)
-        takeover = top_bid - companions
-        if takeover > floor:
-            return (takeover, CLOSED)
-        return (floor, OPEN)
 
-    def _mechanism_branches(self) -> list[tuple[Fraction, Coin]]:
-        if self.gamma == 0:
-            return [(Fraction(1), COIN_NONE)]
-        return [(self.gamma, Coin(ignore_grand=True)), (1 - self.gamma, COIN_NONE)]
+        return price_of
 
     def _draw_mechanism_coin(self, rng) -> Coin:
         if self.gamma and rng.random() < float(self.gamma):
             return Coin(ignore_grand=True)
         return COIN_NONE
-
-
-def expected_two_branch_utility(
-    mechanism: GrandBundleMechanism,
-    agent: int,
-    decl: Declaration,
-    profile: Profile,
-    valuation: Valuation,
-) -> Fraction:
-    """gamma-weighted expectation over the ignore/keep branches, exact."""
-    gamma = mechanism.gamma
-    keep = mechanism.branch_utility(agent, decl, profile, valuation, COIN_NONE)
-    if gamma == 0:
-        return Fraction(keep)
-    ignore = mechanism.branch_utility(
-        agent, decl, profile, valuation, Coin(ignore_grand=True)
-    )
-    return gamma * Fraction(ignore) + (1 - gamma) * Fraction(keep)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .agents import AgentModel, external_regret
+from .agents import AgentModel, external_regret, hindsight_totals
 from .core import AuctionError, Valuation
 from .dynamics import Trace
 
@@ -63,15 +63,8 @@ def regret_report(trace: Trace, models: Sequence[AgentModel]) -> RegretReport:
     bests = []
     for model in models:
         history = trace.history_for(model.index)
-        regrets.append(external_regret(history, model, trace.mechanism))
-        totals = [Fraction(0)] * len(model.candidate_bids)
-        for _, profile in history:
-            for k, u in enumerate(
-                trace.mechanism.counterfactual_utilities(
-                    model.index, model.candidate_bids, profile, model.valuation
-                )
-            ):
-                totals[k] += u
+        realized, totals = hindsight_totals(history, model, trace.mechanism)
+        regrets.append(Fraction(max(totals) - realized, len(history)))
         best_k = max(range(len(totals)), key=lambda k: (totals[k], -k))
         bests.append(model.candidates[best_k])
     return RegretReport(tuple(regrets), tuple(bests))

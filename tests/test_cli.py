@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -251,12 +252,13 @@ class TestRunCommand:
         path = write_experiment(tmp_path, instance)
         seq = tmp_path / "seq"
         par = tmp_path / "par"
-        run_experiment(path, seq, replicas=2)
-        run_experiment(path, par, replicas=2, workers=2)
+        # the override must reach the workers too, not only the summary
+        overrides = {"scripted_order": [3, 4, 1, 2, 1, 2]}
+        run_experiment(path, seq, replicas=2, overrides=overrides)
+        run_experiment(path, par, replicas=2, overrides=overrides, workers=2)
         assert (seq / "summary.json").read_bytes() == (par / "summary.json").read_bytes()
-        assert (seq / "trace-replica1.csv").read_bytes() == (
-            par / "trace-replica1.csv"
-        ).read_bytes()
+        for name in ("trace-replica0.csv", "trace-replica1.csv"):
+            assert (seq / name).read_bytes() == (par / name).read_bytes()
 
     def test_scenario_run_by_name(self, tmp_path, capsys):
         assert main(["run", "appendix-c-cycle", "--out-dir", str(tmp_path / "cyc")]) == 0
@@ -296,3 +298,87 @@ class TestRunCommand:
         ]) == 0
         csv_text = (out / "trace-replica0.csv").read_text()
         assert "lottery:" in csv_text  # with p=1/3 over 30 rounds a draw fires
+
+
+def _copy_scenario(tmp_path: Path, name: str, edit) -> Path:
+    """Copy a built-in experiment and its instance, letting `edit` change
+    the two documents first."""
+    scenarios = resources.files("auctionlab") / "scenarios"
+    experiment = json.loads((scenarios / f"{name}.experiment.json").read_text())
+    instance = json.loads((scenarios / experiment["instance"]).read_text())
+    edit(experiment, instance)
+    (tmp_path / experiment["instance"]).write_text(json.dumps(instance))
+    target = tmp_path / f"{name}.experiment.json"
+    target.write_text(json.dumps(experiment))
+    return target
+
+
+def _override_key(experiment, instance):
+    experiment["agents"]["overrides"] = {"x": "byzantine"}
+
+
+def _agents_as_list(experiment, instance):
+    experiment["agents"] = ["mw"]
+
+
+def _agent_entry_not_object(experiment, instance):
+    instance["agents"][0] = 5
+
+
+def _missing_partition_side(experiment, instance):
+    del experiment["mechanism"]["partition_a"]
+
+
+def _gamma_out_of_range(experiment, instance):
+    experiment["mechanism"]["gamma"] = "3/2"
+
+
+def _instance_agents_not_list(experiment, instance):
+    instance["agents"] = 5
+
+
+def _overrides_not_object(experiment, instance):
+    experiment["agents"]["overrides"] = ["byzantine"]
+
+
+def _checks_not_object(experiment, instance):
+    experiment["acceptance"]["checks"] = ["min_welfare_ratio"]
+
+
+def _initial_entry_without_items(experiment, instance):
+    experiment["dynamics"]["initial"] = [{"id": 1, "bid": 3}]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("byzantine-mix", _override_key),
+        ("regret-theorem-3", _agents_as_list),
+        ("appendix-c-cycle", _agent_entry_not_object),
+        ("section-3-3", _missing_partition_side),
+        ("ca-theorem-11", _gamma_out_of_range),
+        ("appendix-c-cycle", _instance_agents_not_list),
+        ("byzantine-mix", _overrides_not_object),
+        ("regret-theorem-3", _checks_not_object),
+        ("random-sca", _initial_entry_without_items),
+    ],
+    ids=["override-key", "agents-list", "agent-entry", "partition-side", "gamma",
+         "instance-agents", "overrides", "checks", "initial-entry"],
+)
+def test_malformed_experiment_is_invalid_in_validate_and_run(
+    tmp_path, capsys, command, name, edit
+):
+    path = _copy_scenario(tmp_path, name, edit)
+    argv = [command, str(path)]
+    if command == "run":
+        argv += ["--replicas", "1", "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("INVALID: ") and "Traceback" not in err
+
+
+def test_malformed_scripted_order_flag_is_invalid(tmp_path, capsys):
+    argv = ["run", "appendix-c-cycle", "--scripted-order", "1,b", "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("INVALID: --scripted-order")

@@ -1,0 +1,58 @@
+"""Golden digests of every built-in scenario's run output.
+
+Each scenario runs with two replicas through the CLI; the SHA-256 of every
+trace CSV and of `summary.json` must match the values recorded here.  A
+change that is meant to keep behaviour identical (a refactor, a cache, a
+faster path) must leave this test green; a change that alters traces on
+purpose updates the table and says why.
+"""
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from auctionlab.cli import list_scenarios, main
+
+DIGESTS = {
+    "appendix-c-cycle/summary.json": "6d200576367e3ab40205024a60052f58280ae64afc58fae349884520833b697a",
+    "appendix-c-cycle/trace-replica0.csv": "46cef0f17556b04118504953245db5a0d9c60d72e061d1c2e790bd3df972b2d2",
+    "appendix-c-cycle/trace-replica1.csv": "46cef0f17556b04118504953245db5a0d9c60d72e061d1c2e790bd3df972b2d2",
+    "best-response-theorem-10/summary.json": "a085f01d94a3906047afd62fec47061af5c9f94c5fe67ec830118705361a6e7f",
+    "best-response-theorem-10/trace-replica0.csv": "d7b3927ed7b463ef8fc4e68de32860ddd02e427e228a289f5c25cb642be6f923",
+    "best-response-theorem-10/trace-replica1.csv": "10a143015f05ad388999741930ef50999a44c21fe99786a68fa78593cb57e94c",
+    "byzantine-mix/summary.json": "b47ab8887eab983f0375fd8743fc949701d12a3af8dffc173d77297a845bbe7d",
+    "byzantine-mix/trace-replica0.csv": "8f7298e2fb8505fc81e041060efdb4e31a0fc3bc1b404050bedf1dc20a458a44",
+    "byzantine-mix/trace-replica1.csv": "e8caaa92ef342d7df9af3d0d55f3d70ae3baea9a37117f6ecb1e9378e7a35993",
+    "ca-theorem-11/summary.json": "e21cc54e90c269dc3f4dc9f42ee1963353f7726688a8a25a463466ea518a8710",
+    "ca-theorem-11/trace-replica0.csv": "3736f42b39c07b5d61dc818bde19e5b5876c3b5b7708a84967ee83d82a67ddb9",
+    "ca-theorem-11/trace-replica1.csv": "d39800e731cabeff41ccad1aefa9063f72ef2b372d88b120c33fdf288d65a8c0",
+    "random-ca/summary.json": "8eb011cd2d49bfb66a4745fdf8d078e1a588cd7d320a8316f3e4c04fe8f7a750",
+    "random-ca/trace-replica0.csv": "afde19d4abc4edda276379715e332c255fe7193fb76dd11fa45b23a2827fe65b",
+    "random-ca/trace-replica1.csv": "ad101e27fe59e32defc5e7ca098c98bc9c7314f8605cf9171b9aaf47f41bb072",
+    "random-sca/summary.json": "464813768a12fe6d7aba32d811346d8e70e0ce78eb32d0be7bd824c8dc4a38e6",
+    "random-sca/trace-replica0.csv": "1b9a0b1701a17c3150a73f8e561b8a794d5cebe5147694277657c6ada31520fd",
+    "random-sca/trace-replica1.csv": "bb8f707b55c14dd1879bd4fa4eb20c85aed20808d8704765805dca48020d490c",
+    "regret-theorem-3/summary.json": "783b3dd11f7dbc4bf07dff8a6e9ef37ad04d988e8f574f3399639c58f978aed4",
+    "regret-theorem-3/trace-replica0.csv": "78d7c658799c60e18edd89040715e3f5fe547478b9fd21ec92d47b52f62b19e0",
+    "regret-theorem-3/trace-replica1.csv": "92a50bb5d0d5445e7c071f9ddc731b0234b3396d1c6c9ee380676432b1e57830",
+    "section-3-3/summary.json": "6efcf46cf78067306e18ed4fa78b4c8a8cf7d911fbbac818b9e5c13f0b67b992",
+    "section-3-3/trace-replica0.csv": "5cdf7a4b4ca85f45adc5adee02c28763090466c122ebde44841558d9694b55a4",
+    "section-3-3/trace-replica1.csv": "4bfb2a80d64dce97dc7ac8440b9ac7f1927169704e282f5143c14dd13e8cacef",
+}
+
+
+def test_every_scenario_is_pinned():
+    assert sorted({key.split("/")[0] for key in DIGESTS}) == list_scenarios()
+
+
+@pytest.mark.parametrize("name", sorted({key.split("/")[0] for key in DIGESTS}))
+def test_scenario_output_digests(name, tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["run", name, "--replicas", "2", "--out-dir", str(tmp_path)])
+    got = {
+        f"{name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.iterdir())
+    }
+    want = {key: value for key, value in DIGESTS.items() if key.startswith(f"{name}/")}
+    assert got == want

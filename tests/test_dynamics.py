@@ -23,7 +23,6 @@ from auctionlab.dynamics import (
     detect_cycle,
     run_best_response_dynamics,
     run_regret_dynamics,
-    scripted_order_mode,
     seeded_rng,
 )
 from auctionlab.generate import random_types
@@ -45,17 +44,20 @@ STATE_4 = (Declaration(A | B, 4), Declaration(B | C, 5), Declaration(C, 4), Decl
 class TestScriptedCycle:
     def test_warmup_order_reaches_two_winner_state(self, cycle_types, cycle_mechanism):
         agents = best_response_agents(cycle_types, cycle_mechanism)
-        cfg = RunConfig(mechanism=cycle_mechanism, agents=agents, rounds=5, seed=0)
-        trace = scripted_order_mode(cfg, [2, 3, 0, 1, 0])
+        cfg = RunConfig(
+            mechanism=cycle_mechanism, agents=agents, rounds=5, seed=0,
+            scripted_order=[2, 3, 0, 1, 0],
+        )
+        trace = run_best_response_dynamics(cfg)
         assert trace.records[-1].profile == STATE_1
 
     def test_alternation_returns_to_start(self, cycle_types, cycle_mechanism):
         agents = best_response_agents(cycle_types, cycle_mechanism)
         cfg = RunConfig(
             mechanism=cycle_mechanism, agents=agents, rounds=4, seed=0,
-            initial_profile=STATE_1,
+            initial_profile=STATE_1, scripted_order=[1, 0, 1, 0],
         )
-        trace = scripted_order_mode(cfg, [1, 0, 1, 0])
+        trace = run_best_response_dynamics(cfg)
         assert [r.profile for r in trace.records] == [STATE_2, STATE_3, STATE_4, STATE_1]
 
     def test_full_run_cycles_with_period_four(self, cycle_types, cycle_mechanism):
@@ -70,16 +72,19 @@ class TestScriptedCycle:
 
     def test_single_updater_order(self, cycle_types, cycle_mechanism):
         agents = best_response_agents(cycle_types[:2], cycle_mechanism)
-        cfg = RunConfig(mechanism=cycle_mechanism, agents=agents, rounds=6, seed=0)
-        trace = scripted_order_mode(cfg, [0])
+        cfg = RunConfig(
+            mechanism=cycle_mechanism, agents=agents, rounds=6, seed=0, scripted_order=[0]
+        )
+        trace = run_best_response_dynamics(cfg)
         assert all(r.updater == 0 for r in trace.records)
         assert all(r.profile[1] is EMPTY for r in trace.records)
 
     def test_empty_order_rejected(self, cycle_types, cycle_mechanism):
         agents = best_response_agents(cycle_types, cycle_mechanism)
-        cfg = RunConfig(mechanism=cycle_mechanism, agents=agents, rounds=3, seed=0)
         with pytest.raises(ValidationError):
-            scripted_order_mode(cfg, [])
+            RunConfig(
+                mechanism=cycle_mechanism, agents=agents, rounds=3, seed=0, scripted_order=[]
+            )
 
 
 def synthetic_trace(profiles, mechanism, agents):

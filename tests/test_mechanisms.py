@@ -12,7 +12,6 @@ from auctionlab import (
     NonMonotoneDecisionError,
     RuleMechanism,
     Valuation,
-    expected_two_branch_utility,
     greedy_rule,
     optimal_welfare,
     search_critical_price,
@@ -178,7 +177,7 @@ class TestGrandBundle:
         v = Valuation([(0b1111, 10)])
         expected = Fraction(99, 100) * 4  # wins 10 pay 6 in the keep branch, 0 otherwise
         assert mech.expected_utility(0, profile[0], profile, v) == expected
-        assert expected_two_branch_utility(mech, 0, profile[0], profile, v) == expected
+        assert mech.counterfactual_utilities(0, [profile[0], EMPTY], profile, v) == [expected, 0]
 
     def test_gamma_zero_and_one_limits(self, profile):
         v = Valuation([(0b1111, 10)])
@@ -277,6 +276,38 @@ class TestPaymentExactness:
                 assert mech.critical_price(i, mask, profile, coin) == Mechanism.critical_price(
                     mech, i, mask, profile, coin
                 )
+
+    def test_one_thresholds_call_prices_every_set(self):
+        # the per-call state of `thresholds` is shared by all sets asked of it
+        rng = seeded_rng(57, "thresholds-many-sets")
+        mechs = self._mechanisms()
+        for trial in range(150):
+            mech = mechs[trial % 3]
+            m = mech.item_count
+            profile = random_profile(rng, 4, m, max_size=4, max_value=16)
+            i = rng.randrange(4)
+            masks = [d.set_mask for d in random_profile(rng, 6, m, max_size=4, max_value=5)]
+            masks.append(full_mask(m))
+            coins = [COIN_NONE]
+            if isinstance(mech, GrandBundleMechanism):
+                coins.append(Coin(ignore_grand=True))
+            for coin in coins:
+                price_of = mech.thresholds(profile, i, coin)
+                for mask in masks:
+                    assert price_of(mask) == Mechanism.critical_price(mech, i, mask, profile, coin)
+
+    def test_utilities_are_ints_only_when_deterministic(self):
+        v = Valuation([(A, 5)])
+        profile = (Declaration(A, 5), Declaration(A, 3))
+        for mech, kind in (
+            (RuleMechanism(greedy_rule(2), 4), int),
+            (FilteredGreedyMechanism(4, 2), int),
+            (GrandBundleMechanism(4, Fraction(0)), int),
+            (GrandBundleMechanism(4, Fraction(1, 10)), Fraction),
+            (FilteredGreedyMechanism(4, 2, lottery=Fraction(1, 10)), Fraction),
+        ):
+            utilities = mech.counterfactual_utilities(0, [profile[0], EMPTY], profile, v)
+            assert [type(u) for u in utilities] == [kind, kind]
 
     def test_truthful_play_is_individually_rational(self):
         rng = seeded_rng(59, "ir")
