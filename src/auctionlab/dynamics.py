@@ -116,8 +116,33 @@ def _starting_profile(config: RunConfig) -> Profile:
     return tuple(picks)
 
 
+# Both engines revisit few states, and every per-state result below is a
+# pure function of its key, so caching them leaves traces unchanged.  The
+# caches live for one run and are emptied when they outgrow this many states
+# (0 turns them off).
+STATE_CACHE_LIMIT = 4096
+
+
 def _true_welfare(allocation, agents: Sequence[AgentModel]) -> int:
     return social_welfare(allocation, [a.valuation for a in agents])
+
+
+def _round_result(
+    mechanism: Mechanism, profile: Profile, coin: Coin, agents: Sequence[AgentModel]
+) -> tuple[Outcome, int, int]:
+    """Outcome, declared welfare and true welfare of one round."""
+    outcome = mechanism.outcome(profile, coin)
+    declared = sum(d.value_on(m) for d, m in zip(profile, outcome.allocation))
+    return outcome, declared, _true_welfare(outcome.allocation, agents)
+
+
+def _cache_slot(cache: dict, key, make):
+    entry = cache.get(key)
+    if entry is None:
+        entry = cache[key] = make()
+        if len(cache) > STATE_CACHE_LIMIT:
+            cache.clear()
+    return entry
 
 
 def run_best_response_dynamics(config: RunConfig) -> Trace:
@@ -132,6 +157,9 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
     agent_rngs = [seeded_rng(config.seed, "agent", i) for i in range(n)]
 
     profile = _starting_profile(config)
+    # per profile: best responses by updater, round results by coin
+    states: dict = {}
+    responses, results = _cache_slot(states, profile, lambda: ({}, {}))
     records = []
     for t in range(1, config.rounds + 1):
         if n == 0:
@@ -147,24 +175,21 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
         if isinstance(model.behavior, ByzantineBidder):
             new_decl = byzantine_bid(model, agent_rngs[updater])
         else:
-            new_decl = best_response(model, profile, mechanism, config.keep_on_tie)
+            new_decl = responses.get(updater)
+            if new_decl is None:
+                new_decl = responses[updater] = best_response(
+                    model, profile, mechanism, config.keep_on_tie
+                )
         if new_decl != profile[updater]:
             profile = tuple(
                 new_decl if j == updater else d for j, d in enumerate(profile)
             )
+            responses, results = _cache_slot(states, profile, lambda: ({}, {}))
         coin = mechanism.draw_coin(rng_coin, n)
-        outcome = mechanism.outcome(profile, coin)
-        records.append(
-            RoundRecord(
-                t,
-                updater,
-                profile,
-                coin,
-                outcome,
-                sum(d.value_on(m) for d, m in zip(profile, outcome.allocation)),
-                _true_welfare(outcome.allocation, agents),
-            )
-        )
+        result = results.get(coin)
+        if result is None:
+            result = results[coin] = _round_result(mechanism, profile, coin, agents)
+        records.append(RoundRecord(t, updater, profile, coin, *result))
     return Trace(mechanism, tuple(agents), config.seed, "best-response", tuple(records))
 
 
@@ -188,31 +213,35 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
         if isinstance(m.behavior, (WeightedLearner, PerturbedLearner))
     }
 
+    # keyed by the learners' candidate indices and the other agents' bids:
+    # the profile, the learners' utility vectors and round results by coin
+    states: dict = {}
+
+    def state_of(decls):
+        profile = tuple(decls)
+        vectors = [counterfactual_utilities(agents[i], profile, mechanism) for i in learners]
+        return profile, vectors, {}
+
     records = []
     for t in range(1, config.rounds + 1):
-        decls = []
+        key, decls = [], []
         for i, model in enumerate(agents):
             if i in learners:
                 k = learners[i].choose(agent_rngs[i])
+                key.append(k)
                 decls.append(model.candidate_bids[k])
             else:
-                decls.append(byzantine_bid(model, agent_rngs[i]))
-        profile = tuple(decls)
+                decl = byzantine_bid(model, agent_rngs[i])
+                key.append(decl)
+                decls.append(decl)
+        profile, vectors, results = _cache_slot(states, tuple(key), lambda: state_of(decls))
         coin = mechanism.draw_coin(rng_coin, n)
-        outcome = mechanism.outcome(profile, coin)
-        for i, state in learners.items():
-            state.update(counterfactual_utilities(agents[i], profile, mechanism))
-        records.append(
-            RoundRecord(
-                t,
-                ALL_AGENTS,
-                profile,
-                coin,
-                outcome,
-                sum(d.value_on(m) for d, m in zip(profile, outcome.allocation)),
-                _true_welfare(outcome.allocation, agents),
-            )
-        )
+        result = results.get(coin)
+        if result is None:
+            result = results[coin] = _round_result(mechanism, profile, coin, agents)
+        for state, utilities in zip(learners.values(), vectors):
+            state.update(utilities)
+        records.append(RoundRecord(t, ALL_AGENTS, profile, coin, *result))
     return Trace(mechanism, tuple(agents), config.seed, "regret", tuple(records))
 
 

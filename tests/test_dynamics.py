@@ -14,6 +14,7 @@ from auctionlab import (
     make_agent,
     separated_flags,
 )
+from auctionlab import dynamics
 from auctionlab.dynamics import (
     ALL_AGENTS,
     RoundRecord,
@@ -270,3 +271,34 @@ class TestRegretEngine:
             for i, d in enumerate(record.profile):
                 if not d.is_empty:
                     assert d.bid == cycle_types[i].value_of(d.set_mask)
+
+
+class TestStateCache:
+    """Both engines cache per-state results; turning the cache off must not
+    change a single record."""
+
+    @staticmethod
+    def best_response_run():
+        types = random_types(seeded_rng(43, "cache-br"), 5, 8, max_atoms=3, max_value=24, max_size=2)
+        mech = FilteredGreedyMechanism(8, 2, lottery=Fraction(1, 16))
+        agents = best_response_agents(types[:4], mech)
+        agents.append(make_agent(4, types[4], ByzantineBidder(), mech))
+        cfg = RunConfig(mechanism=mech, agents=agents, rounds=600, seed=7, empty_start=False)
+        return run_best_response_dynamics(cfg)
+
+    @staticmethod
+    def regret_run():
+        types = random_types(seeded_rng(47, "cache-mw"), 4, 6, max_atoms=3, max_value=24, max_size=2)
+        mech = FilteredGreedyMechanism(6, 2)
+        agents = [make_agent(i, t, WeightedLearner(), mech) for i, t in enumerate(types[:3])]
+        agents.append(make_agent(3, types[3], ByzantineBidder(), mech))
+        cfg = RunConfig(mechanism=mech, agents=agents, rounds=600, seed=11)
+        return run_regret_dynamics(cfg)
+
+    @pytest.mark.parametrize("engine", ["best_response_run", "regret_run"])
+    def test_cache_gives_the_same_records(self, engine, monkeypatch):
+        cached = getattr(self, engine)()
+        monkeypatch.setattr(dynamics, "STATE_CACHE_LIMIT", 0)
+        assert getattr(self, engine)().records == cached.records
+        for record in cached.records:
+            assert record.outcome == cached.mechanism.outcome(record.profile, record.coin)
