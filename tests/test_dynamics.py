@@ -15,6 +15,7 @@ from auctionlab import (
     separated_flags,
 )
 from auctionlab import dynamics
+from auctionlab.agents import best_response, byzantine_bid, counterfactual_utilities, learner_state_for
 from auctionlab.dynamics import (
     ALL_AGENTS,
     RoundRecord,
@@ -274,31 +275,52 @@ class TestRegretEngine:
 
 
 class TestStateCache:
-    """Both engines cache per-state results; turning the cache off must not
-    change a single record."""
+    """Both engines cache per-state results.  Every record must equal what a
+    direct, uncached recomputation of its round gives, also when the cache
+    is emptied at almost every new state."""
 
     @staticmethod
-    def best_response_run():
+    def assert_round(config, record):
+        expected = dynamics._round_result(config.mechanism, record.profile, record.coin, config.agents)
+        assert (record.outcome, record.declared_welfare, record.true_welfare) == expected
+
+    @pytest.mark.parametrize("limit", [dynamics.STATE_CACHE_LIMIT, 1])
+    def test_best_response_records_match_recomputation(self, limit, monkeypatch):
+        monkeypatch.setattr(dynamics, "STATE_CACHE_LIMIT", limit)
         types = random_types(seeded_rng(43, "cache-br"), 5, 8, max_atoms=3, max_value=24, max_size=2)
         mech = FilteredGreedyMechanism(8, 2, lottery=Fraction(1, 16))
         agents = best_response_agents(types[:4], mech)
         agents.append(make_agent(4, types[4], ByzantineBidder(), mech))
         cfg = RunConfig(mechanism=mech, agents=agents, rounds=600, seed=7, empty_start=False)
-        return run_best_response_dynamics(cfg)
+        previous = dynamics._starting_profile(cfg)
+        for record in run_best_response_dynamics(cfg).records:
+            updater, model = record.updater, agents[record.updater]
+            if not isinstance(model.behavior, ByzantineBidder):
+                assert record.profile[updater] == best_response(model, previous, mech, cfg.keep_on_tie)
+            assert [d for j, d in enumerate(record.profile) if j != updater] == [
+                d for j, d in enumerate(previous) if j != updater
+            ]
+            self.assert_round(cfg, record)
+            previous = record.profile
 
-    @staticmethod
-    def regret_run():
+    @pytest.mark.parametrize("limit", [dynamics.STATE_CACHE_LIMIT, 1])
+    def test_regret_records_match_recomputation(self, limit, monkeypatch):
+        monkeypatch.setattr(dynamics, "STATE_CACHE_LIMIT", limit)
         types = random_types(seeded_rng(47, "cache-mw"), 4, 6, max_atoms=3, max_value=24, max_size=2)
         mech = FilteredGreedyMechanism(6, 2)
         agents = [make_agent(i, t, WeightedLearner(), mech) for i, t in enumerate(types[:3])]
         agents.append(make_agent(3, types[3], ByzantineBidder(), mech))
         cfg = RunConfig(mechanism=mech, agents=agents, rounds=600, seed=11)
-        return run_regret_dynamics(cfg)
-
-    @pytest.mark.parametrize("engine", ["best_response_run", "regret_run"])
-    def test_cache_gives_the_same_records(self, engine, monkeypatch):
-        cached = getattr(self, engine)()
-        monkeypatch.setattr(dynamics, "STATE_CACHE_LIMIT", 0)
-        assert getattr(self, engine)().records == cached.records
-        for record in cached.records:
-            assert record.outcome == cached.mechanism.outcome(record.profile, record.coin)
+        # replay the run without caches: same streams, fresh learner states
+        rngs = [seeded_rng(cfg.seed, "agent", i) for i in range(len(agents))]
+        learners = {i: learner_state_for(agents[i]) for i in range(3)}
+        for record in run_regret_dynamics(cfg).records:
+            expected = [
+                agents[i].candidate_bids[learners[i].choose(rngs[i])] if i in learners
+                else byzantine_bid(agents[i], rngs[i])
+                for i in range(len(agents))
+            ]
+            assert list(record.profile) == expected
+            for i, state in learners.items():
+                state.update(counterfactual_utilities(agents[i], record.profile, mech))
+            self.assert_round(cfg, record)
