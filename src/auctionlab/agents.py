@@ -146,15 +146,24 @@ def hindsight_totals(
     if not history:
         raise ValidationError("regret needs at least one round of history")
     i, valuation = model.index, model.valuation
+    # A trace's records of one cached state share their declaration and
+    # profile objects, so each distinct pair is priced once and weighted by
+    # its number of rounds (keyed by `id`, unique while `history` holds them).
+    seen: dict[tuple[int, int], list] = {}
+    for own, profile in history:
+        entry = seen.get((id(own), id(profile)))
+        if entry is None:
+            entry = seen[id(own), id(profile)] = [own, profile, 0]
+        entry[2] += 1
     realized = Fraction(0)
     fixed = [Fraction(0)] * len(model.candidate_bids)
-    for own, profile in history:
+    for own, profile, rounds in seen.values():
         *utilities, own_utility = mechanism.counterfactual_utilities(
             i, model.candidate_bids + (own,), profile, valuation
         )
-        realized += own_utility
+        realized += rounds * own_utility
         for k, u in enumerate(utilities):
-            fixed[k] += u
+            fixed[k] += rounds * u
     return realized, fixed
 
 

@@ -344,10 +344,48 @@ def parse_experiment(data: dict, instance: Instance, name: str) -> Experiment:
             raise ValidationError(f"{name}.agents.overrides: unknown behavior {value!r}")
         behaviors[aid - 1] = value
 
+    if dkind == "regret" and "best-response" in behaviors:
+        agent = behaviors.index("best-response") + 1
+        raise ValidationError(
+            f"{name}.agents: agent {agent} is a best responder, but regret dynamics "
+            "needs learner or byzantine behaviors"
+        )
+
     acceptance = _object(data.get("acceptance", {}), f"{name}.acceptance")
     epsilon = parse_fraction(acceptance.get("epsilon", "1/10"), f"{name}.acceptance.epsilon")
-    checks = _object(acceptance.get("checks", {}), f"{name}.acceptance.checks")
+    checks = parse_checks(
+        _object(acceptance.get("checks", {}), f"{name}.acceptance.checks"),
+        f"{name}.acceptance.checks",
+    )
     return Experiment(name, instance, mech, dyn, behaviors, epsilon, checks)
+
+
+FRACTION_CHECKS = (
+    "welfare_ratio_equals",
+    "min_welfare_ratio",
+    "replica_pass_fraction",
+    "max_regret_per_round",
+    "min_g_fraction",
+)
+FLAG_CHECKS = ("require_separated", "expect_convergence", "byzantine_restricted")
+
+
+def parse_checks(raw: dict, where: str) -> dict:
+    """Check values parsed once, at load, so that `validate` rejects what
+    `run` would reject and `run` rejects it before any round: rationals
+    become `Fraction`s (`min_g_fraction` may stay "auto"), flags must be
+    booleans and `expect_cycle_period` a positive integer."""
+    checks = dict(raw)
+    for key in FRACTION_CHECKS:
+        if key in checks and not (key == "min_g_fraction" and checks[key] == "auto"):
+            checks[key] = parse_fraction(checks[key], f"{where}.{key}")
+    for key in FLAG_CHECKS:
+        if key in checks and not isinstance(checks[key], bool):
+            raise ValidationError(f"{where}.{key}: expected true or false")
+    period = checks.get("expect_cycle_period", 1)
+    if isinstance(period, bool) or not isinstance(period, int) or period < 1:
+        raise ValidationError(f"{where}.expect_cycle_period: must be a positive integer")
+    return checks
 
 
 def _scenario_dir():
@@ -390,9 +428,29 @@ def load_experiment(source: str | Path) -> Experiment:
 # ---------------------------------------------------------------------------
 
 
-def run_replica(experiment: Experiment, replica: int, base_seed: int) -> dict:
-    """Execute one replica and evaluate its checks; returns a summary dict
-    plus the CSV trace text."""
+def welfare_targets(experiment: Experiment) -> tuple[tuple[int, ...], int]:
+    """The oracle's target allocation and the optimum the replicas are judged
+    against: the full optimum, or under `byzantine_restricted` the optimum
+    of the other agents' bids.  Both depend only on the experiment, so a run
+    computes them once for all its replicas."""
+    types = experiment.instance.types
+    cap = experiment.oracle_cap()
+    target_alloc, optimum = optimal_welfare(types, cap)
+    if experiment.checks.get("byzantine_restricted"):
+        byzantine = experiment.byzantine_set()
+        bids = [b for b in atoms_as_bids(types, cap) if b[0] not in byzantine]
+        _, optimum = optimal_allocation(bids, len(types), cap)
+    return target_alloc, optimum
+
+
+def run_replica(
+    experiment: Experiment,
+    replica: int,
+    base_seed: int,
+    targets: tuple[tuple[int, ...], int],
+) -> dict:
+    """Execute one replica and evaluate its checks against the experiment's
+    `welfare_targets`; returns a summary dict plus the CSV trace text."""
     seed = replica_seeds(base_seed, replica + 1)[replica]
     config = experiment.run_config(seed)
     agents = config.agents
@@ -403,15 +461,10 @@ def run_replica(experiment: Experiment, replica: int, base_seed: int) -> dict:
 
     types = experiment.instance.types
     checks = experiment.checks
-    cap = experiment.oracle_cap()
-    byzantine = experiment.byzantine_set()
+    target_alloc, optimum = targets
     if checks.get("byzantine_restricted"):
-        bids = [b for b in atoms_as_bids(types, cap) if b[0] not in byzantine]
-        _, optimum = optimal_allocation(bids, len(types), cap)
-        target_alloc, _ = optimal_welfare(types, cap)
-        report = resilience_report(trace, types, byzantine, optimum)
+        report = resilience_report(trace, types, experiment.byzantine_set(), optimum)
     else:
-        target_alloc, optimum = optimal_welfare(types, cap)
         report = welfare_report(trace, types, optimum)
     summary: dict[str, Any] = {
         "replica": replica,
@@ -428,24 +481,21 @@ def run_replica(experiment: Experiment, replica: int, base_seed: int) -> dict:
         results.append({"name": name, "pass": bool(passed), "detail": detail})
 
     if "welfare_ratio_equals" in checks:
-        want = parse_fraction(checks["welfare_ratio_equals"], "checks.welfare_ratio_equals")
+        want = checks["welfare_ratio_equals"]
         record(
             "welfare_ratio_equals",
             report.ratio == want,
             f"ratio {format_fraction(report.ratio)} vs {format_fraction(want)}",
         )
     if "min_welfare_ratio" in checks:
-        want = parse_fraction(checks["min_welfare_ratio"], "checks.min_welfare_ratio")
+        want = checks["min_welfare_ratio"]
         record(
             "min_welfare_ratio",
             report.ratio >= want,
             f"ratio {format_fraction(report.ratio)} >= {format_fraction(want)}",
         )
     if checks.get("require_separated"):
-        ok = all(
-            all(separated_flags(r.profile, types))
-            for r in trace.records
-        )
+        ok = separated_throughout(trace, types)
         record("require_separated", ok, "every round separated" if ok else "separation broken")
     if "expect_cycle_period" in checks:
         found = detect_cycle(trace)
@@ -463,12 +513,12 @@ def run_replica(experiment: Experiment, replica: int, base_seed: int) -> dict:
         converged = tail_len >= max(2, trace.rounds // 2)
         record(
             "expect_convergence",
-            converged == bool(checks["expect_convergence"]),
+            converged == checks["expect_convergence"],
             f"constant tail from round {tail}",
         )
         summary["converged"] = converged
     if "max_regret_per_round" in checks:
-        want = parse_fraction(checks["max_regret_per_round"], "checks.max_regret_per_round")
+        want = checks["max_regret_per_round"]
         regrets = regret_report(trace, agents)
         worst = max(regrets.per_agent, default=Fraction(0))
         record(
@@ -480,12 +530,9 @@ def run_replica(experiment: Experiment, replica: int, base_seed: int) -> dict:
             str(i + 1): format_fraction(r) for i, r in enumerate(regrets.per_agent)
         }
     if "min_g_fraction" in checks:
-        raw = checks["min_g_fraction"]
-        want = (
-            Fraction(1, 2) - experiment.epsilon
-            if raw == "auto"
-            else parse_fraction(raw, "checks.min_g_fraction")
-        )
+        want = checks["min_g_fraction"]
+        if want == "auto":
+            want = Fraction(1, 2) - experiment.epsilon
         _, fractions = coverage_report(trace, types, target_alloc, sum_strict=False)
         worst = min(fractions, default=Fraction(1))
         record(
@@ -502,7 +549,26 @@ def run_replica(experiment: Experiment, replica: int, base_seed: int) -> dict:
     return {"summary": summary, "csv": trace_csv(trace, experiment)}
 
 
+def separated_throughout(trace: Trace, types: Sequence[Valuation]) -> bool:
+    """Whether every round's profile is separated; checks each distinct
+    profile object once, since records of one cached state share theirs."""
+    profiles = {id(r.profile): r.profile for r in trace.records}
+    return all(all(separated_flags(p, types)) for p in profiles.values())
+
+
+def _coin_text(coin) -> str:
+    if coin.lottery_agent is not None:
+        return f"lottery:{coin.lottery_agent + 1}"
+    return "ignore-grand" if coin.ignore_grand else "-"
+
+
 def trace_csv(trace: Trace, experiment: Experiment) -> str:
+    """The trace as CSV, one row per round.  Records of one cached state
+    share their profile and outcome objects, so the text of a profile's
+    `set_*,bid_*` columns and of an outcome's `won_*,pay_*` columns is
+    formatted once per object (keyed by `id`, which stays unique while the
+    trace holds every object); an equal but distinct object just formats
+    the same text again."""
     n = trace.n_agents
     header = ["round", "updater"]
     header += [f"set_{i + 1}" for i in range(n)]
@@ -512,21 +578,22 @@ def trace_csv(trace: Trace, experiment: Experiment) -> str:
     header += [f"pay_{i + 1}" for i in range(n)]
     header += ["declared_sw", "true_sw"]
     lines = [",".join(header)]
+    profile_text: dict[int, str] = {}
+    outcome_text: dict[int, str] = {}
     for r in trace.records:
-        if r.coin.lottery_agent is not None:
-            coin = f"lottery:{r.coin.lottery_agent + 1}"
-        elif r.coin.ignore_grand:
-            coin = "ignore-grand"
-        else:
-            coin = "-"
-        row = [str(r.round), "ALL" if r.updater == ALL_AGENTS else str(r.updater + 1)]
-        row += [str(d.set_mask) for d in r.profile]
-        row += [str(d.bid) for d in r.profile]
-        row.append(coin)
-        row += [str(m) for m in r.outcome.allocation]
-        row += [str(p) for p in r.outcome.payments]
-        row += [str(r.declared_welfare), str(r.true_welfare)]
-        lines.append(",".join(row))
+        bids = profile_text.get(id(r.profile))
+        if bids is None:
+            cells = [d.set_mask for d in r.profile] + [d.bid for d in r.profile]
+            bids = profile_text[id(r.profile)] = "".join(f",{c}" for c in cells)
+        wins = outcome_text.get(id(r.outcome))
+        if wins is None:
+            cells = list(r.outcome.allocation) + list(r.outcome.payments)
+            wins = outcome_text[id(r.outcome)] = "".join(f",{c}" for c in cells)
+        updater = "ALL" if r.updater == ALL_AGENTS else r.updater + 1
+        lines.append(
+            f"{r.round},{updater}{bids},{_coin_text(r.coin)}{wins},"
+            f"{r.declared_welfare},{r.true_welfare}"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -552,13 +619,14 @@ def run_experiment(
     base_seed = seed if seed is not None else experiment.dynamics_spec.get("seed", 0)
     count = replicas if replicas is not None else experiment.dynamics_spec.get("replicas", 1)
 
+    targets = welfare_targets(experiment)
     out_dir.mkdir(parents=True, exist_ok=True)
     if workers > 1 and count > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(run_replica, [experiment] * count, range(count),
-                                    [base_seed] * count))
+                                    [base_seed] * count, [targets] * count))
     else:
-        outputs = [run_replica(experiment, r, base_seed) for r in range(count)]
+        outputs = [run_replica(experiment, r, base_seed, targets) for r in range(count)]
 
     summaries = []
     ratios = []
@@ -573,10 +641,8 @@ def run_experiment(
     run_checks = []
     fraction_gate = None
     if "min_welfare_ratio" in checks:
-        want = parse_fraction(checks["min_welfare_ratio"], "checks.min_welfare_ratio")
-        need = parse_fraction(
-            checks.get("replica_pass_fraction", 1), "checks.replica_pass_fraction"
-        )
+        want = checks["min_welfare_ratio"]
+        need = checks.get("replica_pass_fraction", Fraction(1))
         stats = aggregate(ratios, want)
         ok = stats.pass_fraction >= need
         fraction_gate = {

@@ -123,6 +123,14 @@ def _starting_profile(config: RunConfig) -> Profile:
 # runs stay far below it: at most 357 distinct states in a 20,000-round
 # learner run with a byzantine bidder, at most 35 without one, and at most
 # 10 in a best-response run.
+#
+# The post-run stages rely on one invariant of these caches: the records of
+# one cached state share their profile and outcome objects, so the CSV
+# export, the separation check, the coverage report and the hindsight totals
+# work once per distinct object (keyed by `id`, unique while the trace holds
+# every record).  An equal state that arrives as a distinct object, after the
+# cache is emptied or when a best-response revisit builds a new profile
+# tuple, only repeats that work and yields the same result.
 STATE_CACHE_LIMIT = 4096
 
 

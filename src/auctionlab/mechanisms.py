@@ -69,6 +69,7 @@ class Coin:
 
 
 COIN_NONE = Coin()
+COIN_IGNORE_GRAND = Coin(ignore_grand=True)
 
 
 def with_probe(profile: Profile, agent: int, probe: Declaration) -> Profile:
@@ -403,8 +404,11 @@ class GrandBundleMechanism(Mechanism):
         self.grand = full_mask(item_count)
         self._inner = FilteredGreedyMechanism(item_count, self.small_cap)
         self.name = f"grand-bundle(m={item_count}, gamma={gamma})"
+        # the trembling draw's chance as the float the coin stream compares
+        # against, or None when it never fires (then no draw is made)
+        self._ignore_chance = float(gamma) if gamma else None
         if gamma:
-            self.branches = ((gamma, Coin(ignore_grand=True)), (1 - gamma, COIN_NONE))
+            self.branches = ((gamma, COIN_IGNORE_GRAND), (1 - gamma, COIN_NONE))
 
     def _small_profile(self, profile: Profile) -> Profile:
         cap = self.small_cap
@@ -478,6 +482,6 @@ class GrandBundleMechanism(Mechanism):
         return price_of
 
     def _draw_mechanism_coin(self, rng) -> Coin:
-        if self.gamma and rng.random() < float(self.gamma):
-            return Coin(ignore_grand=True)
+        if self._ignore_chance is not None and rng.random() < self._ignore_chance:
+            return COIN_IGNORE_GRAND
         return COIN_NONE

@@ -86,28 +86,36 @@ def coverage_report(
         raise InstanceMismatchError("instance data differs from the trace")
     n = trace.n_agents
     targets = [types[i].value_of(target_alloc[i]) for i in range(n)]
-    matrix: list[tuple[bool, ...]] = []
-    counts = [0] * n
-    for record in trace.records:
-        profile = record.profile
+
+    def row_of(profile) -> tuple[bool, ...]:
         row = []
         for i in range(n):
             goal = targets[i]
-            own = 2 * profile[i].bid >= goal
-            if own:
+            if 2 * profile[i].bid >= goal:
                 row.append(True)
-                counts[i] += 1
                 continue
             pressure = sum(
                 d.bid
                 for j, d in enumerate(profile)
                 if j != i and d.set_mask & target_alloc[i]
             )
-            hit = 2 * pressure > goal if sum_strict else 2 * pressure >= goal
-            row.append(hit)
-            if hit:
-                counts[i] += 1
-        matrix.append(tuple(row))
+            row.append(2 * pressure > goal if sum_strict else 2 * pressure >= goal)
+        return tuple(row)
+
+    # records of one cached state share one profile object; an equal but
+    # distinct profile just gets its own row
+    rows: dict[int, tuple[bool, ...]] = {}
+    uses: dict[int, int] = {}
+    matrix: list[tuple[bool, ...]] = []
+    for record in trace.records:
+        key = id(record.profile)
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = row_of(record.profile)
+            uses[key] = 0
+        uses[key] += 1
+        matrix.append(row)
+    counts = [sum(uses[key] for key, row in rows.items() if row[i]) for i in range(n)]
     rounds = max(1, trace.rounds)
     return matrix, tuple(Fraction(c, rounds) for c in counts)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from auctionlab import ValidationError
+from auctionlab import ValidationError, cli
 from auctionlab.cli import (
     list_scenarios,
     load_experiment,
@@ -349,6 +349,18 @@ def _initial_entry_without_items(experiment, instance):
     experiment["dynamics"]["initial"] = [{"id": 1, "bid": 3}]
 
 
+def _no_rounds(config):
+    raise AssertionError("the engine ran on a malformed experiment")
+
+
+def _best_responders_under_regret(experiment, instance):
+    experiment["agents"]["default"] = "best-response"
+
+
+def _regret_bound_not_rational(experiment, instance):
+    experiment["acceptance"]["checks"]["max_regret_per_round"] = "abc"
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize(
     "name, edit",
@@ -362,17 +374,23 @@ def _initial_entry_without_items(experiment, instance):
         ("byzantine-mix", _overrides_not_object),
         ("regret-theorem-3", _checks_not_object),
         ("random-sca", _initial_entry_without_items),
+        ("regret-theorem-3", _best_responders_under_regret),
+        ("regret-theorem-3", _regret_bound_not_rational),
     ],
     ids=["override-key", "agents-list", "agent-entry", "partition-side", "gamma",
-         "instance-agents", "overrides", "checks", "initial-entry"],
+         "instance-agents", "overrides", "checks", "initial-entry",
+         "regret-best-response", "regret-bound"],
 )
 def test_malformed_experiment_is_invalid_in_validate_and_run(
-    tmp_path, capsys, command, name, edit
+    tmp_path, capsys, monkeypatch, command, name, edit
 ):
     path = _copy_scenario(tmp_path, name, edit)
     argv = [command, str(path)]
     if command == "run":
         argv += ["--replicas", "1", "--out-dir", str(tmp_path / "out")]
+    # a bad experiment is rejected before any round runs
+    for engine in ("run_best_response_dynamics", "run_regret_dynamics"):
+        monkeypatch.setattr(cli, engine, _no_rounds)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("INVALID: ") and "Traceback" not in err

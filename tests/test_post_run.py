@@ -1,0 +1,163 @@
+"""The post-run stages of `auctionlab run` (CSV export, separation check,
+coverage report, hindsight totals) work once per distinct profile or
+outcome object.  Each must give exactly what a plain per-row computation
+gives: on every built-in scenario, also when the engine cache is emptied at
+almost every state so that equal states arrive as distinct objects, on a
+zero-agent trace, and on hand-built traces whose objects are shared in ways
+the engines never produce."""
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from auctionlab import dynamics
+from auctionlab.agents import BestResponder, hindsight_totals, make_agent
+from auctionlab.algorithms import greedy_rule
+from auctionlab.cli import (
+    list_scenarios,
+    load_experiment,
+    separated_throughout,
+    trace_csv,
+    welfare_targets,
+)
+from auctionlab.core import EMPTY, Declaration, Outcome, Valuation
+from auctionlab.dynamics import (
+    ALL_AGENTS,
+    RoundRecord,
+    RunConfig,
+    Trace,
+    run_best_response_dynamics,
+    run_regret_dynamics,
+)
+from auctionlab.mechanisms import COIN_IGNORE_GRAND, COIN_NONE, RuleMechanism, separated_flags
+from auctionlab.metrics import coverage_report
+
+
+def reference_csv(trace):
+    n = trace.n_agents
+    header = ["round", "updater"]
+    header += [f"set_{i + 1}" for i in range(n)] + [f"bid_{i + 1}" for i in range(n)]
+    header.append("coin")
+    header += [f"won_{i + 1}" for i in range(n)] + [f"pay_{i + 1}" for i in range(n)]
+    header += ["declared_sw", "true_sw"]
+    lines = [",".join(header)]
+    for r in trace.records:
+        if r.coin.lottery_agent is not None:
+            coin = f"lottery:{r.coin.lottery_agent + 1}"
+        elif r.coin.ignore_grand:
+            coin = "ignore-grand"
+        else:
+            coin = "-"
+        row = [str(r.round), "ALL" if r.updater == ALL_AGENTS else str(r.updater + 1)]
+        row += [str(d.set_mask) for d in r.profile] + [str(d.bid) for d in r.profile]
+        row.append(coin)
+        row += [str(m) for m in r.outcome.allocation] + [str(p) for p in r.outcome.payments]
+        row += [str(r.declared_welfare), str(r.true_welfare)]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_separated(trace, types):
+    return all(all(separated_flags(r.profile, types)) for r in trace.records)
+
+
+def reference_coverage(trace, types, target_alloc, sum_strict):
+    n = trace.n_agents
+    matrix = []
+    for r in trace.records:
+        row = []
+        for i in range(n):
+            goal = types[i].value_of(target_alloc[i])
+            pressure = sum(
+                d.bid for j, d in enumerate(r.profile) if j != i and d.set_mask & target_alloc[i]
+            )
+            hit = 2 * pressure > goal if sum_strict else 2 * pressure >= goal
+            row.append(2 * r.profile[i].bid >= goal or hit)
+        matrix.append(tuple(row))
+    rounds = max(1, trace.rounds)
+    return matrix, tuple(Fraction(sum(row[i] for row in matrix), rounds) for i in range(n))
+
+
+def reference_totals(history, model, mechanism):
+    realized = Fraction(0)
+    fixed = [Fraction(0)] * len(model.candidate_bids)
+    for own, profile in history:
+        *utilities, own_utility = mechanism.counterfactual_utilities(
+            model.index, model.candidate_bids + (own,), profile, model.valuation
+        )
+        realized += own_utility
+        fixed = [f + u for f, u in zip(fixed, utilities)]
+    return realized, fixed
+
+
+def assert_matches_reference(trace, types, target_alloc):
+    assert trace_csv(trace, None) == reference_csv(trace)
+    assert separated_throughout(trace, types) == reference_separated(trace, types)
+    for strict in (True, False):
+        assert coverage_report(trace, types, target_alloc, strict) == reference_coverage(
+            trace, types, target_alloc, strict
+        )
+    if trace.rounds:
+        for model in trace.agents:
+            history = trace.history_for(model.index)
+            assert hindsight_totals(history, model, trace.mechanism) == reference_totals(
+                history, model, trace.mechanism
+            )
+
+
+@pytest.mark.parametrize("limit", [dynamics.STATE_CACHE_LIMIT, 1])
+@pytest.mark.parametrize("name", list_scenarios())
+def test_scenario_post_run_matches_per_row_reference(name, limit, monkeypatch):
+    monkeypatch.setattr(dynamics, "STATE_CACHE_LIMIT", limit)
+    experiment = load_experiment(name)
+    config = experiment.run_config(seed=3)
+    config = replace(config, rounds=min(config.rounds, 400))
+    if experiment.dynamics_spec["kind"] == "regret":
+        trace = run_regret_dynamics(config)
+    else:
+        trace = run_best_response_dynamics(config)
+    target_alloc, _ = welfare_targets(experiment)
+    assert_matches_reference(trace, experiment.instance.types, target_alloc)
+
+
+def test_zero_agent_trace_has_no_agent_columns():
+    mechanism = RuleMechanism(greedy_rule(2), 2)
+    trace = run_best_response_dynamics(RunConfig(mechanism=mechanism, agents=[], rounds=3))
+    assert trace_csv(trace, None) == "round,updater,coin,declared_sw,true_sw\n" + "".join(
+        f"{t},ALL,-,0,0\n" for t in (1, 2, 3)
+    )
+    assert_matches_reference(trace, [], [])
+
+
+def test_shared_objects_that_engines_never_produce():
+    """One profile object under two coins and outcomes, and one outcome
+    object under two profiles with different declared welfare and coverage.
+    The only unseparated profile appears after a revisit of a separated
+    one, as a freshly built tuple whose outcome object separated profiles
+    share before and after it."""
+    types = [Valuation([(0b011, 6)]), Valuation([(0b010, 5)])]
+    mechanism = RuleMechanism(greedy_rule(2), 2)
+    agents = tuple(make_agent(i, t, BestResponder(), mechanism) for i, t in enumerate(types))
+    separated = (Declaration(0b011, 6), EMPTY)
+    unseparated = (Declaration(0b011, 1), Declaration(0b010, 2))
+    assert all(separated_flags(separated, types))
+    assert not all(separated_flags(unseparated, types))
+    first, second = Outcome((0b011, 0), (0, 0)), Outcome((0, 0), (0, 0))
+    revisit = tuple(list(unseparated))
+    assert revisit == unseparated and revisit is not unseparated
+    rows = [
+        (separated, COIN_NONE, first, 6),
+        (separated, COIN_IGNORE_GRAND, second, 0),
+        (separated, COIN_NONE, first, 6),
+        (revisit, COIN_NONE, first, 1),
+        (separated, COIN_NONE, first, 6),
+    ]
+    records = tuple(
+        RoundRecord(t, t % 2, profile, coin, outcome, welfare, welfare)
+        for t, (profile, coin, outcome, welfare) in enumerate(rows, 1)
+    )
+    trace = Trace(mechanism, agents, 0, "best-response", records)
+    assert_matches_reference(trace, types, [0b011, 0b010])
+    assert not separated_throughout(trace, types)
+    matrix, _ = coverage_report(trace, types, [0b011, 0b010])
+    assert matrix[3] != matrix[0]
