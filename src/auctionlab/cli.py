@@ -1,24 +1,8 @@
 """Command-line entry point: instance/experiment loading, the built-in
-scenario library, batch replica execution, and trace/summary export.
-
-File formats (JSON, documented in the README):
-
-Instance::
-
-    {"m": 4, "items": ["a", "b", "c", "d"], "s": 2,
-     "agents": [{"id": 1, "atoms": [{"items": ["a", "b"], "value": 4}]}]}
-
-Experiment::
-
-    {"instance": "appendix_c.instance.json",
-     "mechanism": {"kind": "greedy", "s": 2},
-     "dynamics": {"kind": "best-response", "rounds": 100, "seed": 7,
-                  "replicas": 5},
-     "agents": {"default": "best-response", "overrides": {}},
-     "acceptance": {"epsilon": "1/10", "checks": {...}}}
-
-Rationals are written as "p/q" strings; all trace columns are integers, so
-CSV exports are byte-identical across platforms for the same config.
+scenario library, batch replica execution, acceptance checks, and
+trace/summary export.  The JSON file formats are documented in the README;
+rationals are "p/q" strings and every trace column is an integer, so CSV
+exports are byte-identical across platforms for the same config.
 """
 from __future__ import annotations
 
@@ -30,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .agents import (
     AgentModel,
@@ -75,15 +59,11 @@ BEHAVIOR_KINDS = ("best-response", "mw", "fpl", "byzantine")
 
 
 def parse_fraction(value: Any, where: str) -> Fraction:
-    try:
-        if isinstance(value, bool):
-            raise ValueError
-        if isinstance(value, int):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
             return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        pass
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ValidationError(f"{where}: expected an integer or 'p/q' rational, got {value!r}")
 
 
@@ -106,7 +86,7 @@ class Instance:
 
     def mask_for(self, names: Sequence, where: str) -> int:
         indices = []
-        for name in names:
+        for name in _list(names, where):
             if isinstance(name, int):
                 if not 0 <= name < self.item_count:
                     raise ValidationError(f"{where}: item index {name} out of range")
@@ -128,10 +108,23 @@ def _object(data: Any, where: str) -> dict:
     return data
 
 
+def _list(data: Any, where: str) -> list:
+    if not isinstance(data, list):
+        raise ValidationError(f"{where}: expected a list")
+    return data
+
+
 def _require(data: Any, key: str, where: str):
     if key not in _object(data, where):
         raise ValidationError(f"{where}: missing required key '{key}'")
     return data[key]
+
+
+def _cap(value: Any, where: str) -> Optional[int]:
+    """A cardinality cap `s`: absent (None) or a positive integer."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
+        raise ValidationError(f"{where}: must be a positive integer")
+    return value
 
 
 def parse_instance(data: dict, where: str = "instance") -> Instance:
@@ -141,21 +134,17 @@ def parse_instance(data: dict, where: str = "instance") -> Instance:
     labels = data.get("items")
     if labels is None:
         labels = [str(j) for j in range(m)]
-    if len(labels) != m or len(set(labels)) != m:
-        raise ValidationError(f"{where}.items: need {m} distinct labels")
-    cap = data.get("s")
-    if cap is not None and (not isinstance(cap, int) or cap < 1):
-        raise ValidationError(f"{where}.s: must be a positive integer")
-    agents = data.get("agents", [])
-    if not isinstance(agents, list):
-        raise ValidationError(f"{where}.agents: expected a list")
+    if (not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
+            or len(labels) != m or len(set(labels)) != m):
+        raise ValidationError(f"{where}.items: need {m} distinct string labels")
+    cap = _cap(data.get("s"), f"{where}.s")
     instance = Instance(m, tuple(labels), cap, [])
-    for k, spec in enumerate(agents):
+    for k, spec in enumerate(_list(data.get("agents", []), f"{where}.agents")):
         aw = f"{where}.agents[{k}]"
         aid = _require(spec, "id", aw)
         if aid != k + 1:
             raise ValidationError(f"{aw}.id: ids must be contiguous from 1, expected {k + 1}")
-        atoms = _require(spec, "atoms", aw)
+        atoms = _list(_require(spec, "atoms", aw), f"{aw}.atoms")
         if not atoms:
             raise ValidationError(f"{aw}.atoms: must not be empty")
         pairs = []
@@ -230,9 +219,7 @@ class Experiment:
             if cap is None:
                 raise ValidationError("s: filtered-greedy needs a cardinality cap")
             return FilteredGreedyMechanism(m, cap, lottery)
-        if kind == "grand-bundle":
-            return GrandBundleMechanism(m, parse_fraction(spec["gamma"], "gamma"), lottery)
-        raise ValidationError(f"kind: unknown kind {kind!r}")
+        return GrandBundleMechanism(m, parse_fraction(spec["gamma"], "gamma"), lottery)
 
     def build_agents(self, mechanism: Mechanism) -> list[AgentModel]:
         behaviors = {
@@ -261,7 +248,7 @@ class Experiment:
             return None
         where = f"{self.name}.dynamics.initial"
         decls = [EMPTY] * len(self.instance.types)
-        for entry in initial:
+        for entry in _list(initial, where):
             aid = _require(entry, "id", where)
             if not isinstance(aid, int) or not 1 <= aid <= len(decls):
                 raise ValidationError(f"{where}: unknown agent id {aid!r}")
@@ -299,6 +286,7 @@ def parse_experiment(data: dict, instance: Instance, name: str) -> Experiment:
         raise ValidationError(f"{name}.mechanism: grand-bundle requires gamma")
     if kind == "partition" and "partition_a" not in mech:
         raise ValidationError(f"{name}.mechanism: partition requires partition_a")
+    _cap(mech.get("s"), f"{name}.mechanism.s")
     if kind != "grand-bundle" and "gamma" in mech:
         raise ValidationError(f"{name}.mechanism: gamma is only valid for grand-bundle")
     if "appendix_b_lottery" in mech and kind not in ("filtered-greedy", "grand-bundle"):
@@ -317,15 +305,13 @@ def parse_experiment(data: dict, instance: Instance, name: str) -> Experiment:
     if not isinstance(replicas, int) or replicas < 1:
         raise ValidationError(f"{name}.dynamics.replicas: must be a positive integer")
     order = dyn.get("scripted_order")
-    if order is not None:
-        if not order:
-            raise ValidationError(f"{name}.dynamics.scripted_order: must not be empty")
-        n = len(instance.types)
-        for a in order:
-            if not isinstance(a, int) or not 1 <= a <= n:
-                raise ValidationError(
-                    f"{name}.dynamics.scripted_order: agent ids must be in 1..{n}"
-                )
+    n = len(instance.types)
+    if order is not None and not (
+        isinstance(order, list) and order and all(isinstance(a, int) and 1 <= a <= n for a in order)
+    ):
+        raise ValidationError(
+            f"{name}.dynamics.scripted_order: must be a non-empty list of agent ids in 1..{n}"
+        )
 
     agent_spec = _object(data.get("agents", {}), f"{name}.agents")
     default = agent_spec.get("default", "best-response" if dkind == "best-response" else "mw")
@@ -360,34 +346,6 @@ def parse_experiment(data: dict, instance: Instance, name: str) -> Experiment:
     return Experiment(name, instance, mech, dyn, behaviors, epsilon, checks)
 
 
-FRACTION_CHECKS = (
-    "welfare_ratio_equals",
-    "min_welfare_ratio",
-    "replica_pass_fraction",
-    "max_regret_per_round",
-    "min_g_fraction",
-)
-FLAG_CHECKS = ("require_separated", "expect_convergence", "byzantine_restricted")
-
-
-def parse_checks(raw: dict, where: str) -> dict:
-    """Check values parsed once, at load, so that `validate` rejects what
-    `run` would reject and `run` rejects it before any round: rationals
-    become `Fraction`s (`min_g_fraction` may stay "auto"), flags must be
-    booleans and `expect_cycle_period` a positive integer."""
-    checks = dict(raw)
-    for key in FRACTION_CHECKS:
-        if key in checks and not (key == "min_g_fraction" and checks[key] == "auto"):
-            checks[key] = parse_fraction(checks[key], f"{where}.{key}")
-    for key in FLAG_CHECKS:
-        if key in checks and not isinstance(checks[key], bool):
-            raise ValidationError(f"{where}.{key}: expected true or false")
-    period = checks.get("expect_cycle_period", 1)
-    if isinstance(period, bool) or not isinstance(period, int) or period < 1:
-        raise ValidationError(f"{where}.expect_cycle_period: must be a positive integer")
-    return checks
-
-
 def _scenario_dir():
     return resources.files("auctionlab") / "scenarios"
 
@@ -404,23 +362,141 @@ def load_experiment(source: str | Path) -> Experiment:
     """Load an experiment by file path or built-in scenario name."""
     path = Path(source)
     if path.suffix == ".json" and path.exists():
+        name, where, home = path.stem.replace(".experiment", ""), str(path), path.parent
         data = _read_json(path)
-        name = path.stem.replace(".experiment", "")
-        ref = _require(data, "instance", str(path))
-        ipath = (path.parent / ref) if not Path(ref).is_absolute() else Path(ref)
-        instance = load_instance(ipath)
-        return parse_experiment(data, instance, name)
-    scenario = str(source)
-    entry = _scenario_dir() / f"{scenario}.experiment.json"
-    try:
-        data = json.loads(entry.read_text())
-    except FileNotFoundError:
-        raise ValidationError(
-            f"no experiment file or scenario named {scenario!r}; try 'auctionlab scenarios'"
-        ) from None
-    ref = _require(data, "instance", scenario)
-    instance = parse_instance(json.loads((_scenario_dir() / ref).read_text()), where=ref)
-    return parse_experiment(data, instance, scenario)
+    else:
+        name = where = str(source)
+        home = _scenario_dir()
+        try:
+            data = json.loads((home / f"{name}.experiment.json").read_text())
+        except FileNotFoundError:
+            raise ValidationError(
+                f"no experiment file or scenario named {name!r}; try 'auctionlab scenarios'"
+            ) from None
+    ref = _require(data, "instance", where)
+    if not isinstance(ref, str):
+        raise ValidationError(f"{where}.instance: expected a file name")
+    return parse_experiment(data, load_instance(home / ref), name)
+
+
+# ---------------------------------------------------------------------------
+# Acceptance checks
+# ---------------------------------------------------------------------------
+
+
+class _Replica(NamedTuple):
+    """What a check sees of one finished replica."""
+
+    experiment: Experiment
+    trace: Trace
+    agents: list[AgentModel]
+    report: Any  # the welfare or resilience report
+    target_alloc: tuple[int, ...]
+
+
+def _flag(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{where}: expected true or false")
+    return value
+
+
+def _period(value: Any, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationError(f"{where}: must be a positive integer")
+    return value
+
+
+def _g_fraction(value: Any, where: str) -> Fraction | str:
+    return value if value == "auto" else parse_fraction(value, where)
+
+
+def _by_agent(values: Sequence[Fraction]) -> dict[str, str]:
+    return {str(i + 1): format_fraction(v) for i, v in enumerate(values)}
+
+
+# An evaluator returns (passed, detail, summary fields), or None when the
+# value asks for nothing.  Evaluators look the metric helpers up as module
+# globals at call time, so a wrapper installed on this module sees them.
+
+
+def _ratio_equals(want: Fraction, run: _Replica):
+    ratio = run.report.ratio
+    return ratio == want, f"ratio {format_fraction(ratio)} vs {format_fraction(want)}", {}
+
+
+def _min_ratio(want: Fraction, run: _Replica):
+    ratio = run.report.ratio
+    return ratio >= want, f"ratio {format_fraction(ratio)} >= {format_fraction(want)}", {}
+
+
+def _separated(want: bool, run: _Replica):
+    if not want:
+        return None
+    ok = separated_throughout(run.trace, run.experiment.instance.types)
+    return ok, "every round separated" if ok else "separation broken", {}
+
+
+def _cycle(want: int, run: _Replica):
+    found = detect_cycle(run.trace)
+    cycle = {"period": found[0], "start_round": found[1]} if found else None
+    detail = f"detected {found}" if found else "no cycle detected"
+    return found is not None and found[0] == want, detail, {"cycle": cycle}
+
+
+def _convergence(want: bool, run: _Replica):
+    rounds = run.trace.rounds
+    tail = constant_tail_start(run.trace)
+    converged = rounds - tail + 1 >= max(2, rounds // 2)
+    return converged == want, f"constant tail from round {tail}", {"converged": converged}
+
+
+def _regret(want: Fraction, run: _Replica):
+    per_agent = regret_report(run.trace, run.agents).per_agent
+    worst = max(per_agent, default=Fraction(0))
+    detail = f"max regret {format_fraction(worst)} <= {format_fraction(want)}"
+    return worst <= want, detail, {"regret": _by_agent(per_agent)}
+
+
+def _coverage(want: Fraction | str, run: _Replica):
+    if want == "auto":
+        want = Fraction(1, 2) - run.experiment.epsilon
+    types = run.experiment.instance.types
+    _, fractions = coverage_report(run.trace, types, run.target_alloc, sum_strict=False)
+    worst = min(fractions, default=Fraction(1))
+    detail = f"min fraction {format_fraction(worst)} >= {format_fraction(want)}"
+    return worst >= want, detail, {"g_fractions": _by_agent(fractions)}
+
+
+# Every acceptance check, in the order replicas evaluate and report them.
+# `min_welfare_ratio` is judged across replicas: a run passes it when at
+# least `replica_pass_fraction` (default 1) of its replicas reach the ratio.
+# `byzantine_restricted` judges welfare against the optimum of the other
+# agents' bids.
+_CHECKS: dict[str, tuple[Callable[[Any, str], Any], Optional[Callable]]] = {
+    # name: (value parser, per-replica evaluator)
+    "welfare_ratio_equals": (parse_fraction, _ratio_equals),
+    "min_welfare_ratio": (parse_fraction, _min_ratio),
+    "require_separated": (_flag, _separated),
+    "expect_cycle_period": (_period, _cycle),
+    "expect_convergence": (_flag, _convergence),
+    "max_regret_per_round": (parse_fraction, _regret),
+    "min_g_fraction": (_g_fraction, _coverage),
+    "replica_pass_fraction": (parse_fraction, None),
+    "byzantine_restricted": (_flag, None),
+}
+
+
+def parse_checks(raw: dict, where: str) -> dict:
+    """Check values parsed once, at load, so that `validate` rejects what
+    `run` would reject and `run` rejects it before any round."""
+    checks = {}
+    for key, value in raw.items():
+        if key not in _CHECKS:
+            raise ValidationError(f"{where}.{key}: unknown check; known: {', '.join(_CHECKS)}")
+        checks[key] = _CHECKS[key][0](value, f"{where}.{key}")
+    if "replica_pass_fraction" in checks and "min_welfare_ratio" not in checks:
+        raise ValidationError(f"{where}.replica_pass_fraction: needs min_welfare_ratio")
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +526,10 @@ def run_replica(
     targets: tuple[tuple[int, ...], int],
 ) -> dict:
     """Execute one replica and evaluate its checks against the experiment's
-    `welfare_targets`; returns a summary dict plus the CSV trace text."""
+    `welfare_targets`; returns its summary dict, welfare ratio and CSV
+    trace text."""
     seed = replica_seeds(base_seed, replica + 1)[replica]
     config = experiment.run_config(seed)
-    agents = config.agents
     if experiment.dynamics_spec["kind"] == "regret":
         trace = run_regret_dynamics(config)
     else:
@@ -475,78 +551,17 @@ def run_replica(
             "ratio": format_fraction(report.ratio),
         },
     }
-    results: list[dict] = []
-
-    def record(name: str, passed: bool, detail: str) -> None:
-        results.append({"name": name, "pass": bool(passed), "detail": detail})
-
-    if "welfare_ratio_equals" in checks:
-        want = checks["welfare_ratio_equals"]
-        record(
-            "welfare_ratio_equals",
-            report.ratio == want,
-            f"ratio {format_fraction(report.ratio)} vs {format_fraction(want)}",
-        )
-    if "min_welfare_ratio" in checks:
-        want = checks["min_welfare_ratio"]
-        record(
-            "min_welfare_ratio",
-            report.ratio >= want,
-            f"ratio {format_fraction(report.ratio)} >= {format_fraction(want)}",
-        )
-    if checks.get("require_separated"):
-        ok = separated_throughout(trace, types)
-        record("require_separated", ok, "every round separated" if ok else "separation broken")
-    if "expect_cycle_period" in checks:
-        found = detect_cycle(trace)
-        want_period = checks["expect_cycle_period"]
-        ok = found is not None and found[0] == want_period
-        record(
-            "expect_cycle_period",
-            ok,
-            f"detected {found}" if found else "no cycle detected",
-        )
-        summary["cycle"] = {"period": found[0], "start_round": found[1]} if found else None
-    if "expect_convergence" in checks:
-        tail = constant_tail_start(trace)
-        tail_len = trace.rounds - tail + 1
-        converged = tail_len >= max(2, trace.rounds // 2)
-        record(
-            "expect_convergence",
-            converged == checks["expect_convergence"],
-            f"constant tail from round {tail}",
-        )
-        summary["converged"] = converged
-    if "max_regret_per_round" in checks:
-        want = checks["max_regret_per_round"]
-        regrets = regret_report(trace, agents)
-        worst = max(regrets.per_agent, default=Fraction(0))
-        record(
-            "max_regret_per_round",
-            worst <= want,
-            f"max regret {format_fraction(worst)} <= {format_fraction(want)}",
-        )
-        summary["regret"] = {
-            str(i + 1): format_fraction(r) for i, r in enumerate(regrets.per_agent)
-        }
-    if "min_g_fraction" in checks:
-        want = checks["min_g_fraction"]
-        if want == "auto":
-            want = Fraction(1, 2) - experiment.epsilon
-        _, fractions = coverage_report(trace, types, target_alloc, sum_strict=False)
-        worst = min(fractions, default=Fraction(1))
-        record(
-            "min_g_fraction",
-            worst >= want,
-            f"min fraction {format_fraction(worst)} >= {format_fraction(want)}",
-        )
-        summary["g_fractions"] = {
-            str(i + 1): format_fraction(f) for i, f in enumerate(fractions)
-        }
-
+    run = _Replica(experiment, trace, config.agents, report, target_alloc)
+    results = []
+    for name, (_, evaluate) in _CHECKS.items():
+        if name in checks and evaluate is not None:
+            outcome = evaluate(checks[name], run)
+            if outcome is not None:
+                passed, detail, fields = outcome
+                results.append({"name": name, "pass": bool(passed), "detail": detail})
+                summary.update(fields)
     summary["checks"] = results
-    summary["ratio_value"] = report.ratio
-    return {"summary": summary, "csv": trace_csv(trace, experiment)}
+    return {"summary": summary, "ratio": report.ratio, "csv": trace_csv(trace, experiment)}
 
 
 def separated_throughout(trace: Trace, types: Sequence[Valuation]) -> bool:
@@ -628,38 +643,30 @@ def run_experiment(
     else:
         outputs = [run_replica(experiment, r, base_seed, targets) for r in range(count)]
 
-    summaries = []
-    ratios = []
     for r, out in enumerate(outputs):
         (out_dir / f"trace-replica{r}.csv").write_text(out["csv"])
-        summary = out["summary"]
-        ratios.append(summary.pop("ratio_value"))
-        summaries.append(summary)
+    summaries = [out["summary"] for out in outputs]
+    ratios = [out["ratio"] for out in outputs]
 
     checks = experiment.checks
-    overall = True
     run_checks = []
-    fraction_gate = None
     if "min_welfare_ratio" in checks:
         want = checks["min_welfare_ratio"]
         need = checks.get("replica_pass_fraction", Fraction(1))
         stats = aggregate(ratios, want)
-        ok = stats.pass_fraction >= need
-        fraction_gate = {
+        run_checks.append({
             "name": "replica_pass_fraction",
-            "pass": ok,
+            "pass": stats.pass_fraction >= need,
             "detail": (
                 f"{format_fraction(stats.pass_fraction)} of replicas reach "
                 f"{format_fraction(want)} (need {format_fraction(need)})"
             ),
-        }
-        run_checks.append(fraction_gate)
-        overall &= ok
-    for r, summary in enumerate(summaries):
-        for item in summary["checks"]:
-            if item["name"] == "min_welfare_ratio" and fraction_gate is not None:
-                continue  # judged at the run level via the pass fraction
-            overall &= item["pass"]
+        })
+    # a replica's min_welfare_ratio counts only through the pass fraction
+    overall = all(item["pass"] for item in run_checks) and all(
+        item["pass"] for summary in summaries for item in summary["checks"]
+        if item["name"] != "min_welfare_ratio"
+    )
 
     stats = aggregate(ratios, Fraction(0)) if ratios else None
     document = {
@@ -671,14 +678,10 @@ def run_experiment(
         "seed": base_seed,
         "replicas": summaries,
         "run_checks": run_checks,
-        "aggregate": (
-            {
-                "ratio_min": format_fraction(stats.minimum),
-                "ratio_median": format_fraction(stats.median),
-            }
-            if stats
-            else {}
-        ),
+        "aggregate": {
+            "ratio_min": format_fraction(stats.minimum),
+            "ratio_median": format_fraction(stats.median),
+        } if stats else {},
         "pass": bool(overall),
     }
     (out_dir / "summary.json").write_text(
@@ -702,18 +705,14 @@ def run_experiment(
 
 def cmd_validate(args) -> int:
     path = Path(args.path)
-    try:
-        data = _read_json(path)
-        if isinstance(data, dict) and "mechanism" in data:
-            load_experiment(path).run_config(seed=0)
-            print(f"OK: experiment {path}")
-        else:
-            instance = parse_instance(data, where=str(path))
-            print(f"OK: instance {path} ({len(instance.types)} agents, {instance.item_count} items)")
-        return 0
-    except ValidationError as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return 2
+    data = _read_json(path)
+    if isinstance(data, dict) and "mechanism" in data:
+        load_experiment(path).run_config(seed=0)
+        print(f"OK: experiment {path}")
+    else:
+        instance = parse_instance(data, where=str(path))
+        print(f"OK: instance {path} ({len(instance.types)} agents, {instance.item_count} items)")
+    return 0
 
 
 def cmd_scenarios(_args) -> int:
@@ -723,46 +722,34 @@ def cmd_scenarios(_args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        instance = load_instance(Path(args.path))
-        cap = args.s if args.s is not None else instance.cap
-        alloc, welfare = optimal_welfare(instance.types, cap)
-        print(f"optimal welfare: {welfare}")
-        for i, mask in enumerate(alloc):
-            if mask:
-                print(f"agent {i + 1}: {{{', '.join(instance.names_for(mask))}}}")
-        return 0
-    except ValidationError as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return 2
+    instance = load_instance(Path(args.path))
+    cap = args.s if args.s is not None else instance.cap
+    alloc, welfare = optimal_welfare(instance.types, cap)
+    print(f"optimal welfare: {welfare}")
+    for i, mask in enumerate(alloc):
+        if mask:
+            print(f"agent {i + 1}: {{{', '.join(instance.names_for(mask))}}}")
+    return 0
 
 
 def cmd_run(args) -> int:
-    overrides = {}
-    if args.gamma is not None:
-        overrides["gamma"] = args.gamma
-    if args.appendix_b_lottery is not None:
-        overrides["appendix_b_lottery"] = args.appendix_b_lottery
-    if args.epsilon is not None:
-        overrides["epsilon"] = args.epsilon
+    flags = (("gamma", args.gamma), ("appendix_b_lottery", args.appendix_b_lottery),
+             ("epsilon", args.epsilon))
+    overrides = {key: value for key, value in flags if value is not None}
+    if args.scripted_order is not None:
+        try:
+            overrides["scripted_order"] = [int(x) for x in args.scripted_order.split(",")]
+        except ValueError:
+            raise ValidationError("--scripted-order: expected comma-separated agent ids") from None
     out_dir = Path(args.out_dir) if args.out_dir else Path("runs") / Path(str(args.source)).stem
-    try:
-        if args.scripted_order is not None:
-            try:
-                overrides["scripted_order"] = [int(x) for x in args.scripted_order.split(",")]
-            except ValueError:
-                raise ValidationError("--scripted-order: expected comma-separated agent ids") from None
-        return run_experiment(
-            args.source,
-            out_dir,
-            seed=args.seed,
-            replicas=args.replicas,
-            overrides=overrides,
-            workers=args.workers,
-        )
-    except ValidationError as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return 2
+    return run_experiment(
+        args.source,
+        out_dir,
+        seed=args.seed,
+        replicas=args.replicas,
+        overrides=overrides,
+        workers=args.workers,
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -797,7 +784,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.set_defaults(func=cmd_run)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValidationError as exc:
+        print(f"INVALID: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

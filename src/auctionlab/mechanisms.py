@@ -335,6 +335,11 @@ class RuleMechanism(Mechanism):
         return self.rule.thresholds(profile, agent)
 
 
+def _check_lottery(lottery: Fraction | None) -> None:
+    if lottery is not None and not 0 <= lottery <= 1:
+        raise ValidationError("appendix_b_lottery must lie in [0, 1]")
+
+
 class FilteredGreedyMechanism(Mechanism):
     """Greedy winners must also strictly exceed the sum of every intersecting
     declared bid; winners pay that sum (the threshold is always open).
@@ -347,6 +352,7 @@ class FilteredGreedyMechanism(Mechanism):
     def __init__(self, item_count: int, cap: int, lottery: Fraction | None = None):
         if cap < 1:
             raise ValidationError("cardinality cap must be at least 1")
+        _check_lottery(lottery)
         self.item_count = item_count
         self.cap = cap
         self.lottery = lottery
@@ -397,6 +403,7 @@ class GrandBundleMechanism(Mechanism):
         gamma = Fraction(gamma)
         if not 0 <= gamma < 1:
             raise ValidationError("gamma must lie in [0, 1)")
+        _check_lottery(lottery)
         self.item_count = item_count
         self.gamma = gamma
         self.lottery = lottery

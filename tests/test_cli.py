@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -305,9 +307,10 @@ def _copy_scenario(tmp_path: Path, name: str, edit) -> Path:
     the two documents first."""
     scenarios = resources.files("auctionlab") / "scenarios"
     experiment = json.loads((scenarios / f"{name}.experiment.json").read_text())
-    instance = json.loads((scenarios / experiment["instance"]).read_text())
+    ref = experiment["instance"]
+    instance = json.loads((scenarios / ref).read_text())
     edit(experiment, instance)
-    (tmp_path / experiment["instance"]).write_text(json.dumps(instance))
+    (tmp_path / ref).write_text(json.dumps(instance))
     target = tmp_path / f"{name}.experiment.json"
     target.write_text(json.dumps(experiment))
     return target
@@ -361,6 +364,39 @@ def _regret_bound_not_rational(experiment, instance):
     experiment["acceptance"]["checks"]["max_regret_per_round"] = "abc"
 
 
+def _misspelt_check(experiment, instance):
+    checks = experiment["acceptance"]["checks"]
+    checks["welfare_ratio_equal"] = checks.pop("welfare_ratio_equals")
+
+
+def _lone_pass_fraction(experiment, instance):
+    del experiment["acceptance"]["checks"]["min_welfare_ratio"]
+
+
+def _scripted_order_not_list(experiment, instance):
+    experiment["dynamics"]["scripted_order"] = 5
+
+
+def _initial_not_list(experiment, instance):
+    experiment["dynamics"]["initial"] = 5
+
+
+def _cap_as_string(experiment, instance):
+    experiment["mechanism"]["s"] = "2"
+
+
+def _instance_ref_not_string(experiment, instance):
+    experiment["instance"] = 5
+
+
+def _partition_side_not_list(experiment, instance):
+    experiment["mechanism"]["partition_a"] = 3
+
+
+def _lottery_out_of_range(experiment, instance):
+    experiment["mechanism"]["appendix_b_lottery"] = "2"
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize(
     "name, edit",
@@ -376,10 +412,20 @@ def _regret_bound_not_rational(experiment, instance):
         ("random-sca", _initial_entry_without_items),
         ("regret-theorem-3", _best_responders_under_regret),
         ("regret-theorem-3", _regret_bound_not_rational),
+        ("section-3-3", _misspelt_check),
+        ("random-ca", _lone_pass_fraction),
+        ("appendix-c-cycle", _scripted_order_not_list),
+        ("section-3-3", _initial_not_list),
+        ("appendix-c-cycle", _cap_as_string),
+        ("regret-theorem-3", _instance_ref_not_string),
+        ("section-3-3", _partition_side_not_list),
+        ("ca-theorem-11", _lottery_out_of_range),
     ],
     ids=["override-key", "agents-list", "agent-entry", "partition-side", "gamma",
          "instance-agents", "overrides", "checks", "initial-entry",
-         "regret-best-response", "regret-bound"],
+         "regret-best-response", "regret-bound", "unknown-check", "lone-pass-fraction",
+         "scripted-order-type", "initial-type", "cap-type", "instance-ref-type",
+         "partition-side-type", "lottery-range"],
 )
 def test_malformed_experiment_is_invalid_in_validate_and_run(
     tmp_path, capsys, monkeypatch, command, name, edit
@@ -400,3 +446,59 @@ def test_malformed_scripted_order_flag_is_invalid(tmp_path, capsys):
     argv = ["run", "appendix-c-cycle", "--scripted-order", "1,b", "--out-dir", str(tmp_path)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("INVALID: --scripted-order")
+
+
+_WRONG_VALUES = (None, True, -1, "x", "1/0", [], {}, [1])
+
+
+def _positions(doc, prefix=()):
+    """The path of every value below the root of a JSON document."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield prefix + (key,)
+            yield from _positions(value, prefix + (key,))
+
+
+def _mutated(doc, positions, rng):
+    """A copy of `doc` with one key deleted or one value replaced by a
+    wrong-typed value, at a random depth."""
+    doc = copy.deepcopy(doc)
+    path = rng.choice(positions)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if rng.random() < 0.25:
+        del parent[path[-1]]
+        return doc, f"del {path}"
+    parent[path[-1]] = value = rng.choice(_WRONG_VALUES)
+    return doc, f"{path} = {value!r}"
+
+
+def test_mutated_scenario_files_validate_without_traceback(tmp_path, capsys):
+    """`validate` on damaged copies of every built-in scenario exits 0 or 2
+    and never raises; exit 2 comes with an `INVALID: ` line."""
+    rng = random.Random(4)
+    scenarios = resources.files("auctionlab") / "scenarios"
+    problems = []
+    for name in list_scenarios():
+        experiment = json.loads((scenarios / f"{name}.experiment.json").read_text())
+        ref = experiment["instance"]
+        instance = json.loads((scenarios / ref).read_text())
+        documents = {"experiment": experiment, "instance": instance}
+        positions = {kind: list(_positions(doc)) for kind, doc in documents.items()}
+        paths = {"experiment": tmp_path / f"{name}.experiment.json", "instance": tmp_path / ref}
+        for _ in range(40):
+            for kind, doc in documents.items():
+                mutated, change = _mutated(doc, positions[kind], rng)
+                for other, path in paths.items():
+                    path.write_text(json.dumps(mutated if other == kind else documents[other]))
+                for target in dict.fromkeys((paths["experiment"], paths[kind])):
+                    try:
+                        code = main(["validate", str(target)])
+                    except Exception as exc:  # noqa: BLE001 - any escape is the failure
+                        code = f"{type(exc).__name__}: {exc}"
+                    err = capsys.readouterr().err
+                    if code not in (0, 2) or (code == 2) != err.startswith("INVALID: "):
+                        problems.append(f"{name} {kind} {change}, validate {target.name}: "
+                                        f"exit {code}, stderr {err!r}")
+    assert not problems, "\n".join(problems[:20])

@@ -1,0 +1,35 @@
+"""The benchmark's span tracer (`perfbench/tracer.py`) wraps entry points
+by module-global name.  A rename, or a reference captured at import time,
+would silently hide a layer from `perfbench/run.py --trace 1`; this test
+makes that a test failure instead."""
+import importlib.util
+from pathlib import Path
+from types import SimpleNamespace
+
+from auctionlab import agents, algorithms, cli, core, dynamics, generate, mechanisms, metrics
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_records_replicas_checks_and_export(tmp_path):
+    tracing = _tracer_module()
+    tracer = tracing.Tracer()
+    package = SimpleNamespace(
+        core=core, algorithms=algorithms, mechanisms=mechanisms, agents=agents,
+        dynamics=dynamics, metrics=metrics, generate=generate, cli=cli,
+    )
+    tracing.install(tracer, package)
+    try:
+        argv = ["run", "appendix-c-cycle", "--replicas", "1", "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    for layer in ("cli.run_replica", "cli.checks", "cli.export"):
+        assert tracer.calls[layer] > 0, f"{layer} recorded no calls"
