@@ -124,16 +124,17 @@ def best_response(
 
 
 def byzantine_bid(model: AgentModel, rng) -> Declaration:
-    """Uniform candidate bundle with a uniform bid in [0, true value]."""
-    masks = [c for c in model.candidates if c]
-    if not masks:
+    """Uniform non-empty candidate bundle with a uniform bid in [0, true value]."""
+    # candidates[0] is the empty set, and each candidate's undominated bid is
+    # its true value (EMPTY, bid 0, for a worthless set)
+    n = len(model.candidates)
+    if n < 2:
         return EMPTY
-    mask = masks[rng.randrange(len(masks))]
-    ceiling = model.valuation.value_of(mask)
-    bid = rng.randint(0, ceiling)
+    k = rng.randrange(n - 1) + 1
+    bid = rng.randint(0, model.candidate_bids[k].bid)
     if bid == 0:
         return EMPTY
-    return Declaration(mask, bid)
+    return Declaration(model.candidates[k], bid)
 
 
 def hindsight_totals(
@@ -188,37 +189,45 @@ class WeightedLearnerState:
         self.rounds = 0
         self.u_max = u_max
         self.rate = rate
+        # 8 ln K of the default rate sqrt(8 ln K / t)
+        self._log_term = 8.0 * math.log(n_candidates) if n_candidates >= 2 else None
 
     def _rate(self, t: int) -> float:
         if self.rate is not None:
             return self.rate(t)
-        k = len(self.weights)
-        if k < 2:
+        if self._log_term is None:
             return 0.0
-        return math.sqrt(8.0 * math.log(k) / t)
+        return math.sqrt(self._log_term / t)
 
     def choose(self, rng) -> int:
-        total = sum(self.weights)
-        pick = rng.random() * total
+        weights = self.weights
+        pick = rng.random() * sum(weights)
         acc = 0.0
-        for k, w in enumerate(self.weights):
+        for k, w in enumerate(weights):
             acc += w
             if pick < acc:
                 return k
-        return len(self.weights) - 1
+        return len(weights) - 1
 
     def update(self, utilities: Sequence) -> None:
         self.rounds += 1
         eta = self._rate(self.rounds)
         scale = self.u_max
+        grows = bool(eta and scale)
+        cumulative, weights = self.cumulative, self.weights
+        overflow = False
         for k, u in enumerate(utilities):
-            self.cumulative[k] += u
-            if u and eta and scale:
-                self.weights[k] *= math.exp(eta * float(u) / scale)
+            if u:
+                cumulative[k] += u
+                if grows:
+                    w = weights[k] = weights[k] * math.exp(eta * float(u) / scale)
+                    overflow = overflow or w > 1e250
         # Renormalize occasionally so long runs cannot overflow the floats.
-        top = max(self.weights)
-        if top > 1e250:
-            self.weights = [w / top for w in self.weights]
+        # Every weight is at most 1e250 after an update, so only a weight
+        # changed in this one can pass it.
+        if overflow:
+            top = max(weights)
+            self.weights = [w / top for w in weights]
 
 
 class PerturbedLearnerState:

@@ -87,7 +87,7 @@ class Instance:
     def mask_for(self, names: Sequence, where: str) -> int:
         indices = []
         for name in _list(names, where):
-            if isinstance(name, int):
+            if _integer(name):
                 if not 0 <= name < self.item_count:
                     raise ValidationError(f"{where}: item index {name} out of range")
                 indices.append(name)
@@ -100,6 +100,11 @@ class Instance:
 
     def names_for(self, mask: int) -> list[str]:
         return [self.labels[j] for j in bundle_items(mask)]
+
+
+def _integer(value: Any) -> bool:
+    """A JSON integer; `true` and `false` are ints to Python but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _object(data: Any, where: str) -> dict:
@@ -122,14 +127,14 @@ def _require(data: Any, key: str, where: str):
 
 def _cap(value: Any, where: str) -> Optional[int]:
     """A cardinality cap `s`: absent (None) or a positive integer."""
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
+    if value is not None and (not _integer(value) or value < 1):
         raise ValidationError(f"{where}: must be a positive integer")
     return value
 
 
 def parse_instance(data: dict, where: str = "instance") -> Instance:
     m = _require(data, "m", where)
-    if not isinstance(m, int) or not 0 <= m <= MAX_ITEMS:
+    if not _integer(m) or not 0 <= m <= MAX_ITEMS:
         raise ValidationError(f"{where}.m: must be an integer in [0, {MAX_ITEMS}]")
     labels = data.get("items")
     if labels is None:
@@ -142,7 +147,7 @@ def parse_instance(data: dict, where: str = "instance") -> Instance:
     for k, spec in enumerate(_list(data.get("agents", []), f"{where}.agents")):
         aw = f"{where}.agents[{k}]"
         aid = _require(spec, "id", aw)
-        if aid != k + 1:
+        if not _integer(aid) or aid != k + 1:
             raise ValidationError(f"{aw}.id: ids must be contiguous from 1, expected {k + 1}")
         atoms = _list(_require(spec, "atoms", aw), f"{aw}.atoms")
         if not atoms:
@@ -151,7 +156,7 @@ def parse_instance(data: dict, where: str = "instance") -> Instance:
         for a, atom in enumerate(atoms):
             bw = f"{aw}.atoms[{a}]"
             value = _require(atom, "value", bw)
-            if not isinstance(value, int) or value < 1:
+            if not _integer(value) or value < 1:
                 raise ValidationError(f"{bw}.value: must be a positive integer tick count")
             mask = instance.mask_for(_require(atom, "items", bw), bw)
             if mask == 0:
@@ -250,11 +255,11 @@ class Experiment:
         decls = [EMPTY] * len(self.instance.types)
         for entry in _list(initial, where):
             aid = _require(entry, "id", where)
-            if not isinstance(aid, int) or not 1 <= aid <= len(decls):
+            if not _integer(aid) or not 1 <= aid <= len(decls):
                 raise ValidationError(f"{where}: unknown agent id {aid!r}")
             mask = self.instance.mask_for(_require(entry, "items", where), where)
             bid = _require(entry, "bid", where)
-            if not isinstance(bid, int) or bid < 0:
+            if not _integer(bid) or bid < 0:
                 raise ValidationError(f"{where}: bid must be a non-negative integer")
             decls[aid - 1] = single_minded(mask, bid)
         return tuple(decls)
@@ -299,15 +304,20 @@ def parse_experiment(data: dict, instance: Instance, name: str) -> Experiment:
     if dkind not in ("best-response", "regret"):
         raise ValidationError(f"{name}.dynamics.kind: unknown kind {dkind!r}")
     rounds = _require(dyn, "rounds", f"{name}.dynamics")
-    if not isinstance(rounds, int) or rounds < 1:
+    if not _integer(rounds) or rounds < 1:
         raise ValidationError(f"{name}.dynamics.rounds: must be a positive integer")
     replicas = dyn.get("replicas", 1)
-    if not isinstance(replicas, int) or replicas < 1:
+    if not _integer(replicas) or replicas < 1:
         raise ValidationError(f"{name}.dynamics.replicas: must be a positive integer")
+    if not _integer(dyn.get("seed", 0)):
+        raise ValidationError(f"{name}.dynamics.seed: must be an integer")
+    for flag in ("empty_start", "keep_on_tie"):
+        if flag in dyn:
+            _flag(dyn[flag], f"{name}.dynamics.{flag}")
     order = dyn.get("scripted_order")
     n = len(instance.types)
     if order is not None and not (
-        isinstance(order, list) and order and all(isinstance(a, int) and 1 <= a <= n for a in order)
+        isinstance(order, list) and order and all(_integer(a) and 1 <= a <= n for a in order)
     ):
         raise ValidationError(
             f"{name}.dynamics.scripted_order: must be a non-empty list of agent ids in 1..{n}"
@@ -401,7 +411,7 @@ def _flag(value: Any, where: str) -> bool:
 
 
 def _period(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if not _integer(value) or value < 1:
         raise ValidationError(f"{where}: must be a positive integer")
     return value
 

@@ -14,6 +14,7 @@ resolves against the probing agent.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -70,6 +71,13 @@ class Coin:
 
 COIN_NONE = Coin()
 COIN_IGNORE_GRAND = Coin(ignore_grand=True)
+
+
+@functools.cache
+def _lottery_coin(agent: int) -> Coin:
+    """The coin on which the grand-bundle lottery goes to `agent`, built
+    once per agent index."""
+    return Coin(lottery_agent=agent)
 
 
 def with_probe(profile: Profile, agent: int, probe: Declaration) -> Profile:
@@ -169,6 +177,9 @@ class Mechanism:
     name: str = "mechanism"
     item_count: int | None = None
     lottery: Fraction | None = None  # grand-bundle lottery probability, if enabled
+    # the lottery's chance as the float the coin stream compares against, or
+    # None when it never fires (then no draw is made)
+    _lottery_chance: float | None = None
     # (probability, coin) of each resolution of the mechanism's own coin
     branches: tuple[tuple[Fraction, Coin], ...] = ((Fraction(1), COIN_NONE),)
 
@@ -306,9 +317,15 @@ class Mechanism:
 
     # -- randomization -------------------------------------------------------
 
+    def _set_lottery(self, lottery: Fraction | None) -> None:
+        if lottery is not None and not 0 <= lottery <= 1:
+            raise ValidationError("appendix_b_lottery must lie in [0, 1]")
+        self.lottery = lottery
+        self._lottery_chance = float(lottery) if lottery else None
+
     def draw_coin(self, rng, n_agents: int) -> Coin:
-        if self.lottery and rng.random() < float(self.lottery):
-            return Coin(lottery_agent=rng.randrange(n_agents))
+        if self._lottery_chance is not None and rng.random() < self._lottery_chance:
+            return _lottery_coin(rng.randrange(n_agents))
         return self._draw_mechanism_coin(rng)
 
     def _draw_mechanism_coin(self, rng) -> Coin:
@@ -335,11 +352,6 @@ class RuleMechanism(Mechanism):
         return self.rule.thresholds(profile, agent)
 
 
-def _check_lottery(lottery: Fraction | None) -> None:
-    if lottery is not None and not 0 <= lottery <= 1:
-        raise ValidationError("appendix_b_lottery must lie in [0, 1]")
-
-
 class FilteredGreedyMechanism(Mechanism):
     """Greedy winners must also strictly exceed the sum of every intersecting
     declared bid; winners pay that sum (the threshold is always open).
@@ -352,10 +364,9 @@ class FilteredGreedyMechanism(Mechanism):
     def __init__(self, item_count: int, cap: int, lottery: Fraction | None = None):
         if cap < 1:
             raise ValidationError("cardinality cap must be at least 1")
-        _check_lottery(lottery)
+        self._set_lottery(lottery)
         self.item_count = item_count
         self.cap = cap
-        self.lottery = lottery
         self.name = f"filtered-greedy(m={item_count}, cap={cap})"
 
     def _allocate(self, profile: Profile, coin: Coin) -> tuple[int, ...]:
@@ -403,10 +414,9 @@ class GrandBundleMechanism(Mechanism):
         gamma = Fraction(gamma)
         if not 0 <= gamma < 1:
             raise ValidationError("gamma must lie in [0, 1)")
-        _check_lottery(lottery)
+        self._set_lottery(lottery)
         self.item_count = item_count
         self.gamma = gamma
-        self.lottery = lottery
         self.small_cap = ceil_sqrt(item_count)
         self.grand = full_mask(item_count)
         self._inner = FilteredGreedyMechanism(item_count, self.small_cap)

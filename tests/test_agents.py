@@ -1,4 +1,8 @@
+import math
+import random
 from fractions import Fraction
+
+import pytest
 
 from auctionlab import (
     EMPTY,
@@ -20,6 +24,7 @@ from auctionlab import (
     undominated_bid,
 )
 from auctionlab.agents import (
+    AgentModel,
     PerturbedLearnerState,
     WeightedLearnerState,
     learner_state_for,
@@ -154,6 +159,49 @@ class TestByzantine:
         assert runs[0] == runs[1]
 
 
+def reference_byzantine_bid(model, rng):
+    """`byzantine_bid` as first written: the draws the faster one must repeat."""
+    masks = [c for c in model.candidates if c]
+    if not masks:
+        return EMPTY
+    mask = masks[rng.randrange(len(masks))]
+    ceiling = model.valuation.value_of(mask)
+    bid = rng.randint(0, ceiling)
+    if bid == 0:
+        return EMPTY
+    return Declaration(mask, bid)
+
+
+class TestByzantineMatchesReference:
+    def models(self, cycle_types):
+        yield from (make_agent(i, t, ByzantineBidder()) for i, t in enumerate(cycle_types))
+        types = random_types(seeded_rng(3, "byz-ref"), 6, 8, max_atoms=4, max_value=40, max_size=3)
+        mech = GrandBundleMechanism(8, Fraction(1, 4))
+        yield from (make_agent(i, t, ByzantineBidder(), mech) for i, t in enumerate(types))
+        # staying out is the only candidate
+        yield make_agent(0, Valuation(), ByzantineBidder())
+        # a candidate set worth 0, whose undominated bid is EMPTY
+        valuation = Valuation([(A, 3)])
+        cands = (0, A, B | C)
+        yield AgentModel(0, valuation, ByzantineBidder(), cands,
+                         tuple(undominated_bid(valuation, c) for c in cands))
+
+    def test_same_declarations_and_draws(self, cycle_types):
+        for m, model in enumerate(self.models(cycle_types)):
+            fast, slow = random.Random(m), random.Random(m)
+            for _ in range(300):
+                got, want = byzantine_bid(model, fast), reference_byzantine_bid(model, slow)
+                assert got == want
+                assert (got is EMPTY) == (want is EMPTY)
+                assert fast.getstate() == slow.getstate()
+
+    def test_zero_bid_is_the_empty_constant(self, cycle_types):
+        model = make_agent(0, cycle_types[0], ByzantineBidder())
+        rng = seeded_rng(5, "byz-zero")
+        zeros = [d for d in (byzantine_bid(model, rng) for _ in range(200)) if d.bid == 0]
+        assert zeros and all(d is EMPTY for d in zeros)
+
+
 class TestWeightedLearner:
     def test_first_round_is_uniform(self):
         state = WeightedLearnerState(4, u_max=10)
@@ -190,6 +238,91 @@ class TestWeightedLearner:
         for _ in range(5000):
             state.update([1, 0])
         assert all(w > 0 and w != float("inf") for w in state.weights)
+
+
+class ReferenceWeightedLearnerState:
+    """`WeightedLearnerState` as first written, counting renormalisations:
+    the faster class must give the same weights and picks, float for float."""
+
+    def __init__(self, n_candidates, u_max, rate=None):
+        self.weights = [1.0] * n_candidates
+        self.cumulative = [0] * n_candidates
+        self.rounds = 0
+        self.u_max = u_max
+        self.rate = rate
+        self.renormalised = 0
+
+    def _rate(self, t):
+        if self.rate is not None:
+            return self.rate(t)
+        k = len(self.weights)
+        if k < 2:
+            return 0.0
+        return math.sqrt(8.0 * math.log(k) / t)
+
+    def choose(self, rng):
+        total = sum(self.weights)
+        pick = rng.random() * total
+        acc = 0.0
+        for k, w in enumerate(self.weights):
+            acc += w
+            if pick < acc:
+                return k
+        return len(self.weights) - 1
+
+    def update(self, utilities):
+        self.rounds += 1
+        eta = self._rate(self.rounds)
+        scale = self.u_max
+        for k, u in enumerate(utilities):
+            self.cumulative[k] += u
+            if u and eta and scale:
+                self.weights[k] *= math.exp(eta * float(u) / scale)
+        top = max(self.weights)
+        if top > 1e250:
+            self.weights = [w / top for w in self.weights]
+            self.renormalised += 1
+
+
+class TestWeightedLearnerMatchesReference:
+    @staticmethod
+    def ints(rng, k, u_max):
+        # mostly zeros, as a losing or empty candidate earns nothing
+        return [rng.randint(-u_max, u_max) if rng.random() < 0.4 else 0 for _ in range(k)]
+
+    @staticmethod
+    def gains(rng, k, u_max):
+        return [rng.randint(0, u_max) for _ in range(k)]
+
+    @staticmethod
+    def fractions(rng, k, u_max):
+        return [Fraction(rng.randint(-4 * u_max, 4 * u_max), rng.randint(1, 4)) for _ in range(k)]
+
+    @pytest.mark.parametrize(
+        "k, u_max, rate, draw, rounds, renormalises",
+        [
+            (5, 24, None, "ints", 2000, False),
+            (4, 24, None, "fractions", 2000, False),
+            (3, 10, lambda t: 1.0 / (1 + t) ** 0.5, "ints", 2000, False),
+            (1, 10, None, "ints", 300, False),
+            (4, 0, None, "ints", 300, False),
+            (3, 1, lambda t: 1.0, "gains", 3000, True),
+        ],
+        ids=["ints", "fractions", "custom-rate", "k1", "u-max-0", "renormalise"],
+    )
+    def test_same_weights_and_picks(self, k, u_max, rate, draw, rounds, renormalises):
+        fast = WeightedLearnerState(k, u_max, rate)
+        slow = ReferenceWeightedLearnerState(k, u_max, rate)
+        rng_fast, rng_slow = seeded_rng(53, "mw-ref"), seeded_rng(53, "mw-ref")
+        data = random.Random(k * 1000 + u_max)
+        for _ in range(rounds):
+            assert fast.choose(rng_fast) == slow.choose(rng_slow)
+            utilities = getattr(self, draw)(data, k, u_max)
+            fast.update(utilities)
+            slow.update(utilities)
+            assert fast.weights == slow.weights
+            assert fast.cumulative == slow.cumulative
+        assert (slow.renormalised > 0) == renormalises
 
 
 class TestPerturbedLearner:

@@ -397,6 +397,30 @@ def _lottery_out_of_range(experiment, instance):
     experiment["mechanism"]["appendix_b_lottery"] = "2"
 
 
+def _rounds_as_bool(experiment, instance):
+    experiment["dynamics"]["rounds"] = True
+
+
+def _atom_value_as_bool(experiment, instance):
+    instance["agents"][0]["atoms"][0]["value"] = True
+
+
+def _initial_bid_as_bool(experiment, instance):
+    experiment["dynamics"]["initial"][0]["bid"] = True
+
+
+def _seed_as_string(experiment, instance):
+    experiment["dynamics"]["seed"] = "x"
+
+
+def _keep_on_tie_as_string(experiment, instance):
+    experiment["dynamics"]["keep_on_tie"] = "x"
+
+
+def _empty_start_as_string(experiment, instance):
+    experiment["dynamics"]["empty_start"] = "x"
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize(
     "name, edit",
@@ -420,12 +444,19 @@ def _lottery_out_of_range(experiment, instance):
         ("regret-theorem-3", _instance_ref_not_string),
         ("section-3-3", _partition_side_not_list),
         ("ca-theorem-11", _lottery_out_of_range),
+        ("appendix-c-cycle", _rounds_as_bool),
+        ("appendix-c-cycle", _atom_value_as_bool),
+        ("section-3-3", _initial_bid_as_bool),
+        ("appendix-c-cycle", _seed_as_string),
+        ("appendix-c-cycle", _keep_on_tie_as_string),
+        ("appendix-c-cycle", _empty_start_as_string),
     ],
     ids=["override-key", "agents-list", "agent-entry", "partition-side", "gamma",
          "instance-agents", "overrides", "checks", "initial-entry",
          "regret-best-response", "regret-bound", "unknown-check", "lone-pass-fraction",
          "scripted-order-type", "initial-type", "cap-type", "instance-ref-type",
-         "partition-side-type", "lottery-range"],
+         "partition-side-type", "lottery-range", "rounds-bool", "atom-value-bool",
+         "initial-bid-bool", "seed-type", "keep-on-tie-type", "empty-start-type"],
 )
 def test_malformed_experiment_is_invalid_in_validate_and_run(
     tmp_path, capsys, monkeypatch, command, name, edit

@@ -28,7 +28,7 @@ from auctionlab.dynamics import (
     seeded_rng,
 )
 from auctionlab.generate import random_types
-from auctionlab.mechanisms import COIN_NONE
+from auctionlab.mechanisms import COIN_NONE, Coin
 
 from conftest import A, B, C, D
 
@@ -211,6 +211,22 @@ class TestRandomStartWithLottery:
 
 
 class TestRegretEngine:
+    def test_lottery_coins_follow_the_coin_stream(self):
+        lottery = Fraction(1, 16)
+        types = random_types(seeded_rng(59, "lottery-coins"), 5, 8, max_atoms=3, max_value=24, max_size=2)
+        mech = FilteredGreedyMechanism(8, 2, lottery=lottery)
+        agents = [make_agent(i, t, WeightedLearner(), mech) for i, t in enumerate(types)]
+        cfg = RunConfig(mechanism=mech, agents=agents, rounds=800, seed=13)
+        coins = [r.coin for r in run_regret_dynamics(cfg).records]
+        # the coin draw as first written: one float per round, a fresh coin
+        rng = seeded_rng(cfg.seed, "coin")
+        expected = [
+            Coin(lottery_agent=rng.randrange(5)) if rng.random() < float(lottery) else COIN_NONE
+            for _ in range(cfg.rounds)
+        ]
+        assert coins == expected
+        assert sum(c.lottery_agent is not None for c in coins) > 20
+
     def test_round_one_choices_uniform_over_seeds(self, cycle_types, cycle_mechanism):
         counts = {}
         for seed in range(400):

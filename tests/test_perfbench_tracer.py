@@ -18,7 +18,8 @@ def _tracer_module():
     return module
 
 
-def test_tracer_records_replicas_checks_and_export(tmp_path):
+def _traced_run(tmp_path, scenario):
+    """The tracer after `auctionlab run <scenario> --replicas 1`."""
     tracing = _tracer_module()
     tracer = tracing.Tracer()
     package = SimpleNamespace(
@@ -27,9 +28,26 @@ def test_tracer_records_replicas_checks_and_export(tmp_path):
     )
     tracing.install(tracer, package)
     try:
-        argv = ["run", "appendix-c-cycle", "--replicas", "1", "--out-dir", str(tmp_path)]
+        argv = ["run", scenario, "--replicas", "1", "--out-dir", str(tmp_path)]
         assert cli.main(argv) == 0
     finally:
         tracer.uninstall()
+    return tracer
+
+
+def test_tracer_records_replicas_checks_and_export(tmp_path):
+    tracer = _traced_run(tmp_path, "appendix-c-cycle")
     for layer in ("cli.run_replica", "cli.checks", "cli.export"):
         assert tracer.calls[layer] > 0, f"{layer} recorded no calls"
+
+
+def test_tracer_counts_every_learner_and_byzantine_call(tmp_path):
+    tracer = _traced_run(tmp_path, "byzantine-mix")
+    experiment = cli.load_experiment("byzantine-mix")
+    rounds = experiment.dynamics_spec["rounds"]
+    learners = experiment.behaviors.count("mw")
+    byzantine = experiment.behaviors.count("byzantine")
+    assert learners and byzantine
+    assert tracer.calls["agents.learner_choose"] == rounds * learners
+    assert tracer.calls["agents.learner_update"] == rounds * learners
+    assert tracer.counts["agents.byzantine_bid"] == rounds * byzantine
