@@ -10,6 +10,7 @@ bid always equals the true value of the chosen set.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -147,18 +148,11 @@ def hindsight_totals(
     if not history:
         raise ValidationError("regret needs at least one round of history")
     i, valuation = model.index, model.valuation
-    # A trace's records of one cached state share their declaration and
-    # profile objects, so each distinct pair is priced once and weighted by
-    # its number of rounds (keyed by `id`, unique while `history` holds them).
-    seen: dict[tuple[int, int], list] = {}
-    for own, profile in history:
-        entry = seen.get((id(own), id(profile)))
-        if entry is None:
-            entry = seen[id(own), id(profile)] = [own, profile, 0]
-        entry[2] += 1
+    # each distinct pair is priced once and weighted by its number of rounds
+    seen = Counter((own, tuple(profile)) for own, profile in history)
     realized = Fraction(0)
     fixed = [Fraction(0)] * len(model.candidate_bids)
-    for own, profile, rounds in seen.values():
+    for (own, profile), rounds in seen.items():
         *utilities, own_utility = mechanism.counterfactual_utilities(
             i, model.candidate_bids + (own,), profile, valuation
         )

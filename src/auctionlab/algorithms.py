@@ -63,17 +63,13 @@ def greedy_allocate(profile: Sequence[Declaration], cap: int | None = None) -> t
     Bids for sets larger than `cap` never participate.
     """
     order = sorted(
-        (
-            i
-            for i, d in enumerate(profile)
-            if d.bid > 0 and (cap is None or d.set_mask.bit_count() <= cap)
-        ),
-        key=lambda i: (-profile[i].bid, i),
+        (-bid, i, s)
+        for i, (s, bid) in enumerate(profile)
+        if bid > 0 and (cap is None or s.bit_count() <= cap)
     )
     used = 0
     alloc = [0] * len(profile)
-    for i in order:
-        s = profile[i].set_mask
+    for _, i, s in order:
         if not s & used:
             alloc[i] = s
             used |= s
@@ -86,9 +82,9 @@ def greedy_acceptances(
     """Accepted bids of the greedy run without agent `skip`, in processing
     order, as (bid, agent, set_mask) triples."""
     live = [
-        (-d.bid, i, d.set_mask)
-        for i, d in enumerate(profile)
-        if i != skip and d.bid > 0 and (cap is None or d.set_mask.bit_count() <= cap)
+        (-bid, i, s)
+        for i, (s, bid) in enumerate(profile)
+        if i != skip and bid > 0 and (cap is None or s.bit_count() <= cap)
     ]
     live.sort()
     used = 0
@@ -138,7 +134,7 @@ def two_tier_allocate(profile: Sequence[Declaration], item_count: int) -> tuple[
     grand = full_mask(item_count)
     galloc = greedy_allocate(profile, small_cap)
     gwelfare = declared_welfare(galloc, profile)
-    bigs = [(d.bid, -i) for i, d in enumerate(profile) if d.set_mask == grand and d.bid > 0]
+    bigs = [(bid, -i) for i, (s, bid) in enumerate(profile) if s == grand and bid > 0]
     if bigs:
         bid, neg_i = max(bigs)
         if bid > gwelfare:

@@ -29,6 +29,8 @@ from .core import (
     EMPTY,
     MAX_ITEMS,
     Declaration,
+    Outcome,
+    Profile,
     ValidationError,
     Valuation,
     bundle_from_items,
@@ -576,9 +578,9 @@ def run_replica(
 
 def separated_throughout(trace: Trace, types: Sequence[Valuation]) -> bool:
     """Whether every round's profile is separated; checks each distinct
-    profile object once, since records of one cached state share theirs."""
-    profiles = {id(r.profile): r.profile for r in trace.records}
-    return all(all(separated_flags(p, types)) for p in profiles.values())
+    profile once."""
+    profiles = dict.fromkeys(r.profile for r in trace.records)
+    return all(all(separated_flags(p, types)) for p in profiles)
 
 
 def _coin_text(coin) -> str:
@@ -588,12 +590,9 @@ def _coin_text(coin) -> str:
 
 
 def trace_csv(trace: Trace, experiment: Experiment) -> str:
-    """The trace as CSV, one row per round.  Records of one cached state
-    share their profile and outcome objects, so the text of a profile's
+    """The trace as CSV, one row per round.  The text of a profile's
     `set_*,bid_*` columns and of an outcome's `won_*,pay_*` columns is
-    formatted once per object (keyed by `id`, which stays unique while the
-    trace holds every object); an equal but distinct object just formats
-    the same text again."""
+    formatted once per distinct profile and outcome."""
     n = trace.n_agents
     header = ["round", "updater"]
     header += [f"set_{i + 1}" for i in range(n)]
@@ -603,17 +602,17 @@ def trace_csv(trace: Trace, experiment: Experiment) -> str:
     header += [f"pay_{i + 1}" for i in range(n)]
     header += ["declared_sw", "true_sw"]
     lines = [",".join(header)]
-    profile_text: dict[int, str] = {}
-    outcome_text: dict[int, str] = {}
+    profile_text: dict[Profile, str] = {}
+    outcome_text: dict[Outcome, str] = {}
     for r in trace.records:
-        bids = profile_text.get(id(r.profile))
+        bids = profile_text.get(r.profile)
         if bids is None:
             cells = [d.set_mask for d in r.profile] + [d.bid for d in r.profile]
-            bids = profile_text[id(r.profile)] = "".join(f",{c}" for c in cells)
-        wins = outcome_text.get(id(r.outcome))
+            bids = profile_text[r.profile] = "".join(f",{c}" for c in cells)
+        wins = outcome_text.get(r.outcome)
         if wins is None:
-            cells = list(r.outcome.allocation) + list(r.outcome.payments)
-            wins = outcome_text[id(r.outcome)] = "".join(f",{c}" for c in cells)
+            cells = r.outcome.allocation + r.outcome.payments
+            wins = outcome_text[r.outcome] = "".join(f",{c}" for c in cells)
         updater = "ALL" if r.updater == ALL_AGENTS else r.updater + 1
         lines.append(
             f"{r.round},{updater}{bids},{_coin_text(r.coin)}{wins},"

@@ -7,8 +7,7 @@ All types here are immutable and safe to share across replicas.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 MAX_ITEMS = 32
 
@@ -60,26 +59,28 @@ def bundle_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 
 
-@dataclass(frozen=True)
-class Declaration:
+class Declaration(NamedTuple("DeclarationFields", [("set_mask", int), ("bid", int)])):
     """A single-minded bid: `bid` ticks for any superset of `set_mask`.
 
     The empty declaration is ``Declaration(0, 0)`` (module constant EMPTY);
     it is the canonical form of every zero-value bid.  Any other declaration
-    must name a non-empty set and bid at least one tick.
+    must name a non-empty set and bid at least one tick.  A declaration is
+    a tuple: it equals, hashes and sorts like the plain ``(set_mask, bid)``.
     """
 
-    set_mask: int
-    bid: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.set_mask == 0 and self.bid == 0:
-            return
-        if self.set_mask == 0 or self.bid < 1:
+    def __new__(cls, set_mask: int, bid: int) -> Declaration:
+        if (set_mask == 0 or bid < 1) and (set_mask or bid):
             raise ValidationError(
                 f"declaration must be empty or (non-empty set, bid >= 1), "
-                f"got mask={self.set_mask:#x} bid={self.bid}"
+                f"got mask={set_mask:#x} bid={bid}"
             )
+        return tuple.__new__(cls, (set_mask, bid))
+
+    @classmethod
+    def _make(cls, fields) -> Declaration:  # `_replace` builds through this too
+        return cls(*fields)
 
     @property
     def is_empty(self) -> bool:
@@ -87,8 +88,9 @@ class Declaration:
 
     def value_on(self, mask: int) -> int:
         """Declared value of an arbitrary bundle (bid iff it covers the set)."""
-        if self.set_mask and self.set_mask & ~mask == 0:
-            return self.bid
+        set_mask, bid = self
+        if set_mask and set_mask & ~mask == 0:
+            return bid
         return 0
 
 
@@ -193,22 +195,26 @@ def social_welfare(
 
 
 def declared_welfare(allocation: Sequence[int], profile: Sequence[Declaration]) -> int:
-    return sum(d.value_on(mask) for mask, d in zip(allocation, profile))
+    return sum(bid for mask, (s, bid) in zip(allocation, profile) if s and s & ~mask == 0)
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple("OutcomeFields", [("allocation", tuple), ("payments", tuple)])):
     """A feasible allocation plus per-agent payments in ticks."""
 
-    allocation: tuple[int, ...]
-    payments: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for mask, pay in zip(self.allocation, self.payments):
+    def __new__(cls, allocation: Sequence[int], payments: Sequence[int]) -> Outcome:
+        allocation, payments = tuple(allocation), tuple(payments)
+        for mask, pay in zip(allocation, payments):
             if pay < 0:
                 raise ValidationError("payments must be non-negative")
             if mask == 0 and pay != 0:
                 raise ValidationError("losers must pay zero")
+        return tuple.__new__(cls, (allocation, payments))
+
+    @classmethod
+    def _make(cls, fields) -> Outcome:  # `_replace` builds through this too
+        return cls(*fields)
 
     def utility(self, agent: int, valuation: Valuation) -> int:
         return valuation.value_of(self.allocation[agent]) - self.payments[agent]

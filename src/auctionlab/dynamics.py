@@ -25,7 +25,7 @@ from .agents import (
     counterfactual_utilities,
     learner_state_for,
 )
-from .core import EMPTY, Declaration, Outcome, Profile, ValidationError, single_minded, social_welfare
+from .core import EMPTY, Declaration, Outcome, Profile, ValidationError, social_welfare
 from .mechanisms import COIN_NONE, Coin, FilteredGreedyMechanism, GrandBundleMechanism, Mechanism
 
 ALL_AGENTS = -1  # updater marker for concurrent (regret) rounds
@@ -127,14 +127,6 @@ def _starting_profile(config: RunConfig) -> Profile:
 # runs stay far below it: at most 357 distinct states in a 20,000-round
 # learner run with a byzantine bidder, at most 35 without one, and at most
 # 10 in a best-response run.
-#
-# The post-run stages rely on one invariant of these caches: the records of
-# one cached state share their profile and outcome objects, so the CSV
-# export, the separation check, the coverage report and the hindsight totals
-# work once per distinct object (keyed by `id`, unique while the trace holds
-# every record).  An equal state that arrives as a distinct object, after the
-# cache is emptied or when a best-response revisit builds a new profile
-# tuple, only repeats that work and yields the same result.
 STATE_CACHE_LIMIT = 4096
 
 
@@ -172,35 +164,39 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
     agent_rngs = [seeded_rng(config.seed, "agent", i) for i in range(n)]
 
     profile = _starting_profile(config)
+    if n == 0:
+        nothing = Outcome((), ())
+        records = [
+            RoundRecord(t, ALL_AGENTS, (), COIN_NONE, nothing, 0, 0)
+            for t in range(1, config.rounds + 1)
+        ]
+        return Trace(mechanism, (), config.seed, "best-response", tuple(records))
+    byzantine = [isinstance(model.behavior, ByzantineBidder) for model in agents]
+    order = config.scripted_order
+    draw_updater = rng_order.randrange
+    draw_coin = mechanism.draw_coin
+    keep_on_tie = config.keep_on_tie
     # per profile: best responses by updater, round results by coin
     states: dict = {}
     responses, results = _cache_slot(states, profile, lambda: ({}, {}))
     records = []
     for t in range(1, config.rounds + 1):
-        if n == 0:
-            records.append(
-                RoundRecord(t, ALL_AGENTS, (), COIN_NONE, Outcome((), ()), 0, 0)
-            )
-            continue
-        if config.scripted_order is not None:
-            updater = config.scripted_order[(t - 1) % len(config.scripted_order)]
+        if order is not None:
+            updater = order[(t - 1) % len(order)]
         else:
-            updater = rng_order.randrange(n)
-        model = agents[updater]
-        if isinstance(model.behavior, ByzantineBidder):
-            new_decl = byzantine_bid(model, agent_rngs[updater])
+            updater = draw_updater(n)
+        if byzantine[updater]:
+            new_decl = byzantine_bid(agents[updater], agent_rngs[updater])
         else:
             new_decl = responses.get(updater)
             if new_decl is None:
                 new_decl = responses[updater] = best_response(
-                    model, profile, mechanism, config.keep_on_tie
+                    agents[updater], profile, mechanism, keep_on_tie
                 )
         if new_decl != profile[updater]:
-            profile = tuple(
-                new_decl if j == updater else d for j, d in enumerate(profile)
-            )
+            profile = profile[:updater] + (new_decl,) + profile[updater + 1 :]
             responses, results = _cache_slot(states, profile, lambda: ({}, {}))
-        coin = mechanism.draw_coin(rng_coin, n)
+        coin = draw_coin(rng_coin, n)
         result = results.get(coin)
         if result is None:
             result = results[coin] = _round_result(mechanism, profile, coin, agents)
@@ -228,9 +224,9 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
         if isinstance(m.behavior, (WeightedLearner, PerturbedLearner))
     }
 
-    # keyed by the learners' candidate indices and the other agents' (set,
-    # bid) pairs, which hash faster than declarations: the profile, the
-    # learners' utility vectors and round results by coin
+    # keyed by the learners' candidate indices and the byzantine bidders'
+    # declarations: the profile, the learners' utility vectors and round
+    # results by coin
     states: dict = {}
     # per agent: (learner state or None for a byzantine bidder, model, rng)
     plan = [(learners.get(i), model, agent_rngs[i]) for i, model in enumerate(agents)]
@@ -239,7 +235,7 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
 
     def state_of(key):
         profile = tuple(
-            model.candidate_bids[k] if state is not None else single_minded(*k)
+            model.candidate_bids[k] if state is not None else k
             for (state, model, _), k in zip(plan, key)
         )
         vectors = [counterfactual_utilities(agents[i], profile, mechanism) for i in learners]
@@ -253,8 +249,7 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
                 key.append(state.choose(rng))
             else:
                 # looked up per call, so a wrapper installed on this module sees it
-                decl = byzantine_bid(model, rng)
-                key.append((decl.set_mask, decl.bid))
+                key.append(byzantine_bid(model, rng))
         key = tuple(key)
         entry = states.get(key)
         if entry is None:

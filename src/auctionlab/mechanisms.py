@@ -15,9 +15,8 @@ resolves against the probing agent.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .algorithms import (
     CLOSED,
@@ -59,8 +58,7 @@ def simplify(profile: Sequence[Bid]) -> Profile:
     return tuple(simplify_one(b) for b in profile)
 
 
-@dataclass(frozen=True)
-class Coin:
+class Coin(NamedTuple):
     """Per-round random draws of a mechanism, fully determined by the seeded
     generator that produced it.  `lottery_agent` is set when the grand-bundle
     lottery fires; `ignore_grand` is the trembling draw."""
@@ -81,15 +79,13 @@ def _lottery_coin(agent: int) -> Coin:
 
 
 def with_probe(profile: Profile, agent: int, probe: Declaration) -> Profile:
-    return tuple(probe if j == agent else d for j, d in enumerate(profile))
+    return (*profile[:agent], probe, *profile[agent + 1 :])
 
 
 def tie_loss_probe(profile: Profile, agent: int, set_mask: int, bid: int) -> Profile:
     """Profile in which the probing agent's bid sits strictly between its own
     tick and the one below on a doubled scale, so it loses every exact tie."""
-    doubled = tuple(
-        Declaration(d.set_mask, 2 * d.bid) if d.bid else EMPTY for d in profile
-    )
+    doubled = tuple(Declaration(s, 2 * bid) if bid else EMPTY for s, bid in profile)
     return with_probe(doubled, agent, Declaration(set_mask, 2 * bid - 1))
 
 
@@ -134,33 +130,45 @@ def declared_separated_for(agent: int, decl: Declaration, profile: Profile) -> b
     """Separation as a mechanism can observe it: the sum of strictly
     lower intersecting declared bids does not exceed the agent's own bid.
     Empty declarations are vacuously separated."""
-    if decl.is_empty:
-        return True
+    set_mask, bid = decl
     pressure = sum(
-        d.bid
-        for j, d in enumerate(profile)
-        if j != agent and d.set_mask & decl.set_mask and d.bid < decl.bid
+        b for j, (s, b) in enumerate(profile) if j != agent and s & set_mask and b < bid
     )
-    return pressure <= decl.bid
+    return not set_mask or pressure <= bid
+
+
+# separated_flags results by profile, for the one `types` object they were
+# computed against; emptied when another `types` object arrives or when it
+# outgrows as many profiles as the engines' state caches
+_FLAGS_LIMIT = 4096
+_flags_memo: dict = {}
+_flags_types = None
 
 
 def separated_flags(profile: Sequence[Declaration], types: Sequence[Valuation]) -> tuple[bool, ...]:
     """Per-agent separation of a single-minded profile against true types:
     the intersecting bids strictly below the agent's true value for his set
-    must sum to at most his declared bid."""
-    flags = []
-    for i, d in enumerate(profile):
-        if d.is_empty:
-            flags.append(True)
-            continue
-        true_value = types[i].value_of(d.set_mask)
-        pressure = sum(
-            o.bid
-            for j, o in enumerate(profile)
-            if j != i and o.set_mask & d.set_mask and o.bid < true_value
-        )
-        flags.append(pressure <= d.bid)
-    return tuple(flags)
+    must sum to at most his declared bid.  Memoised by profile value while
+    the same `types` object is passed, which must not change in between."""
+    global _flags_types
+    profile = tuple(profile)
+    if types is not _flags_types:
+        _flags_memo.clear()
+        _flags_types = types
+    flags = _flags_memo.get(profile)
+    if flags is None:
+        if len(_flags_memo) >= _FLAGS_LIMIT:
+            _flags_memo.clear()
+        flags = []
+        for i, (set_mask, bid) in enumerate(profile):
+            # an empty declaration (0, 0) meets no set: pressure 0 <= bid 0
+            true_value = types[i].value_of(set_mask)
+            pressure = sum(
+                b for j, (s, b) in enumerate(profile) if j != i and s & set_mask and b < true_value
+            )
+            flags.append(pressure <= bid)
+        flags = _flags_memo[profile] = tuple(flags)
+    return flags
 
 
 def _no_price(set_mask: int) -> None:
@@ -229,7 +237,7 @@ class Mechanism:
         return alloc[agent] == set_mask
 
     def _search_upper(self, agent: int, profile: Profile) -> int:
-        return sum(d.bid for j, d in enumerate(profile) if j != agent) + 1
+        return sum(bid for j, (_, bid) in enumerate(profile) if j != agent) + 1
 
     def critical_price(
         self, agent: int, set_mask: int, profile: Profile, coin: Coin = COIN_NONE
@@ -281,13 +289,13 @@ class Mechanism:
         for _, coin in self.branches:
             price_of = self.thresholds(profile, agent, coin)
             utilities = []
-            for d in decls:
-                if not d.set_mask:
+            for set_mask, bid in decls:
+                if not set_mask:
                     utilities.append(0)
                     continue
-                price = price_of(d.set_mask)
-                if wins_threshold(d.bid, price):
-                    utilities.append(valuation.value_of(d.set_mask) - price[0])
+                price = price_of(set_mask)
+                if wins_threshold(bid, price):
+                    utilities.append(valuation.value_of(set_mask) - price[0])
                 else:
                     utilities.append(0)
             per_branch.append(utilities)
@@ -375,9 +383,7 @@ class FilteredGreedyMechanism(Mechanism):
         for i, won in enumerate(provisional):
             if not won:
                 continue
-            pressure = sum(
-                d.bid for j, d in enumerate(profile) if j != i and d.set_mask & won
-            )
+            pressure = sum(bid for j, (s, bid) in enumerate(profile) if j != i and s & won)
             if profile[i].bid <= pressure:
                 alloc[i] = 0
         return tuple(alloc)
@@ -394,7 +400,7 @@ class FilteredGreedyMechanism(Mechanism):
             if set_mask == 0 or set_mask.bit_count() > cap:
                 return None
             pressure = sum(
-                d.bid for j, d in enumerate(profile) if j != agent and d.set_mask & set_mask
+                bid for j, (s, bid) in enumerate(profile) if j != agent and s & set_mask
             )
             return (pressure, OPEN)
 
@@ -432,10 +438,11 @@ class GrandBundleMechanism(Mechanism):
         return tuple(d if d.set_mask.bit_count() <= cap else EMPTY for d in profile)
 
     def _grand_bids(self, profile: Profile, skip: int = -1) -> list[tuple[int, int]]:
+        grand = self.grand
         return [
-            (d.bid, i)
-            for i, d in enumerate(profile)
-            if i != skip and d.set_mask == self.grand and d.bid > 0
+            (bid, i)
+            for i, (s, bid) in enumerate(profile)
+            if i != skip and s == grand and bid > 0
         ]
 
     def _small_welfare(self, profile: Profile) -> int:
@@ -483,7 +490,7 @@ class GrandBundleMechanism(Mechanism):
             if set_mask == 0 or set_mask.bit_count() > self.small_cap:
                 return None
             floor = sum(
-                d.bid for j, d in enumerate(small) if j != agent and d.set_mask & set_mask
+                bid for j, (s, bid) in enumerate(small) if j != agent and s & set_mask
             )
             if not grand_fires:
                 return (floor, OPEN)

@@ -5,6 +5,7 @@ report is rendered for display.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -102,20 +103,11 @@ def coverage_report(
             row.append(2 * pressure > goal if sum_strict else 2 * pressure >= goal)
         return tuple(row)
 
-    # records of one cached state share one profile object; an equal but
-    # distinct profile just gets its own row
-    rows: dict[int, tuple[bool, ...]] = {}
-    uses: dict[int, int] = {}
-    matrix: list[tuple[bool, ...]] = []
-    for record in trace.records:
-        key = id(record.profile)
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = row_of(record.profile)
-            uses[key] = 0
-        uses[key] += 1
-        matrix.append(row)
-    counts = [sum(uses[key] for key, row in rows.items() if row[i]) for i in range(n)]
+    # one row per distinct profile
+    uses = Counter(r.profile for r in trace.records)
+    rows = {profile: row_of(profile) for profile in uses}
+    matrix = [rows[r.profile] for r in trace.records]
+    counts = [sum(k for profile, k in uses.items() if rows[profile][i]) for i in range(n)]
     rounds = max(1, trace.rounds)
     return matrix, tuple(Fraction(c, rounds) for c in counts)
 

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from auctionlab import (
@@ -16,6 +18,7 @@ from auctionlab import (
 )
 from auctionlab.dynamics import seeded_rng
 from auctionlab.generate import random_valuation
+from auctionlab.mechanisms import COIN_IGNORE_GRAND, COIN_NONE, Coin, _lottery_coin
 
 from conftest import A, B, C, D
 
@@ -142,3 +145,80 @@ class TestOutcome:
         assert out.utility(0, cycle_types[0]) == 1
         assert out.utility(1, cycle_types[1]) == 1
         assert out.utility(2, cycle_types[2]) == 0
+
+
+class TestTupleValues:
+    """Declarations, coins and outcomes are named tuples: they compare,
+    hash and sort like plain tuples of their fields, and keep their type
+    and validation."""
+
+    def test_declaration_is_its_field_tuple(self):
+        d = Declaration(A | B, 7)
+        assert d == (A | B, 7) and (A | B, 7) == d
+        assert hash(d) == hash((A | B, 7))
+        assert {(A | B, 7): "x"}[d] == "x"
+        assert d.set_mask == A | B and d.bid == 7
+        assert tuple(d) == (A | B, 7)
+        assert EMPTY == (0, 0) and EMPTY.is_empty and not d.is_empty
+
+    def test_declarations_sort_like_tuples(self):
+        decls = [Declaration(B, 3), EMPTY, Declaration(A, 9), Declaration(B, 1), Declaration(A, 2)]
+        assert sorted(decls) == sorted(tuple(d) for d in decls)
+        assert sorted(decls) == [EMPTY, Declaration(A, 2), Declaration(A, 9),
+                                 Declaration(B, 1), Declaration(B, 3)]
+
+    def test_values_are_immutable(self):
+        with pytest.raises(AttributeError):
+            Declaration(A, 1).bid = 2
+        with pytest.raises(AttributeError):
+            Declaration(A, 1).extra = 2
+        with pytest.raises(AttributeError):
+            COIN_NONE.ignore_grand = True
+
+    def test_pickle_round_trip_keeps_type(self):
+        values = [
+            Declaration(A | C, 5),
+            EMPTY,
+            COIN_NONE,
+            COIN_IGNORE_GRAND,
+            _lottery_coin(2),
+            Outcome((A, 0, B), (3, 0, 0)),
+        ]
+        for value in values:
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == value and type(copy) is type(value)
+            assert hash(copy) == hash(value)
+
+    def test_bad_values_still_raise(self):
+        with pytest.raises(ValidationError):
+            Declaration(0, 3)
+        with pytest.raises(ValidationError):
+            Declaration(A, -1)
+        with pytest.raises(ValidationError):
+            Outcome((A, 0), (-1, 0))
+        with pytest.raises(ValidationError):
+            Outcome((A, 0), (1, 2))
+        with pytest.raises(ValidationError):
+            Declaration(A, 4)._replace(bid=0)
+        with pytest.raises(ValidationError):
+            Declaration._make((0, 3))
+        with pytest.raises(ValidationError):
+            Outcome((A, 0), (1, 0))._replace(allocation=(0, A))
+
+    def test_zero_bids_are_the_empty_constant(self):
+        assert single_minded(A | B, 0) is EMPTY
+        assert single_minded(0, 0) is EMPTY
+
+    def test_coins_keep_equality_and_distinct_hashes(self):
+        coins = [COIN_NONE, COIN_IGNORE_GRAND] + [_lottery_coin(k) for k in range(4)]
+        assert COIN_NONE == Coin() and COIN_IGNORE_GRAND == Coin(ignore_grand=True)
+        assert _lottery_coin(3) == Coin(lottery_agent=3) and _lottery_coin(3) is _lottery_coin(3)
+        assert len({hash(c) for c in coins}) == len(coins)
+        assert len(set(coins)) == len(coins)
+        results = {c: k for k, c in enumerate(coins)}
+        assert [results[Coin(*c)] for c in coins] == list(range(len(coins)))
+
+    def test_outcome_fields(self):
+        out = Outcome([A, 0], [2, 0])
+        assert out.allocation == (A, 0) and out.payments == (2, 0)
+        assert out == ((A, 0), (2, 0)) and hash(out) == hash(((A, 0), (2, 0)))

@@ -20,6 +20,7 @@ from auctionlab import (
 )
 from auctionlab.core import declared_welfare, full_mask
 from auctionlab.dynamics import seeded_rng
+from auctionlab import mechanisms
 from auctionlab.mechanisms import COIN_NONE, Coin, Mechanism
 from auctionlab.generate import random_profile, random_types, truthful_profile
 
@@ -226,6 +227,35 @@ class TestSeparation:
         types = [Valuation([(A | B, 10)]), Valuation([(A, 4)]), Valuation([(B, 4)])]
         profile = (Declaration(A | B, 6), Declaration(A, 4), Declaration(B, 4))
         assert separated_flags(profile, types) == (False, True, True)
+
+    def test_memo_follows_the_types_object(self):
+        profile = (Declaration(A | B, 6), Declaration(A, 4), Declaration(B, 4))
+        high = [Valuation([(A | B, 10)]), Valuation([(A, 4)]), Valuation([(B, 4)])]
+        low = [Valuation([(A | B, 4)]), Valuation([(A, 4)]), Valuation([(B, 4)])]
+        for _ in range(2):
+            assert separated_flags(profile, high) == (False, True, True)
+            assert separated_flags(list(profile), low) == (True, True, True)
+
+    def test_memo_matches_direct_computation(self, monkeypatch):
+        def direct(profile, types):
+            return tuple(
+                d.is_empty
+                or sum(
+                    o.bid
+                    for j, o in enumerate(profile)
+                    if j != i and o.set_mask & d.set_mask
+                    and o.bid < types[i].value_of(d.set_mask)
+                ) <= d.bid
+                for i, d in enumerate(profile)
+            )
+
+        rng = seeded_rng(41, "separation-memo")
+        for limit in (4096, 1):
+            monkeypatch.setattr(mechanisms, "_FLAGS_LIMIT", limit)
+            types = random_types(rng, 4, 5, max_atoms=2, max_value=8, max_size=2)
+            profiles = [random_profile(rng, 4, 5, max_size=2, max_value=8) for _ in range(30)]
+            for profile in profiles + profiles[::-1]:
+                assert separated_flags(profile, types) == direct(profile, types)
 
 
 class TestPaymentExactness:

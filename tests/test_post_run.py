@@ -1,16 +1,17 @@
 """The post-run stages of `auctionlab run` (CSV export, separation check,
 coverage report, hindsight totals) work once per distinct profile or
-outcome object.  Each must give exactly what a plain per-row computation
+outcome value.  Each must give exactly what a plain per-row computation
 gives: on every built-in scenario, also when the engine cache is emptied at
 almost every state so that equal states arrive as distinct objects, on a
 zero-agent trace, and on hand-built traces whose objects are shared in ways
 the engines never produce."""
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from auctionlab import dynamics
+from auctionlab import cli, dynamics
 from auctionlab.agents import BestResponder, hindsight_totals, make_agent
 from auctionlab.algorithms import greedy_rule
 from auctionlab.cli import (
@@ -161,3 +162,71 @@ def test_shared_objects_that_engines_never_produce():
     assert not separated_throughout(trace, types)
     matrix, _ = coverage_report(trace, types, [0b011, 0b010])
     assert matrix[3] != matrix[0]
+
+
+def test_equal_but_distinct_objects_are_worked_once(monkeypatch):
+    """Records whose profiles, declarations and outcomes are equal but
+    distinct objects give what shared objects give, and each post-run stage
+    works once per distinct value."""
+    types = [Valuation([(0b011, 6)]), Valuation([(0b010, 5)]), Valuation([(0b100, 3)])]
+    mechanism = RuleMechanism(greedy_rule(2), 3)
+    agents = tuple(make_agent(i, t, BestResponder(), mechanism) for i, t in enumerate(types))
+    states = [
+        (((0b011, 6), (0, 0), (0b100, 3)), COIN_NONE, (0b011, 0, 0b100), (0, 0, 0), 9),
+        (((0b011, 6), (0b010, 5), (0, 0)), COIN_IGNORE_GRAND, (0b011, 0, 0), (5, 0, 0), 6),
+        (((0, 0), (0b010, 5), (0b100, 3)), COIN_NONE, (0, 0b010, 0b100), (0, 0, 0), 8),
+    ]
+    visits = [0, 1, 1, 0, 2, 0, 1, 2, 2, 0]
+
+    def record(t, k):
+        pairs, coin, allocation, payments, welfare = states[k]
+        profile = tuple(Declaration(*p) for p in pairs)
+        return RoundRecord(t, t % 3, profile, coin, Outcome(allocation, payments), welfare, welfare)
+
+    fresh = tuple(record(t, k) for t, k in enumerate(visits, 1))
+    built = [record(0, k) for k in range(len(states))]
+    shared = tuple(replace(built[k], round=t, updater=t % 3) for t, k in enumerate(visits, 1))
+    assert fresh[0].profile == fresh[3].profile and fresh[0].profile is not fresh[3].profile
+    assert fresh[0].profile[0] is not fresh[3].profile[0]
+    assert fresh[0].outcome == fresh[3].outcome and fresh[0].outcome is not fresh[3].outcome
+    assert shared[0].profile is shared[3].profile
+    fresh_trace = Trace(mechanism, agents, 0, "best-response", fresh)
+    shared_trace = Trace(mechanism, agents, 0, "best-response", shared)
+    target_alloc = [0b011, 0b010, 0b100]
+
+    assert trace_csv(fresh_trace, None) == trace_csv(shared_trace, None)
+    assert separated_throughout(fresh_trace, types) == separated_throughout(shared_trace, types)
+    assert separated_throughout(fresh_trace, types)
+    for strict in (True, False):
+        assert coverage_report(fresh_trace, types, target_alloc, strict) == coverage_report(
+            shared_trace, types, target_alloc, strict
+        )
+    for model in agents:
+        assert hindsight_totals(
+            fresh_trace.history_for(model.index), model, mechanism
+        ) == hindsight_totals(shared_trace.history_for(model.index), model, mechanism)
+    assert_matches_reference(fresh_trace, types, target_alloc)
+
+    flag_calls = Counter()
+    flags = cli.separated_flags
+
+    def counted_flags(profile, types):
+        flag_calls[profile] += 1
+        return flags(profile, types)
+
+    monkeypatch.setattr(cli, "separated_flags", counted_flags)
+    assert separated_throughout(fresh_trace, types)
+    assert len(flag_calls) == len(states) and set(flag_calls.values()) == {1}
+
+    utility_calls = Counter()
+    utilities = mechanism.counterfactual_utilities
+
+    def counted_utilities(agent, decls, profile, valuation):
+        utility_calls[agent, decls[-1], profile] += 1
+        return utilities(agent, decls, profile, valuation)
+
+    monkeypatch.setattr(mechanism, "counterfactual_utilities", counted_utilities)
+    for model in agents:
+        hindsight_totals(fresh_trace.history_for(model.index), model, mechanism)
+    assert len(utility_calls) == len(agents) * len(states)
+    assert set(utility_calls.values()) == {1}
