@@ -28,7 +28,6 @@ from .algorithms import greedy_rule, optimal_welfare, partition_rule, two_tier_r
 from .core import (
     EMPTY,
     MAX_ITEMS,
-    Declaration,
     Outcome,
     Profile,
     ValidationError,
@@ -48,16 +47,15 @@ from .dynamics import (
     run_regret_dynamics,
 )
 from .mechanisms import (
-    FilteredGreedyMechanism,
-    GrandBundleMechanism,
-    Mechanism,
-    RuleMechanism,
-    separated_flags,
+    FilteredGreedyMechanism, GrandBundleMechanism, Mechanism, RuleMechanism, separated_flags,
 )
 from .metrics import aggregate, coverage_report, regret_report, resilience_report, welfare_report
 
 MECHANISM_KINDS = ("greedy", "filtered-greedy", "grand-bundle", "partition", "two-tier")
-BEHAVIOR_KINDS = ("best-response", "mw", "fpl", "byzantine")
+# Each behavior kind and the behavior its agents share; behaviors hold no state.
+BEHAVIORS = {"best-response": BestResponder(), "mw": WeightedLearner(),
+             "fpl": PerturbedLearner(), "byzantine": ByzantineBidder()}
+BEHAVIOR_KINDS = tuple(BEHAVIORS)
 
 
 def parse_fraction(value: Any, where: str) -> Fraction:
@@ -127,14 +125,64 @@ def _require(data: Any, key: str, where: str):
     return data[key]
 
 
-def _cap(value: Any, where: str) -> Optional[int]:
-    """A cardinality cap `s`: absent (None) or a positive integer."""
-    if value is not None and (not _integer(value) or value < 1):
+# Every key each object of the two file formats may hold; any other key is
+# INVALID.  `acceptance.checks` takes the check names of `_CHECKS`, and
+# `agents.overrides` maps agent ids.
+_BEST_RESPONSE_ONLY = ("scripted_order", "initial", "empty_start", "keep_on_tie")
+KEYS = {
+    "instance": ("m", "items", "s", "agents"),
+    "instance.agents[]": ("id", "atoms"),
+    "instance.agents[].atoms[]": ("items", "value"),
+    "experiment": ("instance", "mechanism", "dynamics", "agents", "acceptance"),
+    "mechanism": ("kind", "s", "gamma", "partition_a", "appendix_b_lottery"),
+    "dynamics": ("kind", "rounds", "seed", "replicas") + _BEST_RESPONSE_ONLY,
+    "dynamics.initial[]": ("id", "items", "bid"),
+    "agents": ("default", "overrides"),
+    "acceptance": ("epsilon", "checks"),
+}
+# The mechanism and dynamics keys that only some kinds read; under any
+# other kind such a key is INVALID.
+_READ_BY = {
+    "gamma": ("grand-bundle",),
+    "appendix_b_lottery": ("filtered-greedy", "grand-bundle"),
+    "partition_a": ("partition",),
+    **dict.fromkeys(_BEST_RESPONSE_ONLY, ("best-response",)),
+}
+
+
+def _known(data: Any, where: str, kind: str) -> dict:
+    """`data` as an object that holds only keys `KEYS[kind]` declares."""
+    for key in _object(data, where):
+        if key not in KEYS[kind]:
+            raise ValidationError(f"{where}.{key}: unknown key; known: {', '.join(KEYS[kind])}")
+    return data
+
+
+def _whole(value: Any, where: str) -> int:
+    if not _integer(value):
+        raise ValidationError(f"{where}: must be an integer")
+    return value
+
+
+def _positive(value: Any, where: str) -> int:
+    if not _integer(value) or value < 1:
         raise ValidationError(f"{where}: must be a positive integer")
     return value
 
 
+def _flag(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{where}: expected true or false")
+    return value
+
+
+def _cap(value: Any, where: str) -> Optional[int]:
+    """A cardinality cap `s`: absent (None) or a positive integer."""
+    return None if value is None else _positive(value, where)
+
+
 def parse_instance(data: dict, where: str = "instance") -> Instance:
+    _known(data, where, "instance")
     m = _require(data, "m", where)
     if not _integer(m) or not 0 <= m <= MAX_ITEMS:
         raise ValidationError(f"{where}.m: must be an integer in [0, {MAX_ITEMS}]")
@@ -148,7 +196,7 @@ def parse_instance(data: dict, where: str = "instance") -> Instance:
     instance = Instance(m, tuple(labels), cap, [])
     for k, spec in enumerate(_list(data.get("agents", []), f"{where}.agents")):
         aw = f"{where}.agents[{k}]"
-        aid = _require(spec, "id", aw)
+        aid = _require(_known(spec, aw, "instance.agents[]"), "id", aw)
         if not _integer(aid) or aid != k + 1:
             raise ValidationError(f"{aw}.id: ids must be contiguous from 1, expected {k + 1}")
         atoms = _list(_require(spec, "atoms", aw), f"{aw}.atoms")
@@ -157,9 +205,8 @@ def parse_instance(data: dict, where: str = "instance") -> Instance:
         pairs = []
         for a, atom in enumerate(atoms):
             bw = f"{aw}.atoms[{a}]"
-            value = _require(atom, "value", bw)
-            if not _integer(value) or value < 1:
-                raise ValidationError(f"{bw}.value: must be a positive integer tick count")
+            value = _require(_known(atom, bw, "instance.agents[].atoms[]"), "value", bw)
+            value = _positive(value, f"{bw}.value")  # in ticks
             mask = instance.mask_for(_require(atom, "items", bw), bw)
             if mask == 0:
                 raise ValidationError(f"{bw}.items: must not be empty")
@@ -172,8 +219,7 @@ def parse_instance(data: dict, where: str = "instance") -> Instance:
 
 
 def load_instance(path: Path) -> Instance:
-    data = _read_json(path)
-    return parse_instance(data, where=str(path))
+    return parse_instance(_read_json(path), where=str(path))
 
 
 def _read_json(path: Path) -> dict:
@@ -194,6 +240,9 @@ def _read_json(path: Path) -> dict:
 
 @dataclass
 class Experiment:
+    """An experiment with every key parsed at load.  The raw mechanism and
+    dynamics objects are kept as `summary.json` records them."""
+
     name: str
     instance: Instance
     mechanism_spec: dict
@@ -201,184 +250,181 @@ class Experiment:
     behaviors: list[str]
     epsilon: Fraction
     checks: dict
+    kind: str  # the mechanism kind
+    cap: Optional[int]
+    gamma: Optional[Fraction]
+    lottery: Optional[Fraction]
+    partition_a: int  # a bundle mask
+    regret: bool
+    replicas: int
+    seed: int
+    engine: dict  # the other RunConfig fields: rounds, scripted_order, ...
 
     def build_mechanism(self) -> Mechanism:
-        try:
-            return self._build_mechanism()
-        except ValidationError as exc:
-            raise ValidationError(f"{self.name}.mechanism: {exc}") from None
-
-    def _build_mechanism(self) -> Mechanism:
-        spec = self.mechanism_spec
-        kind = spec["kind"]
-        m = self.instance.item_count
-        cap = spec.get("s", self.instance.cap)
-        lottery = spec.get("appendix_b_lottery")
-        lottery = parse_fraction(lottery, "appendix_b_lottery") if lottery is not None else None
+        m, cap, kind = self.instance.item_count, self.cap, self.kind
         if kind == "greedy":
             return RuleMechanism(greedy_rule(cap), m)
         if kind == "two-tier":
             return RuleMechanism(two_tier_rule(m), m)
         if kind == "partition":
-            side = self.instance.mask_for(spec["partition_a"], "partition_a")
-            return RuleMechanism(partition_rule(m, side, cap), m)
+            return RuleMechanism(partition_rule(m, self.partition_a, cap), m)
         if kind == "filtered-greedy":
-            if cap is None:
-                raise ValidationError("s: filtered-greedy needs a cardinality cap")
-            return FilteredGreedyMechanism(m, cap, lottery)
-        return GrandBundleMechanism(m, parse_fraction(spec["gamma"], "gamma"), lottery)
+            return FilteredGreedyMechanism(m, cap, self.lottery)
+        return GrandBundleMechanism(m, self.gamma, self.lottery)
 
     def build_agents(self, mechanism: Mechanism) -> list[AgentModel]:
-        behaviors = {
-            "best-response": BestResponder(),
-            "mw": WeightedLearner(),
-            "fpl": PerturbedLearner(),
-            "byzantine": ByzantineBidder(),
-        }
         return [
-            make_agent(i, t, behaviors[b], mechanism)
+            make_agent(i, t, BEHAVIORS[b], mechanism)
             for i, (t, b) in enumerate(zip(self.instance.types, self.behaviors))
         ]
 
     def byzantine_set(self) -> frozenset[int]:
         return frozenset(i for i, b in enumerate(self.behaviors) if b == "byzantine")
 
-    def oracle_cap(self) -> Optional[int]:
-        kind = self.mechanism_spec["kind"]
-        if kind in ("greedy", "filtered-greedy"):
-            return self.mechanism_spec.get("s", self.instance.cap)
-        return None
-
-    def initial_profile(self) -> Optional[tuple[Declaration, ...]]:
-        initial = self.dynamics_spec.get("initial")
-        if initial is None:
-            return None
-        where = f"{self.name}.dynamics.initial"
-        decls = [EMPTY] * len(self.instance.types)
-        for entry in _list(initial, where):
-            aid = _require(entry, "id", where)
-            if not _integer(aid) or not 1 <= aid <= len(decls):
-                raise ValidationError(f"{where}: unknown agent id {aid!r}")
-            mask = self.instance.mask_for(_require(entry, "items", where), where)
-            bid = _require(entry, "bid", where)
-            if not _integer(bid) or bid < 0:
-                raise ValidationError(f"{where}: bid must be a non-negative integer")
-            decls[aid - 1] = single_minded(mask, bid)
-        return tuple(decls)
-
     def run_config(self, seed: int) -> RunConfig:
-        """The engine configuration of one replica.  `validate` builds it
-        too, so both commands reject the same experiments."""
+        """The engine configuration of one replica."""
         mechanism = self.build_mechanism()
-        spec = self.dynamics_spec
-        order = spec.get("scripted_order")
-        return RunConfig(
-            mechanism=mechanism,
-            agents=self.build_agents(mechanism),
-            rounds=spec["rounds"],
-            seed=seed,
-            empty_start=spec.get("empty_start", True),
-            keep_on_tie=spec.get("keep_on_tie", True),
-            scripted_order=[a - 1 for a in order] if order else None,
-            initial_profile=self.initial_profile(),
-        )
+        return RunConfig(mechanism, self.build_agents(mechanism), seed=seed, **self.engine)
 
 
-def parse_experiment(data: dict, instance: Instance, name: str) -> Experiment:
-    mech = _require(data, "mechanism", name)
-    kind = _require(mech, "kind", f"{name}.mechanism")
+def parse_experiment(
+    data: dict, instance: Instance, name: str, flags: Sequence[str] = ()
+) -> Experiment:
+    """Parse and check every key once, so that `validate` rejects what `run`
+    would and `run` rejects it before any round.  Errors in a key named in
+    `flags` name the `run` flag that set it (`--appendix-b-lottery` for
+    `appendix_b_lottery`)."""
+    def at(section: str, key: str) -> str:
+        return "--" + key.replace("_", "-") if key in flags else f"{name}.{section}.{key}"
+
+    _known(data, name, "experiment")
+    mw, dw = f"{name}.mechanism", f"{name}.dynamics"
+    mech = _known(_require(data, "mechanism", name), mw, "mechanism")
+    kind = _require(mech, "kind", mw)
     if kind not in MECHANISM_KINDS:
-        raise ValidationError(f"{name}.mechanism.kind: unknown kind {kind!r}")
-    if kind == "grand-bundle" and "gamma" not in mech:
-        raise ValidationError(f"{name}.mechanism: grand-bundle requires gamma")
-    if kind == "partition" and "partition_a" not in mech:
-        raise ValidationError(f"{name}.mechanism: partition requires partition_a")
-    _cap(mech.get("s"), f"{name}.mechanism.s")
-    if kind != "grand-bundle" and "gamma" in mech:
-        raise ValidationError(f"{name}.mechanism: gamma is only valid for grand-bundle")
-    if "appendix_b_lottery" in mech and kind not in ("filtered-greedy", "grand-bundle"):
-        raise ValidationError(
-            f"{name}.mechanism: the lottery applies only to filtered-greedy and grand-bundle"
-        )
-
-    dyn = _require(data, "dynamics", name)
-    dkind = _require(dyn, "kind", f"{name}.dynamics")
+        raise ValidationError(f"{mw}.kind: unknown kind {kind!r}")
+    dyn = _known(_require(data, "dynamics", name), dw, "dynamics")
+    dkind = _require(dyn, "kind", dw)
     if dkind not in ("best-response", "regret"):
-        raise ValidationError(f"{name}.dynamics.kind: unknown kind {dkind!r}")
-    rounds = _require(dyn, "rounds", f"{name}.dynamics")
-    if not _integer(rounds) or rounds < 1:
-        raise ValidationError(f"{name}.dynamics.rounds: must be a positive integer")
-    replicas = dyn.get("replicas", 1)
-    if not _integer(replicas) or replicas < 1:
-        raise ValidationError(f"{name}.dynamics.replicas: must be a positive integer")
-    if not _integer(dyn.get("seed", 0)):
-        raise ValidationError(f"{name}.dynamics.seed: must be an integer")
-    for flag in ("empty_start", "keep_on_tie"):
-        if flag in dyn:
-            _flag(dyn[flag], f"{name}.dynamics.{flag}")
-    order = dyn.get("scripted_order")
+        raise ValidationError(f"{dw}.kind: unknown kind {dkind!r}")
+    for section, spec, what in (("mechanism", mech, kind), ("dynamics", dyn, dkind)):
+        for key in spec:
+            if what not in _READ_BY.get(key, (what,)):
+                raise ValidationError(f"{at(section, key)}: {what} {section} does not read it")
+
+    cap = _cap(mech["s"], f"{mw}.s") if "s" in mech else instance.cap
+    if kind == "filtered-greedy" and cap is None:
+        raise ValidationError(f"{mw}.s: filtered-greedy needs a cardinality cap")
+    gamma = lottery = None
+    if kind == "grand-bundle":
+        gamma = parse_fraction(_require(mech, "gamma", mw), at("mechanism", "gamma"))
+    if "appendix_b_lottery" in mech:
+        lottery = parse_fraction(mech["appendix_b_lottery"], at("mechanism", "appendix_b_lottery"))
+    side = 0
+    if kind == "partition":
+        side = instance.mask_for(_require(mech, "partition_a", mw), f"{mw}.partition_a")
+
+    empty_start = _flag(dyn.get("empty_start", True), f"{dw}.empty_start")
+    if not empty_start and kind in ("filtered-greedy", "grand-bundle") and lottery is None:
+        raise ValidationError(f"{dw}.empty_start: false needs appendix_b_lottery on {kind}")
     n = len(instance.types)
-    if order is not None and not (
-        isinstance(order, list) and order and all(_integer(a) and 1 <= a <= n for a in order)
-    ):
-        raise ValidationError(
-            f"{name}.dynamics.scripted_order: must be a non-empty list of agent ids in 1..{n}"
-        )
+    order = dyn.get("scripted_order")
+    if order is not None:
+        if not (isinstance(order, list) and order
+                and all(_integer(a) and 1 <= a <= n for a in order)):
+            raise ValidationError(f"{at('dynamics', 'scripted_order')}: "
+                                  f"must be a non-empty list of agent ids in 1..{n}")
+        order = [a - 1 for a in order]
+    initial = dyn.get("initial")
+    if initial is not None:
+        decls = [EMPTY] * n
+        for k, entry in enumerate(_list(initial, f"{dw}.initial")):
+            ew = f"{dw}.initial[{k}]"
+            aid = _require(_known(entry, ew, "dynamics.initial[]"), "id", ew)
+            if not _integer(aid) or not 1 <= aid <= n:
+                raise ValidationError(f"{ew}.id: unknown agent id {aid!r}")
+            mask = instance.mask_for(_require(entry, "items", ew), f"{ew}.items")
+            bid = _require(entry, "bid", ew)
+            if not _integer(bid) or bid < 0:
+                raise ValidationError(f"{ew}.bid: must be a non-negative integer")
+            decls[aid - 1] = single_minded(mask, bid)
+        initial = tuple(decls)
+    rounds = _positive(_require(dyn, "rounds", dw), f"{dw}.rounds")
+    replicas = _positive(dyn.get("replicas", 1), f"{dw}.replicas")
+    seed = _whole(dyn.get("seed", 0), f"{dw}.seed")
+    keep_on_tie = _flag(dyn.get("keep_on_tie", True), f"{dw}.keep_on_tie")
+    engine = dict(rounds=rounds, empty_start=empty_start, keep_on_tie=keep_on_tie,
+                  scripted_order=order, initial_profile=initial)
 
-    agent_spec = _object(data.get("agents", {}), f"{name}.agents")
-    default = agent_spec.get("default", "best-response" if dkind == "best-response" else "mw")
+    aw = f"{name}.agents"
+    agent_spec = _known(data.get("agents", {}), aw, "agents")
+    regret = dkind == "regret"
+    default = agent_spec.get("default", "mw" if regret else "best-response")
     if default not in BEHAVIOR_KINDS:
-        raise ValidationError(f"{name}.agents.default: unknown behavior {default!r}")
-    behaviors = [default] * len(instance.types)
-    overrides = _object(agent_spec.get("overrides", {}), f"{name}.agents.overrides")
-    for key, value in overrides.items():
-        try:
-            aid = int(key)
-        except ValueError:
-            aid = 0
-        if not 1 <= aid <= len(behaviors):
-            raise ValidationError(f"{name}.agents.overrides: unknown agent id {key!r}")
+        raise ValidationError(f"{aw}.default: unknown behavior {default!r}")
+    behaviors = [default] * n
+    for key, value in _object(agent_spec.get("overrides", {}), f"{aw}.overrides").items():
+        aid = int(key) if key.isascii() and key.isdigit() else 0  # plain decimal ids only
+        if not 1 <= aid <= n:
+            raise ValidationError(f"{aw}.overrides: unknown agent id {key!r}")
         if value not in BEHAVIOR_KINDS:
-            raise ValidationError(f"{name}.agents.overrides: unknown behavior {value!r}")
+            raise ValidationError(f"{aw}.overrides: unknown behavior {value!r}")
         behaviors[aid - 1] = value
-
-    if dkind == "regret" and "best-response" in behaviors:
-        agent = behaviors.index("best-response") + 1
+    if regret and "best-response" in behaviors:
         raise ValidationError(
-            f"{name}.agents: agent {agent} is a best responder, but regret dynamics "
-            "needs learner or byzantine behaviors"
+            f"{aw}: agent {behaviors.index('best-response') + 1} is a best responder, "
+            "but regret dynamics needs learner or byzantine behaviors"
         )
 
-    acceptance = _object(data.get("acceptance", {}), f"{name}.acceptance")
-    epsilon = parse_fraction(acceptance.get("epsilon", "1/10"), f"{name}.acceptance.epsilon")
-    checks = parse_checks(
-        _object(acceptance.get("checks", {}), f"{name}.acceptance.checks"),
-        f"{name}.acceptance.checks",
+    cw = f"{name}.acceptance"
+    acceptance = _known(data.get("acceptance", {}), cw, "acceptance")
+    epsilon = parse_fraction(acceptance.get("epsilon", "1/10"), at("acceptance", "epsilon"))
+    raw = _known(acceptance.get("checks", {}), f"{cw}.checks", "acceptance.checks")
+    checks = {key: _CHECKS[key][0](value, f"{cw}.checks.{key}") for key, value in raw.items()}
+    if "replica_pass_fraction" in checks and "min_welfare_ratio" not in checks:
+        raise ValidationError(f"{cw}.checks.replica_pass_fraction: needs min_welfare_ratio")
+
+    experiment = Experiment(
+        name, instance, mech, dyn, behaviors, epsilon, checks, kind=kind, cap=cap, gamma=gamma,
+        lottery=lottery, partition_a=side, regret=regret, replicas=replicas, seed=seed,
+        engine=engine,
     )
-    return Experiment(name, instance, mech, dyn, behaviors, epsilon, checks)
+    try:  # the constructors check the ranges of gamma and the lottery
+        experiment.build_mechanism()
+    except ValidationError as exc:
+        raise ValidationError(f"{mw}: {exc}") from None
+    return experiment
 
 
-def _scenario_dir():
-    return resources.files("auctionlab") / "scenarios"
+SCENARIO_DIR = resources.files("auctionlab") / "scenarios"
 
 
 def list_scenarios() -> list[str]:
-    names = []
-    for entry in _scenario_dir().iterdir():
-        if entry.name.endswith(".experiment.json"):
-            names.append(entry.name[: -len(".experiment.json")])
-    return sorted(names)
+    suffix = ".experiment.json"
+    return sorted(e.name[: -len(suffix)] for e in SCENARIO_DIR.iterdir()
+                  if e.name.endswith(suffix))
 
 
-def load_experiment(source: str | Path) -> Experiment:
-    """Load an experiment by file path or built-in scenario name."""
+# The experiment keys a `run` flag can replace, and the object of each.
+_OVERRIDES = {
+    "gamma": "mechanism",
+    "appendix_b_lottery": "mechanism",
+    "epsilon": "acceptance",
+    "scripted_order": "dynamics",
+}
+
+
+def load_experiment(source: str | Path, overrides: Optional[dict] = None) -> Experiment:
+    """Load an experiment by file path or built-in scenario name.  Each
+    `overrides` value replaces its key of the file before the parse, so a
+    flag obeys the rules of the key it replaces."""
     path = Path(source)
     if path.suffix == ".json" and path.exists():
         name, where, home = path.stem.replace(".experiment", ""), str(path), path.parent
         data = _read_json(path)
     else:
         name = where = str(source)
-        home = _scenario_dir()
+        home = SCENARIO_DIR
         try:
             data = json.loads((home / f"{name}.experiment.json").read_text())
         except FileNotFoundError:
@@ -388,7 +434,10 @@ def load_experiment(source: str | Path) -> Experiment:
     ref = _require(data, "instance", where)
     if not isinstance(ref, str):
         raise ValidationError(f"{where}.instance: expected a file name")
-    return parse_experiment(data, load_instance(home / ref), name)
+    overrides = overrides or {}
+    for key, value in overrides.items():
+        _object(data.setdefault(_OVERRIDES[key], {}), f"{name}.{_OVERRIDES[key]}")[key] = value
+    return parse_experiment(data, load_instance(home / ref), name, flags=tuple(overrides))
 
 
 # ---------------------------------------------------------------------------
@@ -404,18 +453,6 @@ class _Replica(NamedTuple):
     agents: list[AgentModel]
     report: Any  # the welfare or resilience report
     target_alloc: tuple[int, ...]
-
-
-def _flag(value: Any, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValidationError(f"{where}: expected true or false")
-    return value
-
-
-def _period(value: Any, where: str) -> int:
-    if not _integer(value) or value < 1:
-        raise ValidationError(f"{where}: must be a positive integer")
-    return value
 
 
 def _g_fraction(value: Any, where: str) -> Fraction | str:
@@ -489,26 +526,14 @@ _CHECKS: dict[str, tuple[Callable[[Any, str], Any], Optional[Callable]]] = {
     "welfare_ratio_equals": (parse_fraction, _ratio_equals),
     "min_welfare_ratio": (parse_fraction, _min_ratio),
     "require_separated": (_flag, _separated),
-    "expect_cycle_period": (_period, _cycle),
+    "expect_cycle_period": (_positive, _cycle),
     "expect_convergence": (_flag, _convergence),
     "max_regret_per_round": (parse_fraction, _regret),
     "min_g_fraction": (_g_fraction, _coverage),
     "replica_pass_fraction": (parse_fraction, None),
     "byzantine_restricted": (_flag, None),
 }
-
-
-def parse_checks(raw: dict, where: str) -> dict:
-    """Check values parsed once, at load, so that `validate` rejects what
-    `run` would reject and `run` rejects it before any round."""
-    checks = {}
-    for key, value in raw.items():
-        if key not in _CHECKS:
-            raise ValidationError(f"{where}.{key}: unknown check; known: {', '.join(_CHECKS)}")
-        checks[key] = _CHECKS[key][0](value, f"{where}.{key}")
-    if "replica_pass_fraction" in checks and "min_welfare_ratio" not in checks:
-        raise ValidationError(f"{where}.replica_pass_fraction: needs min_welfare_ratio")
-    return checks
+KEYS["acceptance.checks"] = tuple(_CHECKS)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +547,7 @@ def welfare_targets(experiment: Experiment) -> tuple[tuple[int, ...], int]:
     of the other agents' bids.  Both depend only on the experiment, so a run
     computes them once for all its replicas."""
     types = experiment.instance.types
-    cap = experiment.oracle_cap()
+    cap = experiment.cap if experiment.kind in ("greedy", "filtered-greedy") else None
     target_alloc, optimum = optimal_welfare(types, cap)
     if experiment.checks.get("byzantine_restricted"):
         byzantine = experiment.byzantine_set()
@@ -542,10 +567,7 @@ def run_replica(
     trace text."""
     seed = replica_seeds(base_seed, replica + 1)[replica]
     config = experiment.run_config(seed)
-    if experiment.dynamics_spec["kind"] == "regret":
-        trace = run_regret_dynamics(config)
-    else:
-        trace = run_best_response_dynamics(config)
+    trace = (run_regret_dynamics if experiment.regret else run_best_response_dynamics)(config)
 
     types = experiment.instance.types
     checks = experiment.checks
@@ -593,14 +615,11 @@ def trace_csv(trace: Trace, experiment: Experiment) -> str:
     """The trace as CSV, one row per round.  The text of a profile's
     `set_*,bid_*` columns and of an outcome's `won_*,pay_*` columns is
     formatted once per distinct profile and outcome."""
-    n = trace.n_agents
-    header = ["round", "updater"]
-    header += [f"set_{i + 1}" for i in range(n)]
-    header += [f"bid_{i + 1}" for i in range(n)]
-    header.append("coin")
-    header += [f"won_{i + 1}" for i in range(n)]
-    header += [f"pay_{i + 1}" for i in range(n)]
-    header += ["declared_sw", "true_sw"]
+    def columns(prefix: str) -> list[str]:
+        return [f"{prefix}_{i + 1}" for i in range(trace.n_agents)]
+
+    header = ["round", "updater", *columns("set"), *columns("bid"), "coin",
+              *columns("won"), *columns("pay"), "declared_sw", "true_sw"]
     lines = [",".join(header)]
     profile_text: dict[Profile, str] = {}
     outcome_text: dict[Outcome, str] = {}
@@ -631,17 +650,9 @@ def run_experiment(
 ) -> int:
     """Run every replica, write one CSV per replica plus a summary JSON, and
     return the exit status (0 iff all configured checks pass)."""
-    experiment = load_experiment(source)
-    if overrides:
-        experiment.mechanism_spec.update(
-            {k: v for k, v in overrides.items() if k in ("gamma", "appendix_b_lottery")}
-        )
-        if "epsilon" in overrides:
-            experiment.epsilon = parse_fraction(overrides["epsilon"], "--epsilon")
-        if "scripted_order" in overrides:
-            experiment.dynamics_spec["scripted_order"] = overrides["scripted_order"]
-    base_seed = seed if seed is not None else experiment.dynamics_spec.get("seed", 0)
-    count = replicas if replicas is not None else experiment.dynamics_spec.get("replicas", 1)
+    experiment = load_experiment(source, overrides)
+    base_seed = experiment.seed if seed is None else _whole(seed, "--seed")
+    count = experiment.replicas if replicas is None else _positive(replicas, "--replicas")
 
     targets = welfare_targets(experiment)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -677,25 +688,21 @@ def run_experiment(
         if item["name"] != "min_welfare_ratio"
     )
 
-    stats = aggregate(ratios, Fraction(0)) if ratios else None
+    stats = aggregate(ratios, Fraction(0))
     document = {
         "experiment": experiment.name,
         "mechanism": experiment.mechanism_spec,
-        "dynamics": {
-            k: v for k, v in experiment.dynamics_spec.items() if k != "initial"
-        },
+        "dynamics": {k: v for k, v in experiment.dynamics_spec.items() if k != "initial"},
         "seed": base_seed,
         "replicas": summaries,
         "run_checks": run_checks,
         "aggregate": {
             "ratio_min": format_fraction(stats.minimum),
             "ratio_median": format_fraction(stats.median),
-        } if stats else {},
+        },
         "pass": bool(overall),
     }
-    (out_dir / "summary.json").write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n"
-    )
+    (out_dir / "summary.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
     for summary in summaries:
         for item in summary["checks"]:
@@ -715,8 +722,8 @@ def run_experiment(
 def cmd_validate(args) -> int:
     path = Path(args.path)
     data = _read_json(path)
-    if isinstance(data, dict) and "mechanism" in data:
-        load_experiment(path).run_config(seed=0)
+    if isinstance(data, dict) and ("instance" in data or "mechanism" in data):
+        load_experiment(path)
         print(f"OK: experiment {path}")
     else:
         instance = parse_instance(data, where=str(path))
@@ -732,7 +739,7 @@ def cmd_scenarios(_args) -> int:
 
 def cmd_oracle(args) -> int:
     instance = load_instance(Path(args.path))
-    cap = args.s if args.s is not None else instance.cap
+    cap = instance.cap if args.s is None else _cap(args.s, "--s")
     alloc, welfare = optimal_welfare(instance.types, cap)
     print(f"optimal welfare: {welfare}")
     for i, mask in enumerate(alloc):
@@ -742,23 +749,14 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_run(args) -> int:
-    flags = (("gamma", args.gamma), ("appendix_b_lottery", args.appendix_b_lottery),
-             ("epsilon", args.epsilon))
-    overrides = {key: value for key, value in flags if value is not None}
+    overrides = {key: getattr(args, key) for key in _OVERRIDES if getattr(args, key) is not None}
     if args.scripted_order is not None:
         try:
             overrides["scripted_order"] = [int(x) for x in args.scripted_order.split(",")]
         except ValueError:
             raise ValidationError("--scripted-order: expected comma-separated agent ids") from None
     out_dir = Path(args.out_dir) if args.out_dir else Path("runs") / Path(str(args.source)).stem
-    return run_experiment(
-        args.source,
-        out_dir,
-        seed=args.seed,
-        replicas=args.replicas,
-        overrides=overrides,
-        workers=args.workers,
-    )
+    return run_experiment(args.source, out_dir, args.seed, args.replicas, overrides, args.workers)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

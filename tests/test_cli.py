@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import re
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -421,6 +422,46 @@ def _empty_start_as_string(experiment, instance):
     experiment["dynamics"]["empty_start"] = "x"
 
 
+def _misspelt_acceptance(experiment, instance):
+    experiment["acceptence"] = experiment.pop("acceptance")
+
+
+def _misspelt_replicas(experiment, instance):
+    experiment["dynamics"]["replica"] = experiment["dynamics"].pop("replicas")
+
+
+def _misspelt_lottery(experiment, instance):
+    experiment["mechanism"]["lotery"] = "1/16"
+
+
+def _extra_instance_agent_key(experiment, instance):
+    instance["agents"][0]["name"] = "first"
+
+
+def _extra_initial_entry_key(experiment, instance):
+    experiment["dynamics"]["initial"][0]["note"] = "stuck"
+
+
+def _regret_key(key, value):
+    def edit(experiment, instance):
+        experiment["dynamics"][key] = value
+    return edit
+
+
+def _override_id(key):
+    def edit(experiment, instance):
+        experiment["agents"]["overrides"] = {key: "byzantine"}
+    return edit
+
+
+def _partition_side_on_greedy(experiment, instance):
+    experiment["mechanism"]["partition_a"] = ["a"]
+
+
+def _null_lottery(experiment, instance):
+    experiment["mechanism"]["appendix_b_lottery"] = None
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize(
     "name, edit",
@@ -450,13 +491,30 @@ def _empty_start_as_string(experiment, instance):
         ("appendix-c-cycle", _seed_as_string),
         ("appendix-c-cycle", _keep_on_tie_as_string),
         ("appendix-c-cycle", _empty_start_as_string),
+        ("random-ca", _misspelt_acceptance),
+        ("appendix-c-cycle", _misspelt_replicas),
+        ("ca-theorem-11", _misspelt_lottery),
+        ("appendix-c-cycle", _extra_instance_agent_key),
+        ("section-3-3", _extra_initial_entry_key),
+        ("regret-theorem-3", _regret_key("scripted_order", [1, 2])),
+        ("regret-theorem-3", _regret_key("initial", [{"id": 1, "items": ["a"], "bid": 1}])),
+        ("regret-theorem-3", _regret_key("empty_start", True)),
+        ("regret-theorem-3", _regret_key("keep_on_tie", False)),
+        ("byzantine-mix", _override_id("0_4")),
+        ("byzantine-mix", _override_id(" 4")),
+        ("appendix-c-cycle", _partition_side_on_greedy),
+        ("ca-theorem-11", _null_lottery),
     ],
     ids=["override-key", "agents-list", "agent-entry", "partition-side", "gamma",
          "instance-agents", "overrides", "checks", "initial-entry",
          "regret-best-response", "regret-bound", "unknown-check", "lone-pass-fraction",
          "scripted-order-type", "initial-type", "cap-type", "instance-ref-type",
          "partition-side-type", "lottery-range", "rounds-bool", "atom-value-bool",
-         "initial-bid-bool", "seed-type", "keep-on-tie-type", "empty-start-type"],
+         "initial-bid-bool", "seed-type", "keep-on-tie-type", "empty-start-type",
+         "unknown-acceptance", "unknown-dynamics-key", "unknown-mechanism-key",
+         "unknown-instance-agent-key", "unknown-initial-entry-key", "regret-scripted-order",
+         "regret-initial", "regret-empty-start", "regret-keep-on-tie", "override-id-underscore",
+         "override-id-space", "partition-side-on-greedy", "lottery-null"],
 )
 def test_malformed_experiment_is_invalid_in_validate_and_run(
     tmp_path, capsys, monkeypatch, command, name, edit
@@ -477,6 +535,87 @@ def test_malformed_scripted_order_flag_is_invalid(tmp_path, capsys):
     argv = ["run", "appendix-c-cycle", "--scripted-order", "1,b", "--out-dir", str(tmp_path)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("INVALID: --scripted-order")
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["appendix-c-cycle", "--replicas", "0"], "--replicas"),
+        (["appendix-c-cycle", "--replicas", "-3"], "--replicas"),
+        (["appendix-c-cycle", "--gamma", "1/2"], "--gamma"),
+        (["appendix-c-cycle", "--appendix-b-lottery", "1/2"], "--appendix-b-lottery"),
+        (["appendix-c-cycle", "--scripted-order", "0"], "--scripted-order"),
+        (["byzantine-mix", "--scripted-order", "1,2"], "--scripted-order"),
+    ],
+)
+def test_run_flags_obey_the_rules_of_their_keys(tmp_path, capsys, monkeypatch, argv, where):
+    for engine in ("run_best_response_dynamics", "run_regret_dynamics"):
+        monkeypatch.setattr(cli, engine, _no_rounds)
+    assert main(["run", *argv, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"INVALID: {where}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_oracle_cap_flag_is_checked_like_s(capsys, cap):
+    instance = resources.files("auctionlab") / "scenarios" / "appendix_c.instance.json"
+    assert main(["oracle", str(instance), "--s", cap]) == 2
+    assert capsys.readouterr().err.startswith("INVALID: --s: ")
+
+
+def test_random_start_on_filtered_mechanism_needs_the_lottery(tmp_path, capsys):
+    def random_start(experiment, instance):
+        experiment["dynamics"]["empty_start"] = False
+
+    assert main(["validate", str(_copy_scenario(tmp_path, "random-sca", random_start))]) == 2
+    assert capsys.readouterr().err.startswith("INVALID: random-sca.dynamics.empty_start: ")
+
+    def with_lottery(experiment, instance):
+        random_start(experiment, instance)
+        experiment["mechanism"]["appendix_b_lottery"] = "1/16"
+
+    assert main(["validate", str(_copy_scenario(tmp_path, "random-sca", with_lottery))]) == 0
+
+
+# Where each object of `cli.KEYS` sits in the section-3-3 scenario's files.
+_OBJECTS = {
+    "instance": lambda experiment, instance: instance,
+    "instance.agents[]": lambda experiment, instance: instance["agents"][0],
+    "instance.agents[].atoms[]": lambda experiment, instance: instance["agents"][0]["atoms"][0],
+    "experiment": lambda experiment, instance: experiment,
+    "mechanism": lambda experiment, instance: experiment["mechanism"],
+    "dynamics": lambda experiment, instance: experiment["dynamics"],
+    "dynamics.initial[]": lambda experiment, instance: experiment["dynamics"]["initial"][0],
+    "agents": lambda experiment, instance: experiment["agents"],
+    "acceptance": lambda experiment, instance: experiment["acceptance"],
+    "acceptance.checks": lambda experiment, instance: experiment["acceptance"]["checks"],
+}
+
+
+def test_every_declared_object_has_a_location():
+    assert set(_OBJECTS) == set(cli.KEYS)
+
+
+@pytest.mark.parametrize("kind", sorted(_OBJECTS))
+def test_undeclared_key_is_invalid_in_every_object(tmp_path, capsys, kind):
+    def add_key(experiment, instance):
+        _OBJECTS[kind](experiment, instance)["undeclared"] = 1
+
+    path = _copy_scenario(tmp_path, "section-3-3", add_key)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("INVALID: ") and ".undeclared: unknown key" in err
+
+
+def test_readme_file_formats_name_every_declared_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    # a key is named as "key" in an example, or as `key` or `path.key` in the text
+    missing = [
+        f"{kind}.{key}" for kind, keys in cli.KEYS.items() for key in keys
+        if not re.search(rf'[`".]{key}[`"]', section)
+    ]
+    assert not missing
 
 
 _WRONG_VALUES = (None, True, -1, "x", "1/0", [], {}, [1])
