@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from .core import EMPTY, Declaration, Profile, ValidationError, Valuation, bundle_key, full_mask
 from .mechanisms import GrandBundleMechanism, Mechanism
@@ -26,18 +26,14 @@ class BestResponder:
 
 @dataclass(frozen=True)
 class WeightedLearner:
-    """Multiplicative-weights learner; `rate` maps the round number to the
-    learning rate (default sqrt(8 ln K / t))."""
-
-    rate: Optional[Callable[[int], float]] = None
+    """Multiplicative-weights learner with learning rate sqrt(8 ln K / t)
+    in round t."""
 
 
 @dataclass(frozen=True)
 class PerturbedLearner:
-    """Follow-the-perturbed-leader; `spread` maps the round number to the
-    integer perturbation range (default ceil(sqrt(t)) * u_max)."""
-
-    spread: Optional[Callable[[int], int]] = None
+    """Follow-the-perturbed-leader with integer perturbation range
+    ceil(sqrt(t)) * u_max in round t."""
 
 
 @dataclass(frozen=True)
@@ -177,21 +173,13 @@ class WeightedLearnerState:
     """Multiplicative-weights state: positive float weights drive sampling,
     cumulative utilities stay exact."""
 
-    def __init__(self, n_candidates: int, u_max: int, rate: Callable[[int], float] | None = None):
+    def __init__(self, n_candidates: int, u_max: int):
         self.weights = [1.0] * n_candidates
         self.cumulative = [0] * n_candidates
         self.rounds = 0
         self.u_max = u_max
-        self.rate = rate
-        # 8 ln K of the default rate sqrt(8 ln K / t)
-        self._log_term = 8.0 * math.log(n_candidates) if n_candidates >= 2 else None
-
-    def _rate(self, t: int) -> float:
-        if self.rate is not None:
-            return self.rate(t)
-        if self._log_term is None:
-            return 0.0
-        return math.sqrt(self._log_term / t)
+        # 8 ln K of the rate sqrt(8 ln K / t); one candidate never learns
+        self._log_term = 8.0 * math.log(n_candidates) if n_candidates >= 2 else 0.0
 
     def choose(self, rng) -> int:
         weights = self.weights
@@ -205,7 +193,7 @@ class WeightedLearnerState:
 
     def update(self, utilities: Sequence) -> None:
         self.rounds += 1
-        eta = self._rate(self.rounds)
+        eta = math.sqrt(self._log_term / self.rounds)
         scale = self.u_max
         grows = bool(eta and scale)
         cumulative, weights = self.cumulative, self.weights
@@ -228,19 +216,13 @@ class PerturbedLearnerState:
     """Follow-the-perturbed-leader state: argmax of cumulative utility plus a
     fresh uniform integer perturbation, ties to the smaller bundle."""
 
-    def __init__(self, n_candidates: int, u_max: int, spread: Callable[[int], int] | None = None):
+    def __init__(self, n_candidates: int, u_max: int):
         self.cumulative = [0] * n_candidates
         self.rounds = 0
         self.u_max = u_max
-        self.spread = spread
-
-    def _spread(self, t: int) -> int:
-        if self.spread is not None:
-            return self.spread(t)
-        return math.ceil(math.sqrt(t)) * self.u_max
 
     def choose(self, rng) -> int:
-        width = self._spread(self.rounds + 1)
+        width = math.ceil(math.sqrt(self.rounds + 1)) * self.u_max
         best_k, best_score = 0, None
         for k, c in enumerate(self.cumulative):
             score = c + (rng.randint(0, width) if width > 0 else 0)
@@ -256,7 +238,7 @@ class PerturbedLearnerState:
 
 def learner_state_for(model: AgentModel):
     if isinstance(model.behavior, WeightedLearner):
-        return WeightedLearnerState(len(model.candidates), model.max_value, model.behavior.rate)
+        return WeightedLearnerState(len(model.candidates), model.max_value)
     if isinstance(model.behavior, PerturbedLearner):
-        return PerturbedLearnerState(len(model.candidates), model.max_value, model.behavior.spread)
+        return PerturbedLearnerState(len(model.candidates), model.max_value)
     raise ValidationError(f"agent {model.index} has no learner behavior")

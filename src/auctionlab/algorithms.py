@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -36,18 +35,14 @@ PriceFn = Callable[[int], Optional[tuple[int, str]]]
 class AllocationRule:
     """A deterministic map from single-minded profiles to feasible allocations.
 
-    `cap` is the cardinality bound the rule enforces (None for unrestricted),
-    `approx_factor` the claimed worst-case welfare factor.  When the rule has
-    closed-form bid thresholds, `thresholds(profile, agent)` returns a
-    `price_of(set_mask)` that gives (theta, OPEN|CLOSED), or None for an
-    unwinnable set, without recomputing the state shared by all sets; the
-    entry profile[agent] is ignored.
+    When the rule has closed-form bid thresholds, `thresholds(profile,
+    agent)` returns a `price_of(set_mask)` that gives (theta, OPEN|CLOSED),
+    or None for an unwinnable set, without recomputing the state shared by
+    all sets; the entry profile[agent] is ignored.
     """
 
     name: str
     allocate: Callable[[Profile], tuple[int, ...]]
-    cap: int | None
-    approx_factor: Fraction
     thresholds: Callable[[Profile, int], PriceFn] | None = None
 
 
@@ -116,12 +111,9 @@ def greedy_thresholds(profile: Profile, agent: int, cap: int | None) -> PriceFn:
 
 
 def greedy_rule(cap: int | None = None) -> AllocationRule:
-    factor = Fraction(cap + 1) if cap is not None else Fraction(1)
     return AllocationRule(
         name=f"greedy(cap={cap})",
         allocate=lambda profile: greedy_allocate(profile, cap),
-        cap=cap,
-        approx_factor=factor,
         thresholds=lambda p, i: greedy_thresholds(p, i, cap),
     )
 
@@ -150,8 +142,6 @@ def two_tier_rule(item_count: int) -> AllocationRule:
     return AllocationRule(
         name=f"two-tier(m={item_count})",
         allocate=lambda profile: two_tier_allocate(profile, item_count),
-        cap=None,
-        approx_factor=Fraction(2 * ceil_sqrt(item_count) + 2),
     )
 
 
@@ -176,8 +166,6 @@ def partition_rule(item_count: int, side_a: int, cap: int | None = None) -> Allo
     return AllocationRule(
         name=f"partition(m={item_count}, a={side_a:#x}, cap={cap})",
         allocate=lambda profile: partition_max_allocate(profile, side_a, side_b, cap),
-        cap=cap,
-        approx_factor=Fraction(cap + 1) if cap is not None else Fraction(1),
     )
 
 
@@ -336,11 +324,10 @@ def check_loser_independent(
     instance_generator: Callable,
     trials: int,
     seed: int = 0,
-    probes_per_pair: int = 8,
 ) -> LoserDependenceWitness | None:
     """Randomized search for two opponent profiles with identical winners and
-    winning values (when the probed agent stays out) under which some probe
-    declaration earns the agent different bundles."""
+    winning values (when the probed agent stays out) under which one of 8
+    random probe declarations earns the agent different bundles."""
     from .dynamics import seeded_rng
 
     rng = seeded_rng(seed, "loser-independent")
@@ -364,7 +351,7 @@ def check_loser_independent(
         for d in base + other:
             span |= d.set_mask
         span = span or 1
-        for _ in range(probes_per_pair):
+        for _ in range(8):
             probe_set = _random_subset(rng, span)
             probe = single_minded(probe_set, rng.randrange(1, 40))
             got_a = rule.allocate(tuple(probe if j == i else d for j, d in enumerate(base)))[i]

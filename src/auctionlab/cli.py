@@ -143,6 +143,7 @@ KEYS = {
 # The mechanism and dynamics keys that only some kinds read; under any
 # other kind such a key is INVALID.
 _READ_BY = {
+    "s": ("greedy", "partition", "filtered-greedy"),
     "gamma": ("grand-bundle",),
     "appendix_b_lottery": ("filtered-greedy", "grand-bundle"),
     "partition_a": ("partition",),
@@ -337,18 +338,20 @@ def parse_experiment(
         order = [a - 1 for a in order]
     initial = dyn.get("initial")
     if initial is not None:
-        decls = [EMPTY] * n
+        decls = {}
         for k, entry in enumerate(_list(initial, f"{dw}.initial")):
             ew = f"{dw}.initial[{k}]"
             aid = _require(_known(entry, ew, "dynamics.initial[]"), "id", ew)
             if not _integer(aid) or not 1 <= aid <= n:
                 raise ValidationError(f"{ew}.id: unknown agent id {aid!r}")
+            if aid in decls:
+                raise ValidationError(f"{ew}.id: agent {aid} already has an initial entry")
             mask = instance.mask_for(_require(entry, "items", ew), f"{ew}.items")
             bid = _require(entry, "bid", ew)
             if not _integer(bid) or bid < 0:
                 raise ValidationError(f"{ew}.bid: must be a non-negative integer")
-            decls[aid - 1] = single_minded(mask, bid)
-        initial = tuple(decls)
+            decls[aid] = single_minded(mask, bid)
+        initial = tuple(decls.get(aid, EMPTY) for aid in range(1, n + 1))
     rounds = _positive(_require(dyn, "rounds", dw), f"{dw}.rounds")
     replicas = _positive(dyn.get("replicas", 1), f"{dw}.replicas")
     seed = _whole(dyn.get("seed", 0), f"{dw}.seed")
@@ -510,7 +513,7 @@ def _coverage(want: Fraction | str, run: _Replica):
     if want == "auto":
         want = Fraction(1, 2) - run.experiment.epsilon
     types = run.experiment.instance.types
-    _, fractions = coverage_report(run.trace, types, run.target_alloc, sum_strict=False)
+    _, fractions = coverage_report(run.trace, types, run.target_alloc)
     worst = min(fractions, default=Fraction(1))
     detail = f"min fraction {format_fraction(worst)} >= {format_fraction(want)}"
     return worst >= want, detail, {"g_fractions": _by_agent(fractions)}
@@ -653,6 +656,7 @@ def run_experiment(
     experiment = load_experiment(source, overrides)
     base_seed = experiment.seed if seed is None else _whole(seed, "--seed")
     count = experiment.replicas if replicas is None else _positive(replicas, "--replicas")
+    workers = _positive(workers, "--workers")
 
     targets = welfare_targets(experiment)
     out_dir.mkdir(parents=True, exist_ok=True)

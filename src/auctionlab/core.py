@@ -162,8 +162,6 @@ class Valuation:
         return f"Valuation({list(self.atoms)!r})"
 
 
-ZERO_VALUATION = Valuation(())
-
 # A profile is one declaration per agent; indices are agent identities.
 Profile = tuple[Declaration, ...]
 Bid = Union[Declaration, Valuation]

@@ -56,8 +56,6 @@ class RoundRecord:
 class Trace:
     mechanism: Mechanism
     agents: tuple[AgentModel, ...]
-    seed: int
-    kind: str
     records: tuple[RoundRecord, ...] = ()
 
     @property
@@ -170,7 +168,7 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
             RoundRecord(t, ALL_AGENTS, (), COIN_NONE, nothing, 0, 0)
             for t in range(1, config.rounds + 1)
         ]
-        return Trace(mechanism, (), config.seed, "best-response", tuple(records))
+        return Trace(mechanism, (), tuple(records))
     byzantine = [isinstance(model.behavior, ByzantineBidder) for model in agents]
     order = config.scripted_order
     draw_updater = rng_order.randrange
@@ -201,7 +199,7 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
         if result is None:
             result = results[coin] = _round_result(mechanism, profile, coin, agents)
         records.append(RoundRecord(t, updater, profile, coin, *result))
-    return Trace(mechanism, tuple(agents), config.seed, "best-response", tuple(records))
+    return Trace(mechanism, tuple(agents), tuple(records))
 
 
 def run_regret_dynamics(config: RunConfig) -> Trace:
@@ -262,7 +260,7 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
         for state, utilities in zip(learner_states, vectors):
             state.update(utilities)
         records.append(RoundRecord(t, ALL_AGENTS, profile, coin, *result))
-    return Trace(mechanism, tuple(agents), config.seed, "regret", tuple(records))
+    return Trace(mechanism, tuple(agents), tuple(records))
 
 
 def detect_cycle(trace: Trace) -> Optional[tuple[int, int]]:

@@ -137,38 +137,19 @@ def declared_separated_for(agent: int, decl: Declaration, profile: Profile) -> b
     return not set_mask or pressure <= bid
 
 
-# separated_flags results by profile, for the one `types` object they were
-# computed against; emptied when another `types` object arrives or when it
-# outgrows as many profiles as the engines' state caches
-_FLAGS_LIMIT = 4096
-_flags_memo: dict = {}
-_flags_types = None
-
-
 def separated_flags(profile: Sequence[Declaration], types: Sequence[Valuation]) -> tuple[bool, ...]:
     """Per-agent separation of a single-minded profile against true types:
     the intersecting bids strictly below the agent's true value for his set
-    must sum to at most his declared bid.  Memoised by profile value while
-    the same `types` object is passed, which must not change in between."""
-    global _flags_types
-    profile = tuple(profile)
-    if types is not _flags_types:
-        _flags_memo.clear()
-        _flags_types = types
-    flags = _flags_memo.get(profile)
-    if flags is None:
-        if len(_flags_memo) >= _FLAGS_LIMIT:
-            _flags_memo.clear()
-        flags = []
-        for i, (set_mask, bid) in enumerate(profile):
-            # an empty declaration (0, 0) meets no set: pressure 0 <= bid 0
-            true_value = types[i].value_of(set_mask)
-            pressure = sum(
-                b for j, (s, b) in enumerate(profile) if j != i and s & set_mask and b < true_value
-            )
-            flags.append(pressure <= bid)
-        flags = _flags_memo[profile] = tuple(flags)
-    return flags
+    must sum to at most his declared bid."""
+    flags = []
+    for i, (set_mask, bid) in enumerate(profile):
+        # an empty declaration (0, 0) meets no set: pressure 0 <= bid 0
+        true_value = types[i].value_of(set_mask)
+        pressure = sum(
+            b for j, (s, b) in enumerate(profile) if j != i and s & set_mask and b < true_value
+        )
+        flags.append(pressure <= bid)
+    return tuple(flags)
 
 
 def _no_price(set_mask: int) -> None:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .agents import AgentModel, external_regret, hindsight_totals
+from .agents import AgentModel, external_regret
 from .core import AuctionError, Valuation
 from .dynamics import Trace
 
@@ -30,7 +30,6 @@ class WelfareReport:
 @dataclass(frozen=True)
 class RegretReport:
     per_agent: tuple[Fraction, ...]
-    best_fixed: tuple[int, ...]  # hindsight-best candidate bundle per agent
 
 
 @dataclass(frozen=True)
@@ -60,26 +59,20 @@ def welfare_report(trace: Trace, types: Sequence[Valuation], optimum: int) -> We
 
 
 def regret_report(trace: Trace, models: Sequence[AgentModel]) -> RegretReport:
-    regrets = []
-    bests = []
-    for model in models:
-        history = trace.history_for(model.index)
-        realized, totals = hindsight_totals(history, model, trace.mechanism)
-        regrets.append(Fraction(max(totals) - realized, len(history)))
-        best_k = max(range(len(totals)), key=lambda k: (totals[k], -k))
-        bests.append(model.candidates[best_k])
-    return RegretReport(tuple(regrets), tuple(bests))
+    return RegretReport(tuple(
+        external_regret(trace.history_for(model.index), model, trace.mechanism)
+        for model in models
+    ))
 
 
 def coverage_report(
     trace: Trace,
     types: Sequence[Valuation],
     target_alloc: Sequence[int],
-    sum_strict: bool = True,
 ) -> tuple[list[tuple[bool, ...]], tuple[Fraction, ...]]:
     """Per-round, per-agent flag: the opposing bids on the agent's target
-    bundle already add up to half his value for it (strict or weak per
-    `sum_strict`), or his own standing bid reaches half that value.
+    bundle already add up to at least half his value for it, or his own
+    standing bid reaches half that value.
 
     Returns the round-major matrix and the per-agent fraction of rounds.
     """
@@ -100,7 +93,7 @@ def coverage_report(
                 for j, d in enumerate(profile)
                 if j != i and d.set_mask & target_alloc[i]
             )
-            row.append(2 * pressure > goal if sum_strict else 2 * pressure >= goal)
+            row.append(2 * pressure >= goal)
         return tuple(row)
 
     # one row per distinct profile

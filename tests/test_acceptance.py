@@ -88,11 +88,10 @@ def capped_fleet():
                 mechanism=mech, agents=agents, rounds=200 * n, seed=seed * 977 + k
             )
             trace = run_best_response_dynamics(cfg)
-            separated = True
+            profiles = dict.fromkeys(r.profile for r in trace.records)
+            separated = all(all(separated_flags(p, types)) for p in profiles)
             hits = [0] * n
             for record in trace.records:
-                flags = separated_flags(record.profile, types)
-                separated = separated and all(flags)
                 for i, d in enumerate(record.profile):
                     goal = goals[i]
                     if 2 * d.bid >= goal:
@@ -143,11 +142,11 @@ def grand_fleet():
             trace = run_best_response_dynamics(cfg)
             full_ok = True
             scale_ok = True
-            for record in trace.records:
-                if not all(separated_flags(record.profile, types)):
+            for profile in dict.fromkeys(r.profile for r in trace.records):
+                if not all(separated_flags(profile, types)):
                     full_ok = False
-                small = tuple(d if d.set_mask != grand else EMPTY for d in record.profile)
-                big = tuple(d if d.set_mask == grand else EMPTY for d in record.profile)
+                small = tuple(d if d.set_mask != grand else EMPTY for d in profile)
+                big = tuple(d if d.set_mask == grand else EMPTY for d in profile)
                 if not (
                     all(separated_flags(small, types)) and all(separated_flags(big, types))
                 ):

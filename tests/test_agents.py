@@ -227,7 +227,7 @@ class TestWeightedLearner:
         assert all(b >= a - 0.05 for a, b in zip(window_freqs, window_freqs[1:]))
 
     def test_zero_rate_freezes_weights(self):
-        state = WeightedLearnerState(3, u_max=10, rate=lambda t: 0.0)
+        state = WeightedLearnerState(3, u_max=0)
         for _ in range(50):
             state.update([0, 10, 3])
         assert state.weights == [1.0, 1.0, 1.0]
@@ -244,17 +244,14 @@ class ReferenceWeightedLearnerState:
     """`WeightedLearnerState` as first written, counting renormalisations:
     the faster class must give the same weights and picks, float for float."""
 
-    def __init__(self, n_candidates, u_max, rate=None):
+    def __init__(self, n_candidates, u_max):
         self.weights = [1.0] * n_candidates
         self.cumulative = [0] * n_candidates
         self.rounds = 0
         self.u_max = u_max
-        self.rate = rate
         self.renormalised = 0
 
     def _rate(self, t):
-        if self.rate is not None:
-            return self.rate(t)
         k = len(self.weights)
         if k < 2:
             return 0.0
@@ -299,20 +296,19 @@ class TestWeightedLearnerMatchesReference:
         return [Fraction(rng.randint(-4 * u_max, 4 * u_max), rng.randint(1, 4)) for _ in range(k)]
 
     @pytest.mark.parametrize(
-        "k, u_max, rate, draw, rounds, renormalises",
+        "k, u_max, draw, rounds, renormalises",
         [
-            (5, 24, None, "ints", 2000, False),
-            (4, 24, None, "fractions", 2000, False),
-            (3, 10, lambda t: 1.0 / (1 + t) ** 0.5, "ints", 2000, False),
-            (1, 10, None, "ints", 300, False),
-            (4, 0, None, "ints", 300, False),
-            (3, 1, lambda t: 1.0, "gains", 3000, True),
+            (5, 24, "ints", 2000, False),
+            (4, 24, "fractions", 2000, False),
+            (1, 10, "ints", 300, False),
+            (4, 0, "ints", 300, False),
+            (3, 1, "gains", 40_000, True),
         ],
-        ids=["ints", "fractions", "custom-rate", "k1", "u-max-0", "renormalise"],
+        ids=["ints", "fractions", "k1", "u-max-0", "renormalise"],
     )
-    def test_same_weights_and_picks(self, k, u_max, rate, draw, rounds, renormalises):
-        fast = WeightedLearnerState(k, u_max, rate)
-        slow = ReferenceWeightedLearnerState(k, u_max, rate)
+    def test_same_weights_and_picks(self, k, u_max, draw, rounds, renormalises):
+        fast = WeightedLearnerState(k, u_max)
+        slow = ReferenceWeightedLearnerState(k, u_max)
         rng_fast, rng_slow = seeded_rng(53, "mw-ref"), seeded_rng(53, "mw-ref")
         data = random.Random(k * 1000 + u_max)
         for _ in range(rounds):
@@ -327,7 +323,7 @@ class TestWeightedLearnerMatchesReference:
 
 class TestPerturbedLearner:
     def test_zero_spread_picks_first_candidate(self):
-        state = PerturbedLearnerState(3, u_max=10, spread=lambda t: 0)
+        state = PerturbedLearnerState(3, u_max=0)
         rng = seeded_rng(17, "fpl-zero")
         assert state.choose(rng) == 0
 

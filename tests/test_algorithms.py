@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from auctionlab import (
@@ -202,7 +200,7 @@ class TestCheckers:
             filtered = tuple(d if d.bid % 2 == 0 else EMPTY for d in profile)
             return greedy_allocate(filtered, 2)
 
-        broken = AllocationRule("even-only", even_only, 2, Fraction(3))
+        broken = AllocationRule("even-only", even_only)
         gen = profile_generator(4, 5, max_size=2, max_value=8)
         witness = check_monotone(broken, gen, 10_000, seed=1)
         assert witness is not None

@@ -138,7 +138,10 @@ class TestValidation:
 
     def test_gamma_required_for_grand_bundle(self, tmp_path):
         instance = write_instance(tmp_path)
-        path = write_experiment(tmp_path, instance, mechanism={"kind": "grand-bundle"})
+        path = write_experiment(tmp_path, instance)
+        doc = json.loads(path.read_text())
+        doc["mechanism"] = {"kind": "grand-bundle"}  # no cap: grand-bundle reads none
+        path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="gamma"):
             load_experiment(path)
 
@@ -462,6 +465,14 @@ def _null_lottery(experiment, instance):
     experiment["mechanism"]["appendix_b_lottery"] = None
 
 
+def _cap_on_grand_bundle(experiment, instance):
+    experiment["mechanism"]["s"] = 1
+
+
+def _duplicate_initial_id(experiment, instance):
+    experiment["dynamics"]["initial"].append({"id": 1, "items": ["a1"], "bid": 2})
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize(
     "name, edit",
@@ -504,6 +515,8 @@ def _null_lottery(experiment, instance):
         ("byzantine-mix", _override_id(" 4")),
         ("appendix-c-cycle", _partition_side_on_greedy),
         ("ca-theorem-11", _null_lottery),
+        ("ca-theorem-11", _cap_on_grand_bundle),
+        ("section-3-3", _duplicate_initial_id),
     ],
     ids=["override-key", "agents-list", "agent-entry", "partition-side", "gamma",
          "instance-agents", "overrides", "checks", "initial-entry",
@@ -514,7 +527,8 @@ def _null_lottery(experiment, instance):
          "unknown-acceptance", "unknown-dynamics-key", "unknown-mechanism-key",
          "unknown-instance-agent-key", "unknown-initial-entry-key", "regret-scripted-order",
          "regret-initial", "regret-empty-start", "regret-keep-on-tie", "override-id-underscore",
-         "override-id-space", "partition-side-on-greedy", "lottery-null"],
+         "override-id-space", "partition-side-on-greedy", "lottery-null", "cap-on-grand-bundle",
+         "duplicate-initial-id"],
 )
 def test_malformed_experiment_is_invalid_in_validate_and_run(
     tmp_path, capsys, monkeypatch, command, name, edit
@@ -546,6 +560,8 @@ def test_malformed_scripted_order_flag_is_invalid(tmp_path, capsys):
         (["appendix-c-cycle", "--appendix-b-lottery", "1/2"], "--appendix-b-lottery"),
         (["appendix-c-cycle", "--scripted-order", "0"], "--scripted-order"),
         (["byzantine-mix", "--scripted-order", "1,2"], "--scripted-order"),
+        (["appendix-c-cycle", "--workers", "0"], "--workers"),
+        (["appendix-c-cycle", "--workers", "-2"], "--workers"),
     ],
 )
 def test_run_flags_obey_the_rules_of_their_keys(tmp_path, capsys, monkeypatch, argv, where):

@@ -94,7 +94,7 @@ def synthetic_trace(profiles, mechanism, agents):
         RoundRecord(t + 1, 0, p, COIN_NONE, mechanism.outcome(p), 0, 0)
         for t, p in enumerate(profiles)
     )
-    return Trace(mechanism, tuple(agents), 0, "best-response", records)
+    return Trace(mechanism, tuple(agents), records)
 
 
 class TestCycleDetection:

@@ -20,7 +20,6 @@ from auctionlab import (
 )
 from auctionlab.core import declared_welfare, full_mask
 from auctionlab.dynamics import seeded_rng
-from auctionlab import mechanisms
 from auctionlab.mechanisms import COIN_NONE, Coin, Mechanism
 from auctionlab.generate import random_profile, random_types, truthful_profile
 
@@ -236,7 +235,14 @@ class TestSeparation:
             assert separated_flags(profile, high) == (False, True, True)
             assert separated_flags(list(profile), low) == (True, True, True)
 
-    def test_memo_matches_direct_computation(self, monkeypatch):
+    def test_edited_types_list_is_read_afresh(self):
+        types = [Valuation([(0b01, 5)]), Valuation([(0b11, 3)])]
+        profile = (Declaration(0b01, 2), Declaration(0b11, 3))
+        assert separated_flags(profile, types) == (False, True)
+        types[0] = Valuation([(0b01, 1)])
+        assert separated_flags(profile, types) == (True, True)
+
+    def test_memo_matches_direct_computation(self):
         def direct(profile, types):
             return tuple(
                 d.is_empty
@@ -250,12 +256,10 @@ class TestSeparation:
             )
 
         rng = seeded_rng(41, "separation-memo")
-        for limit in (4096, 1):
-            monkeypatch.setattr(mechanisms, "_FLAGS_LIMIT", limit)
-            types = random_types(rng, 4, 5, max_atoms=2, max_value=8, max_size=2)
-            profiles = [random_profile(rng, 4, 5, max_size=2, max_value=8) for _ in range(30)]
-            for profile in profiles + profiles[::-1]:
-                assert separated_flags(profile, types) == direct(profile, types)
+        types = random_types(rng, 4, 5, max_atoms=2, max_value=8, max_size=2)
+        profiles = [random_profile(rng, 4, 5, max_size=2, max_value=8) for _ in range(30)]
+        for profile in profiles + profiles[::-1]:
+            assert separated_flags(profile, types) == direct(profile, types)
 
 
 class TestPaymentExactness:

@@ -36,7 +36,7 @@ def fixed_trace(profiles, mechanism, agents, types):
                 social_welfare(out.allocation, types),
             )
         )
-    return Trace(mechanism, tuple(agents), 0, "best-response", tuple(records))
+    return Trace(mechanism, tuple(agents), tuple(records))
 
 
 @pytest.fixture
@@ -100,19 +100,17 @@ class TestCoverageReport:
         cfg = RunConfig(mechanism=cycle_mechanism, agents=cycle_agents, rounds=60, seed=9)
         trace = run_best_response_dynamics(cfg)
         target, _ = optimal_welfare(cycle_types, 2)
-        for strict in (True, False):
-            matrix, fractions = coverage_report(trace, cycle_types, target, sum_strict=strict)
-            for t, record in enumerate(trace.records):
-                for i in range(4):
-                    goal = cycle_types[i].value_of(target[i])
-                    pressure = sum(
-                        d.bid
-                        for j, d in enumerate(record.profile)
-                        if j != i and d.set_mask & target[i]
-                    )
-                    own = 2 * record.profile[i].bid >= goal
-                    pressed = 2 * pressure > goal if strict else 2 * pressure >= goal
-                    assert matrix[t][i] == (own or pressed)
+        matrix, fractions = coverage_report(trace, cycle_types, target)
+        for t, record in enumerate(trace.records):
+            for i in range(4):
+                goal = cycle_types[i].value_of(target[i])
+                pressure = sum(
+                    d.bid
+                    for j, d in enumerate(record.profile)
+                    if j != i and d.set_mask & target[i]
+                )
+                own = 2 * record.profile[i].bid >= goal
+                assert matrix[t][i] == (own or 2 * pressure >= goal)
 
 
 class TestResilience:

@@ -62,7 +62,7 @@ def reference_separated(trace, types):
     return all(all(separated_flags(r.profile, types)) for r in trace.records)
 
 
-def reference_coverage(trace, types, target_alloc, sum_strict):
+def reference_coverage(trace, types, target_alloc):
     n = trace.n_agents
     matrix = []
     for r in trace.records:
@@ -72,8 +72,7 @@ def reference_coverage(trace, types, target_alloc, sum_strict):
             pressure = sum(
                 d.bid for j, d in enumerate(r.profile) if j != i and d.set_mask & target_alloc[i]
             )
-            hit = 2 * pressure > goal if sum_strict else 2 * pressure >= goal
-            row.append(2 * r.profile[i].bid >= goal or hit)
+            row.append(2 * r.profile[i].bid >= goal or 2 * pressure >= goal)
         matrix.append(tuple(row))
     rounds = max(1, trace.rounds)
     return matrix, tuple(Fraction(sum(row[i] for row in matrix), rounds) for i in range(n))
@@ -94,10 +93,9 @@ def reference_totals(history, model, mechanism):
 def assert_matches_reference(trace, types, target_alloc):
     assert trace_csv(trace, None) == reference_csv(trace)
     assert separated_throughout(trace, types) == reference_separated(trace, types)
-    for strict in (True, False):
-        assert coverage_report(trace, types, target_alloc, strict) == reference_coverage(
-            trace, types, target_alloc, strict
-        )
+    assert coverage_report(trace, types, target_alloc) == reference_coverage(
+        trace, types, target_alloc
+    )
     if trace.rounds:
         for model in trace.agents:
             history = trace.history_for(model.index)
@@ -157,7 +155,7 @@ def test_shared_objects_that_engines_never_produce():
         RoundRecord(t, t % 2, profile, coin, outcome, welfare, welfare)
         for t, (profile, coin, outcome, welfare) in enumerate(rows, 1)
     )
-    trace = Trace(mechanism, agents, 0, "best-response", records)
+    trace = Trace(mechanism, agents, records)
     assert_matches_reference(trace, types, [0b011, 0b010])
     assert not separated_throughout(trace, types)
     matrix, _ = coverage_report(trace, types, [0b011, 0b010])
@@ -190,17 +188,16 @@ def test_equal_but_distinct_objects_are_worked_once(monkeypatch):
     assert fresh[0].profile[0] is not fresh[3].profile[0]
     assert fresh[0].outcome == fresh[3].outcome and fresh[0].outcome is not fresh[3].outcome
     assert shared[0].profile is shared[3].profile
-    fresh_trace = Trace(mechanism, agents, 0, "best-response", fresh)
-    shared_trace = Trace(mechanism, agents, 0, "best-response", shared)
+    fresh_trace = Trace(mechanism, agents, fresh)
+    shared_trace = Trace(mechanism, agents, shared)
     target_alloc = [0b011, 0b010, 0b100]
 
     assert trace_csv(fresh_trace, None) == trace_csv(shared_trace, None)
     assert separated_throughout(fresh_trace, types) == separated_throughout(shared_trace, types)
     assert separated_throughout(fresh_trace, types)
-    for strict in (True, False):
-        assert coverage_report(fresh_trace, types, target_alloc, strict) == coverage_report(
-            shared_trace, types, target_alloc, strict
-        )
+    assert coverage_report(fresh_trace, types, target_alloc) == coverage_report(
+        shared_trace, types, target_alloc
+    )
     for model in agents:
         assert hindsight_totals(
             fresh_trace.history_for(model.index), model, mechanism
