@@ -45,7 +45,6 @@ from .mechanisms import (
     RuleMechanism,
     search_critical_price,
     separated_flags,
-    simplify,
 )
 from .agents import (
     AgentModel,
@@ -74,7 +73,6 @@ from .metrics import (
     WelfareReport,
     aggregate,
     coverage_report,
-    hindsight_target_check,
     regret_report,
     resilience_report,
     welfare_report,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .core import EMPTY, Declaration, Profile, ValidationError, Valuation, bundle_key, full_mask
+from .core import EMPTY, Declaration, Profile, ValidationError, Valuation, bundle_key, full_mask, single_minded
 from .mechanisms import GrandBundleMechanism, Mechanism
 
 
@@ -60,12 +60,7 @@ class AgentModel:
 def undominated_bid(valuation: Valuation, chosen: int) -> Declaration:
     """The single undominated declaration for a chosen bundle: bid the true
     value; zero-value or empty choices collapse to EMPTY."""
-    if chosen == 0:
-        return EMPTY
-    value = valuation.value_of(chosen)
-    if value == 0:
-        return EMPTY
-    return Declaration(chosen, value)
+    return single_minded(chosen, valuation.value_of(chosen))
 
 
 def candidate_bundles(valuation: Valuation, mechanism: Mechanism | None = None) -> tuple[int, ...]:

@@ -92,7 +92,7 @@ def greedy_acceptances(
 
 
 def greedy_thresholds(profile: Profile, agent: int, cap: int | None) -> PriceFn:
-    """Bid thresholds for `agent` against the greedy run without him: the
+    """The bid thresholds for `agent` against the greedy run without him: the
     first accepted bid whose set intersects, with the boundary decided by
     who would win the tie at that value."""
     acceptances = greedy_acceptances(profile, agent, cap)

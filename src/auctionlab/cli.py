@@ -30,6 +30,7 @@ from .core import (
     MAX_ITEMS,
     Outcome,
     Profile,
+    SizeError,
     ValidationError,
     Valuation,
     bundle_from_items,
@@ -42,12 +43,13 @@ from .dynamics import (
     Trace,
     constant_tail_start,
     detect_cycle,
-    replica_seeds,
+    replica_seed,
     run_best_response_dynamics,
     run_regret_dynamics,
 )
 from .mechanisms import (
-    FilteredGreedyMechanism, GrandBundleMechanism, Mechanism, RuleMechanism, separated_flags,
+    FilteredGreedyMechanism, GrandBundleMechanism, Mechanism, RuleMechanism, check_chance,
+    separated_flags,
 )
 from .metrics import aggregate, coverage_report, regret_report, resilience_report, welfare_report
 
@@ -318,9 +320,11 @@ def parse_experiment(
         raise ValidationError(f"{mw}.s: filtered-greedy needs a cardinality cap")
     gamma = lottery = None
     if kind == "grand-bundle":
-        gamma = parse_fraction(_require(mech, "gamma", mw), at("mechanism", "gamma"))
+        gw = at("mechanism", "gamma")
+        gamma = check_chance(parse_fraction(_require(mech, "gamma", mw), gw), gw, below_one=True)
     if "appendix_b_lottery" in mech:
-        lottery = parse_fraction(mech["appendix_b_lottery"], at("mechanism", "appendix_b_lottery"))
+        lw = at("mechanism", "appendix_b_lottery")
+        lottery = check_chance(parse_fraction(mech["appendix_b_lottery"], lw), lw)
     side = 0
     if kind == "partition":
         side = instance.mask_for(_require(mech, "partition_a", mw), f"{mw}.partition_a")
@@ -392,7 +396,7 @@ def parse_experiment(
         lottery=lottery, partition_a=side, regret=regret, replicas=replicas, seed=seed,
         engine=engine,
     )
-    try:  # the constructors check the ranges of gamma and the lottery
+    try:  # the constructors check what is left: a grand bundle needs 2 items
         experiment.build_mechanism()
     except ValidationError as exc:
         raise ValidationError(f"{mw}: {exc}") from None
@@ -544,6 +548,14 @@ KEYS["acceptance.checks"] = tuple(_CHECKS)
 # ---------------------------------------------------------------------------
 
 
+def solve_oracle(types: Sequence, cap: Optional[int], where: str) -> tuple[tuple[int, ...], int]:
+    """`optimal_welfare(types, cap)`, with an instance too large for it invalid at `where`."""
+    try:
+        return optimal_welfare(types, cap)
+    except SizeError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
 def welfare_targets(experiment: Experiment) -> tuple[tuple[int, ...], int]:
     """The oracle's target allocation and the optimum the replicas are judged
     against: the full optimum, or under `byzantine_restricted` the optimum
@@ -551,7 +563,7 @@ def welfare_targets(experiment: Experiment) -> tuple[tuple[int, ...], int]:
     computes them once for all its replicas."""
     types = experiment.instance.types
     cap = experiment.cap if experiment.kind in ("greedy", "filtered-greedy") else None
-    target_alloc, optimum = optimal_welfare(types, cap)
+    target_alloc, optimum = solve_oracle(types, cap, f"{experiment.name}.instance")
     if experiment.checks.get("byzantine_restricted"):
         byzantine = experiment.byzantine_set()
         bids = [b for b in atoms_as_bids(types, cap) if b[0] not in byzantine]
@@ -568,7 +580,7 @@ def run_replica(
     """Execute one replica and evaluate its checks against the experiment's
     `welfare_targets`; returns its summary dict, welfare ratio and CSV
     trace text."""
-    seed = replica_seeds(base_seed, replica + 1)[replica]
+    seed = replica_seed(base_seed, replica)
     config = experiment.run_config(seed)
     trace = (run_regret_dynamics if experiment.regret else run_best_response_dynamics)(config)
 
@@ -727,7 +739,7 @@ def cmd_validate(args) -> int:
     path = Path(args.path)
     data = _read_json(path)
     if isinstance(data, dict) and ("instance" in data or "mechanism" in data):
-        load_experiment(path)
+        welfare_targets(load_experiment(path))  # `run` solves the oracle before any round
         print(f"OK: experiment {path}")
     else:
         instance = parse_instance(data, where=str(path))
@@ -744,7 +756,7 @@ def cmd_scenarios(_args) -> int:
 def cmd_oracle(args) -> int:
     instance = load_instance(Path(args.path))
     cap = instance.cap if args.s is None else _cap(args.s, "--s")
-    alloc, welfare = optimal_welfare(instance.types, cap)
+    alloc, welfare = solve_oracle(instance.types, cap, args.path)
     print(f"optimal welfare: {welfare}")
     for i, mask in enumerate(alloc):
         if mask:

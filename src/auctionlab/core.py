@@ -7,7 +7,7 @@ All types here are immutable and safe to share across replicas.
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence
 
 MAX_ITEMS = 32
 
@@ -140,14 +140,6 @@ class Valuation:
                 best = v
         return best
 
-    def best_bundle(self) -> tuple[int, int]:
-        """Argmax-value bundle, smaller bundles first on ties; (0, 0) if worthless."""
-        best_mask, best_value = 0, 0
-        for s, v in self.atoms:  # atoms already in bundle order
-            if v > best_value:
-                best_mask, best_value = s, v
-        return best_mask, best_value
-
     @property
     def max_value(self) -> int:
         return max((v for _, v in self.atoms), default=0)
@@ -164,7 +156,6 @@ class Valuation:
 
 # A profile is one declaration per agent; indices are agent identities.
 Profile = tuple[Declaration, ...]
-Bid = Union[Declaration, Valuation]
 
 
 def feasible(allocation: Sequence[int], cap: int | None = None) -> bool:

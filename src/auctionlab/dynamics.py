@@ -291,9 +291,7 @@ def constant_tail_start(trace: Trace) -> int:
     return 1
 
 
-def replica_seeds(seed: int, replicas: int) -> list[int]:
-    """Stable per-replica seeds derived from the run seed."""
-    return [
-        int.from_bytes(hashlib.sha256(repr((seed, "replica", r)).encode()).digest()[:8], "big")
-        for r in range(replicas)
-    ]
+def replica_seed(seed: int, replica: int) -> int:
+    """Stable seed of one replica, derived from the run seed."""
+    digest = hashlib.sha256(repr((seed, "replica", replica)).encode()).digest()
+    return int.from_bytes(digest[:8], "big")

@@ -1,5 +1,5 @@
-"""Strategic layer: bid simplification, critical prices with exact
-open/closed boundary semantics, and the three mechanisms.
+"""Strategic layer: critical prices with exact open/closed boundary semantics,
+and the three mechanisms, which take one single-minded declaration per agent.
 
 Critical prices live on the integer tick grid.  For a win predicate that is
 monotone in the bid, the minimal winning tick k is found first under the
@@ -29,14 +29,12 @@ from .algorithms import (
 from .core import (
     EMPTY,
     AuctionError,
-    Bid,
     Declaration,
     Outcome,
     Profile,
     ValidationError,
     Valuation,
     full_mask,
-    single_minded,
 )
 
 
@@ -44,18 +42,13 @@ class NonMonotoneDecisionError(AuctionError):
     """The win predicate handed to the threshold search is not monotone."""
 
 
-def simplify_one(bid: Bid) -> Declaration:
-    """Collapse a declaration to single-minded form: the argmax-value bundle,
-    smaller bundles preferred on ties; zero-value maxima become EMPTY.
-    Already single-minded declarations pass through unchanged."""
-    if isinstance(bid, Declaration):
-        return bid
-    mask, value = bid.best_bundle()
-    return single_minded(mask, value)
-
-
-def simplify(profile: Sequence[Bid]) -> Profile:
-    return tuple(simplify_one(b) for b in profile)
+def check_chance(value: Fraction, where: str, below_one: bool = False) -> Fraction:
+    """`value` when it is a probability, in [0, 1) if `below_one`; otherwise
+    a ValidationError located at `where`."""
+    top = "1)" if below_one else "1]"
+    if not 0 <= value <= 1 or (below_one and value == 1):
+        raise ValidationError(f"{where}: must lie in [0, {top}")
+    return value
 
 
 class Coin(NamedTuple):
@@ -157,18 +150,19 @@ def _no_price(set_mask: int) -> None:
 
 
 class Mechanism:
-    """Base for the direct mechanisms: simplify, allocate, charge critical
-    prices.  Subclasses implement `_allocate` (pure, coin-conditioned) and
-    may override `thresholds` with closed forms; the generic threshold
-    search is the default and the reference the closed forms are tested
-    against."""
+    """Base for the direct mechanisms: allocate a profile of declarations and
+    charge critical prices.  `allocate` alone chooses between the lottery and
+    `_allocate`, which subclasses implement (pure, coin-conditioned); they may
+    override `thresholds` with closed forms, tested against the generic
+    threshold search that is the default."""
 
     name: str = "mechanism"
-    item_count: int | None = None
+    item_count: int
     lottery: Fraction | None = None  # grand-bundle lottery probability, if enabled
-    # the lottery's chance as the float the coin stream compares against, or
-    # None when it never fires (then no draw is made)
+    # the lottery's and the trembling draw's chances as the floats the coin
+    # stream compares against, or None when they never fire (no draw is made)
     _lottery_chance: float | None = None
+    _ignore_chance: float | None = None
     # (probability, coin) of each resolution of the mechanism's own coin
     branches: tuple[tuple[Fraction, Coin], ...] = ((Fraction(1), COIN_NONE),)
 
@@ -177,15 +171,12 @@ class Mechanism:
     def _allocate(self, profile: Profile, coin: Coin) -> tuple[int, ...]:
         raise NotImplementedError
 
-    def allocate(self, profile: Sequence[Bid], coin: Coin = COIN_NONE) -> tuple[int, ...]:
-        d = simplify(profile)
+    def allocate(self, profile: Profile, coin: Coin = COIN_NONE) -> tuple[int, ...]:
         if coin.lottery_agent is not None:
-            return self._lottery_allocation(d, coin.lottery_agent)
-        return self._allocate(d, coin)
+            return self._lottery_allocation(profile, coin.lottery_agent)
+        return self._allocate(profile, coin)
 
     def _lottery_allocation(self, profile: Profile, agent: int) -> tuple[int, ...]:
-        if self.item_count is None:
-            raise ValidationError(f"{self.name} does not support the lottery")
         alloc = [0] * len(profile)
         if declared_separated_for(agent, profile[agent], profile):
             alloc[agent] = full_mask(self.item_count)
@@ -211,11 +202,7 @@ class Mechanism:
             probe = tie_loss_probe(profile, agent, set_mask, bid)
         else:
             probe = with_probe(profile, agent, Declaration(set_mask, bid))
-        if coin.lottery_agent is not None:
-            alloc = self._lottery_allocation(probe, coin.lottery_agent)
-        else:
-            alloc = self._allocate(probe, coin)
-        return alloc[agent] == set_mask
+        return self.allocate(probe, coin)[agent] == set_mask
 
     def _search_upper(self, agent: int, profile: Profile) -> int:
         return sum(bid for j, (_, bid) in enumerate(profile) if j != agent) + 1
@@ -241,16 +228,14 @@ class Mechanism:
 
     # -- outcomes and utilities ----------------------------------------------
 
-    def outcome(self, profile: Sequence[Bid], coin: Coin = COIN_NONE) -> Outcome:
-        d = simplify(profile)
-        if coin.lottery_agent is not None:
-            alloc = self._lottery_allocation(d, coin.lottery_agent)
-            return Outcome(alloc, (0,) * len(alloc))
-        alloc = self._allocate(d, coin)
+    def outcome(self, profile: Profile, coin: Coin = COIN_NONE) -> Outcome:
+        alloc = self.allocate(profile, coin)
         payments = [0] * len(alloc)
+        if coin.lottery_agent is not None:  # the lottery is free
+            return Outcome(alloc, payments)
         for i, mask in enumerate(alloc):
             if mask:
-                price = self.critical_price(i, mask, d, coin)
+                price = self.critical_price(i, mask, profile, coin)
                 assert price is not None, "winner must have a finite threshold"
                 payments[i] = price[0]
         return Outcome(alloc, tuple(payments))
@@ -307,24 +292,24 @@ class Mechanism:
     # -- randomization -------------------------------------------------------
 
     def _set_lottery(self, lottery: Fraction | None) -> None:
-        if lottery is not None and not 0 <= lottery <= 1:
-            raise ValidationError("appendix_b_lottery must lie in [0, 1]")
+        if lottery is not None:
+            check_chance(lottery, "appendix_b_lottery")
         self.lottery = lottery
         self._lottery_chance = float(lottery) if lottery else None
 
     def draw_coin(self, rng, n_agents: int) -> Coin:
+        """One round's coin: the lottery draw first, then the trembling draw."""
         if self._lottery_chance is not None and rng.random() < self._lottery_chance:
             return _lottery_coin(rng.randrange(n_agents))
-        return self._draw_mechanism_coin(rng)
-
-    def _draw_mechanism_coin(self, rng) -> Coin:
+        if self._ignore_chance is not None and rng.random() < self._ignore_chance:
+            return COIN_IGNORE_GRAND
         return COIN_NONE
 
 
 class RuleMechanism(Mechanism):
-    """Simplify, run a monotone allocation rule, charge its critical prices."""
+    """Run a monotone allocation rule, charge its critical prices."""
 
-    def __init__(self, rule: AllocationRule, item_count: int | None = None):
+    def __init__(self, rule: AllocationRule, item_count: int):
         self.rule = rule
         self.item_count = item_count
         self.name = f"critical-price[{rule.name}]"
@@ -398,9 +383,7 @@ class GrandBundleMechanism(Mechanism):
     def __init__(self, item_count: int, gamma: Fraction, lottery: Fraction | None = None):
         if item_count < 2:
             raise ValidationError("grand-bundle mechanism needs at least 2 items")
-        gamma = Fraction(gamma)
-        if not 0 <= gamma < 1:
-            raise ValidationError("gamma must lie in [0, 1)")
+        gamma = check_chance(Fraction(gamma), "gamma", below_one=True)
         self._set_lottery(lottery)
         self.item_count = item_count
         self.gamma = gamma
@@ -408,8 +391,6 @@ class GrandBundleMechanism(Mechanism):
         self.grand = full_mask(item_count)
         self._inner = FilteredGreedyMechanism(item_count, self.small_cap)
         self.name = f"grand-bundle(m={item_count}, gamma={gamma})"
-        # the trembling draw's chance as the float the coin stream compares
-        # against, or None when it never fires (then no draw is made)
         self._ignore_chance = float(gamma) if gamma else None
         if gamma:
             self.branches = ((gamma, COIN_IGNORE_GRAND), (1 - gamma, COIN_NONE))
@@ -485,8 +466,3 @@ class GrandBundleMechanism(Mechanism):
             return (floor, OPEN)
 
         return price_of
-
-    def _draw_mechanism_coin(self, rng) -> Coin:
-        if self._ignore_chance is not None and rng.random() < self._ignore_chance:
-            return COIN_IGNORE_GRAND
-        return COIN_NONE

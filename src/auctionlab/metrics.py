@@ -120,35 +120,6 @@ def resilience_report(
     return _build_report(trace, types, restricted_optimum, allow_excess=bool(byzantine))
 
 
-def hindsight_target_check(
-    trace: Trace,
-    types: Sequence[Valuation],
-    target_alloc: Sequence[int],
-    model: AgentModel,
-) -> tuple[bool, Fraction]:
-    """Average of (value actually won + bid threshold for the agent's target
-    bundle) must cover the target value up to the measured regret.  Returns
-    (pass, slack)."""
-    i = model.index
-    if len(types) != trace.n_agents:
-        raise InstanceMismatchError("type profile length differs from the trace")
-    target = target_alloc[i]
-    total = Fraction(0)
-    for record in trace.records:
-        total += types[i].value_of(record.outcome.allocation[i])
-        if target:
-            price = trace.mechanism.critical_price(i, target, record.profile, record.coin)
-            if price is None:
-                raise InstanceMismatchError(
-                    f"target bundle {target:#x} is unwinnable for agent {i}"
-                )
-            total += price[0]
-    lhs = total / trace.rounds
-    regret = external_regret(trace.history_for(i), model, trace.mechanism)
-    rhs = types[i].value_of(target) - regret
-    return lhs >= rhs, lhs - rhs
-
-
 def aggregate(values: Sequence[Fraction], threshold: Fraction) -> ReplicaStats:
     """Replica statistics: minimum, lower median, and the fraction of values
     meeting the threshold."""

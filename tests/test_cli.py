@@ -185,6 +185,14 @@ class TestOracleCommand:
         assert "optimal welfare: 13" in out
         assert "agent 1" in out
 
+    def test_instance_too_large_for_the_oracle_is_invalid(self, tmp_path, capsys):
+        items = [f"i{k}" for k in range(24)]
+        agents = [{"id": 1, "atoms": [{"items": ["i0", "i23"], "value": 3}]}]
+        instance = write_instance(tmp_path, m=24, items=items, agents=agents)
+        assert main(["oracle", str(instance)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"INVALID: {instance}: ") and "Traceback" not in err
+
 
 class TestRunCommand:
     def test_experiment_file_round_trip(self, tmp_path):
@@ -473,6 +481,13 @@ def _duplicate_initial_id(experiment, instance):
     experiment["dynamics"]["initial"].append({"id": 1, "items": ["a1"], "bid": 2})
 
 
+def _oversize_instance(experiment, instance):
+    # valid, but spanning more items than the oracle solves
+    instance["items"] += [f"x{k}" for k in range(instance["m"], 24)]
+    instance["m"] = 24
+    instance["agents"][0]["atoms"].append({"items": [instance["items"][0], "x23"], "value": 1})
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize(
     "name, edit",
@@ -517,6 +532,7 @@ def _duplicate_initial_id(experiment, instance):
         ("ca-theorem-11", _null_lottery),
         ("ca-theorem-11", _cap_on_grand_bundle),
         ("section-3-3", _duplicate_initial_id),
+        ("appendix-c-cycle", _oversize_instance),
     ],
     ids=["override-key", "agents-list", "agent-entry", "partition-side", "gamma",
          "instance-agents", "overrides", "checks", "initial-entry",
@@ -528,7 +544,7 @@ def _duplicate_initial_id(experiment, instance):
          "unknown-instance-agent-key", "unknown-initial-entry-key", "regret-scripted-order",
          "regret-initial", "regret-empty-start", "regret-keep-on-tie", "override-id-underscore",
          "override-id-space", "partition-side-on-greedy", "lottery-null", "cap-on-grand-bundle",
-         "duplicate-initial-id"],
+         "duplicate-initial-id", "oversize-instance"],
 )
 def test_malformed_experiment_is_invalid_in_validate_and_run(
     tmp_path, capsys, monkeypatch, command, name, edit
@@ -562,6 +578,8 @@ def test_malformed_scripted_order_flag_is_invalid(tmp_path, capsys):
         (["byzantine-mix", "--scripted-order", "1,2"], "--scripted-order"),
         (["appendix-c-cycle", "--workers", "0"], "--workers"),
         (["appendix-c-cycle", "--workers", "-2"], "--workers"),
+        (["ca-theorem-11", "--gamma", "2"], "--gamma"),
+        (["ca-theorem-11", "--appendix-b-lottery", "3/2"], "--appendix-b-lottery"),
     ],
 )
 def test_run_flags_obey_the_rules_of_their_keys(tmp_path, capsys, monkeypatch, argv, where):

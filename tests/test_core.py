@@ -64,10 +64,6 @@ class TestValuation:
             extra = rng.randrange(1 << 6)
             assert v.value_of(small) <= v.value_of(small | extra)
 
-    def test_best_bundle_smaller_set_wins_tie(self):
-        v = Valuation([(A | B, 5), (C, 5)])
-        assert v.best_bundle() == (C, 5)
-
     def test_rejects_positive_empty_bundle(self):
         with pytest.raises(ValidationError):
             Valuation([(0, 3)])
@@ -81,7 +77,6 @@ class TestValuation:
 
     def test_zero_valuation(self):
         assert Valuation().max_value == 0
-        assert Valuation().best_bundle() == (0, 0)
 
 
 class TestDeclaration:

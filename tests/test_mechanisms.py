@@ -16,7 +16,7 @@ from auctionlab import (
     optimal_welfare,
     search_critical_price,
     separated_flags,
-    simplify,
+    single_minded,
 )
 from auctionlab.core import declared_welfare, full_mask
 from auctionlab.dynamics import seeded_rng
@@ -26,19 +26,11 @@ from auctionlab.generate import random_profile, random_types, truthful_profile
 from conftest import A, B, C, D
 
 
-class TestSimplify:
-    def test_picks_max_value_atom(self, cycle_types):
-        assert simplify(cycle_types)[0] == Declaration(D, 6)
-
-    def test_empty_valuation(self):
-        assert simplify([Valuation()]) == (EMPTY,)
-
-    def test_tie_prefers_smaller_set(self):
-        assert simplify([Valuation([(A | B, 5), (C, 5)])]) == (Declaration(C, 5),)
-
-    def test_declarations_pass_through(self):
-        d = Declaration(A, 3)
-        assert simplify([d, EMPTY]) == (d, EMPTY)
+def top_atom_profile(types):
+    """Each agent declares its highest-value atom, the first of equal ones
+    (atoms are in bundle order, so the smaller set); worthless types declare
+    EMPTY."""
+    return tuple(single_minded(*max(t.atoms, key=lambda a: a[1], default=(0, 0))) for t in types)
 
 
 class TestCriticalPriceSearch:
@@ -80,7 +72,7 @@ class TestCriticalPriceSearch:
 
 class TestRuleMechanismOutcome:
     def test_cycle_start_payments(self, cycle_types, cycle_mechanism):
-        out = cycle_mechanism.outcome(cycle_types)
+        out = cycle_mechanism.outcome(top_atom_profile(cycle_types))
         assert out.allocation == (D, B | C, 0, 0)
         assert out.payments == (5, 4, 0, 0)
 
@@ -227,7 +219,7 @@ class TestSeparation:
         profile = (Declaration(A | B, 6), Declaration(A, 4), Declaration(B, 4))
         assert separated_flags(profile, types) == (False, True, True)
 
-    def test_memo_follows_the_types_object(self):
+    def test_flags_follow_the_types_passed(self):
         profile = (Declaration(A | B, 6), Declaration(A, 4), Declaration(B, 4))
         high = [Valuation([(A | B, 10)]), Valuation([(A, 4)]), Valuation([(B, 4)])]
         low = [Valuation([(A | B, 4)]), Valuation([(A, 4)]), Valuation([(B, 4)])]
@@ -242,7 +234,7 @@ class TestSeparation:
         types[0] = Valuation([(0b01, 1)])
         assert separated_flags(profile, types) == (True, True)
 
-    def test_memo_matches_direct_computation(self):
+    def test_flags_match_direct_computation(self):
         def direct(profile, types):
             return tuple(
                 d.is_empty
@@ -349,7 +341,7 @@ class TestPaymentExactness:
         for trial in range(400):
             mech = mechs[trial % 3]
             types = random_types(rng, 4, mech.item_count, max_size=2, max_value=16)
-            profile = simplify(types)
+            profile = top_atom_profile(types)
             out = mech.outcome(profile)
             for i, t in enumerate(types):
                 assert out.utility(i, t) >= 0

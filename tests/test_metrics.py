@@ -9,7 +9,7 @@ from auctionlab import (
     WeightedLearner,
     aggregate,
     coverage_report,
-    hindsight_target_check,
+    external_regret,
     make_agent,
     optimal_welfare,
     regret_report,
@@ -37,6 +37,23 @@ def fixed_trace(profiles, mechanism, agents, types):
             )
         )
     return Trace(mechanism, tuple(agents), tuple(records))
+
+
+def hindsight_target_check(trace, types, target_alloc, model):
+    """The hindsight-target inequality for one agent: the average of (value
+    won + critical price of its target bundle) covers the target value up to
+    the agent's external regret.  Returns (pass, slack)."""
+    i = model.index
+    target = target_alloc[i]
+    total = Fraction(0)
+    for record in trace.records:
+        total += types[i].value_of(record.outcome.allocation[i])
+        if target:
+            total += trace.mechanism.critical_price(i, target, record.profile, record.coin)[0]
+    lhs = total / trace.rounds
+    regret = external_regret(trace.history_for(i), model, trace.mechanism)
+    rhs = types[i].value_of(target) - regret
+    return lhs >= rhs, lhs - rhs
 
 
 @pytest.fixture
@@ -174,7 +191,6 @@ class TestHindsightTargetCheck:
 
 class TestRegretReport:
     def test_matches_external_regret(self, cycle_types, cycle_mechanism):
-        from auctionlab import external_regret
         from auctionlab.dynamics import run_regret_dynamics
 
         agents = [
