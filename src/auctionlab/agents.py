@@ -52,10 +52,6 @@ class AgentModel:
     candidates: tuple[int, ...]
     candidate_bids: tuple[Declaration, ...] = field(default=())
 
-    @property
-    def max_value(self) -> int:
-        return self.valuation.max_value
-
 
 def undominated_bid(valuation: Valuation, chosen: int) -> Declaration:
     """The single undominated declaration for a chosen bundle: bid the true
@@ -165,16 +161,19 @@ def external_regret(
 
 
 class WeightedLearnerState:
-    """Multiplicative-weights state: positive float weights drive sampling,
-    cumulative utilities stay exact."""
+    """Multiplicative-weights state: positive float weights drive sampling.
+    A round's feedback is its non-zero utilities as `(k, float(u))` pairs."""
 
     def __init__(self, n_candidates: int, u_max: int):
         self.weights = [1.0] * n_candidates
-        self.cumulative = [0] * n_candidates
         self.rounds = 0
         self.u_max = u_max
         # 8 ln K of the rate sqrt(8 ln K / t); one candidate never learns
         self._log_term = 8.0 * math.log(n_candidates) if n_candidates >= 2 else 0.0
+
+    @staticmethod
+    def feedback(utilities: Sequence) -> tuple[tuple[int, float], ...]:
+        return tuple((k, float(u)) for k, u in enumerate(utilities) if u)
 
     def choose(self, rng) -> int:
         weights = self.weights
@@ -186,19 +185,18 @@ class WeightedLearnerState:
                 return k
         return len(weights) - 1
 
-    def update(self, utilities: Sequence) -> None:
+    def update(self, gains: Sequence[tuple[int, float]]) -> None:
         self.rounds += 1
-        eta = math.sqrt(self._log_term / self.rounds)
         scale = self.u_max
-        grows = bool(eta and scale)
-        cumulative, weights = self.cumulative, self.weights
+        # a zero rate (one candidate) or scale leaves the weights as they are
+        if not (gains and scale and self._log_term):
+            return
+        eta = math.sqrt(self._log_term / self.rounds)
+        weights = self.weights
         overflow = False
-        for k, u in enumerate(utilities):
-            if u:
-                cumulative[k] += u
-                if grows:
-                    w = weights[k] = weights[k] * math.exp(eta * float(u) / scale)
-                    overflow = overflow or w > 1e250
+        for k, fu in gains:
+            w = weights[k] = weights[k] * math.exp(eta * fu / scale)
+            overflow = overflow or w > 1e250
         # Renormalize occasionally so long runs cannot overflow the floats.
         # Every weight is at most 1e250 after an update, so only a weight
         # changed in this one can pass it.
@@ -216,6 +214,10 @@ class PerturbedLearnerState:
         self.rounds = 0
         self.u_max = u_max
 
+    @staticmethod
+    def feedback(utilities: Sequence) -> Sequence:
+        return utilities
+
     def choose(self, rng) -> int:
         width = math.ceil(math.sqrt(self.rounds + 1)) * self.u_max
         best_k, best_score = 0, None
@@ -232,8 +234,9 @@ class PerturbedLearnerState:
 
 
 def learner_state_for(model: AgentModel):
+    """A fresh learner state for a learner, None for any other behavior."""
     if isinstance(model.behavior, WeightedLearner):
-        return WeightedLearnerState(len(model.candidates), model.max_value)
+        return WeightedLearnerState(len(model.candidates), model.valuation.max_value)
     if isinstance(model.behavior, PerturbedLearner):
-        return PerturbedLearnerState(len(model.candidates), model.max_value)
-    raise ValidationError(f"agent {model.index} has no learner behavior")
+        return PerturbedLearnerState(len(model.candidates), model.valuation.max_value)
+    return None

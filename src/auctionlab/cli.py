@@ -210,7 +210,7 @@ def parse_instance(data: dict, where: str = "instance") -> Instance:
             bw = f"{aw}.atoms[{a}]"
             value = _require(_known(atom, bw, "instance.agents[].atoms[]"), "value", bw)
             value = _positive(value, f"{bw}.value")  # in ticks
-            mask = instance.mask_for(_require(atom, "items", bw), bw)
+            mask = instance.mask_for(_require(atom, "items", bw), f"{bw}.items")
             if mask == 0:
                 raise ValidationError(f"{bw}.items: must not be empty")
             pairs.append((mask, value))

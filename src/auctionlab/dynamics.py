@@ -18,8 +18,6 @@ from .agents import (
     AgentModel,
     BestResponder,
     ByzantineBidder,
-    PerturbedLearner,
-    WeightedLearner,
     best_response,
     byzantine_bid,
     counterfactual_utilities,
@@ -118,13 +116,13 @@ def _starting_profile(config: RunConfig) -> Profile:
     return tuple(picks)
 
 
-# Both engines revisit few states, and every per-state result below is a
-# pure function of its key, so caching them leaves traces unchanged.  The
-# caches live for one run and are emptied when they outgrow this many states,
-# which bounds their memory on runs that rarely repeat a state.  Measured
-# runs stay far below it: at most 357 distinct states in a 20,000-round
-# learner run with a byzantine bidder, at most 35 without one, and at most
-# 10 in a best-response run.
+# Both engines revisit few states, and every per-state result below (round
+# results, best responses, learner feedback) is a pure function of its key,
+# so caching them leaves traces unchanged.  The caches live for one run and
+# are emptied when they outgrow this many states, which bounds their memory
+# on runs that rarely repeat a state.  Measured runs stay far below it: at
+# most 357 distinct states in a 20,000-round learner run with a byzantine
+# bidder, at most 35 without one, and at most 10 in a best-response run.
 STATE_CACHE_LIMIT = 4096
 
 
@@ -216,19 +214,14 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
             )
     rng_coin = seeded_rng(config.seed, "coin")
     agent_rngs = [seeded_rng(config.seed, "agent", i) for i in range(n)]
-    learners = {
-        i: learner_state_for(m)
-        for i, m in enumerate(agents)
-        if isinstance(m.behavior, (WeightedLearner, PerturbedLearner))
-    }
 
     # keyed by the learners' candidate indices and the byzantine bidders'
-    # declarations: the profile, the learners' utility vectors and round
+    # declarations: the profile, each learner's prepared feedback and round
     # results by coin
     states: dict = {}
     # per agent: (learner state or None for a byzantine bidder, model, rng)
-    plan = [(learners.get(i), model, agent_rngs[i]) for i, model in enumerate(agents)]
-    learner_states = list(learners.values())
+    plan = [(learner_state_for(model), model, agent_rngs[i]) for i, model in enumerate(agents)]
+    learner_states = [state for state, _, _ in plan if state is not None]
     draw_coin = mechanism.draw_coin
 
     def state_of(key):
@@ -236,8 +229,11 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
             model.candidate_bids[k] if state is not None else k
             for (state, model, _), k in zip(plan, key)
         )
-        vectors = [counterfactual_utilities(agents[i], profile, mechanism) for i in learners]
-        return profile, vectors, {}
+        feedback = [
+            state.feedback(counterfactual_utilities(model, profile, mechanism))
+            for state, model, _ in plan if state is not None
+        ]
+        return profile, feedback, {}
 
     records = []
     for t in range(1, config.rounds + 1):
@@ -252,13 +248,13 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
         entry = states.get(key)
         if entry is None:
             entry = _cache_slot(states, key, lambda: state_of(key))
-        profile, vectors, results = entry
+        profile, feedback, results = entry
         coin = draw_coin(rng_coin, n)
         result = results.get(coin)
         if result is None:
             result = results[coin] = _round_result(mechanism, profile, coin, agents)
-        for state, utilities in zip(learner_states, vectors):
-            state.update(utilities)
+        for state, gains in zip(learner_states, feedback):
+            state.update(gains)
         records.append(RoundRecord(t, ALL_AGENTS, profile, coin, *result))
     return Trace(mechanism, tuple(agents), tuple(records))
 

@@ -221,7 +221,7 @@ class TestWeightedLearner:
             for _ in range(300):
                 k = state.choose(rng)
                 hits += k == 1
-                state.update([0, 10, 0])
+                state.update(state.feedback([0, 10, 0]))
             window_freqs.append(hits / 300)
         assert window_freqs[-1] > 0.95
         assert all(b >= a - 0.05 for a, b in zip(window_freqs, window_freqs[1:]))
@@ -229,14 +229,14 @@ class TestWeightedLearner:
     def test_zero_rate_freezes_weights(self):
         state = WeightedLearnerState(3, u_max=0)
         for _ in range(50):
-            state.update([0, 10, 3])
+            state.update(state.feedback([0, 10, 3]))
         assert state.weights == [1.0, 1.0, 1.0]
-        assert state.cumulative == [0, 500, 150]
+        assert state.rounds == 50
 
     def test_weights_stay_positive_and_finite(self):
         state = WeightedLearnerState(2, u_max=1)
         for _ in range(5000):
-            state.update([1, 0])
+            state.update(state.feedback([1, 0]))
         assert all(w > 0 and w != float("inf") for w in state.weights)
 
 
@@ -314,10 +314,9 @@ class TestWeightedLearnerMatchesReference:
         for _ in range(rounds):
             assert fast.choose(rng_fast) == slow.choose(rng_slow)
             utilities = getattr(self, draw)(data, k, u_max)
-            fast.update(utilities)
+            fast.update(fast.feedback(utilities))
             slow.update(utilities)
             assert fast.weights == slow.weights
-            assert fast.cumulative == slow.cumulative
         assert (slow.renormalised > 0) == renormalises
 
 
@@ -339,6 +338,7 @@ class TestPerturbedLearner:
         fpl = make_agent(0, cycle_types[0], PerturbedLearner())
         assert isinstance(learner_state_for(mw), WeightedLearnerState)
         assert isinstance(learner_state_for(fpl), PerturbedLearnerState)
+        assert learner_state_for(make_agent(0, cycle_types[0], ByzantineBidder())) is None
 
     def test_regret_vanishes_on_toy_run(self, cycle_types, cycle_mechanism):
         agents = [
@@ -350,7 +350,7 @@ class TestPerturbedLearner:
         for model in agents:
             regret = external_regret(trace.history_for(model.index), model, cycle_mechanism)
             # bounded by max value over sqrt(T), with head room for constants
-            assert regret <= Fraction(3 * model.max_value, 100)
+            assert regret <= Fraction(3 * model.valuation.max_value, 100)
 
 
 class TestExternalRegret:

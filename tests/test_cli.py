@@ -314,13 +314,18 @@ class TestRunCommand:
         assert "lottery:" in csv_text  # with p=1/3 over 30 rounds a draw fires
 
 
+def _scenario_documents(name: str) -> tuple[dict, dict]:
+    """The experiment and instance documents of a built-in scenario."""
+    scenarios = resources.files("auctionlab") / "scenarios"
+    experiment = json.loads((scenarios / f"{name}.experiment.json").read_text())
+    return experiment, json.loads((scenarios / experiment["instance"]).read_text())
+
+
 def _copy_scenario(tmp_path: Path, name: str, edit) -> Path:
     """Copy a built-in experiment and its instance, letting `edit` change
     the two documents first."""
-    scenarios = resources.files("auctionlab") / "scenarios"
-    experiment = json.loads((scenarios / f"{name}.experiment.json").read_text())
+    experiment, instance = _scenario_documents(name)
     ref = experiment["instance"]
-    instance = json.loads((scenarios / ref).read_text())
     edit(experiment, instance)
     (tmp_path / ref).write_text(json.dumps(instance))
     target = tmp_path / f"{name}.experiment.json"
@@ -650,6 +655,44 @@ def test_readme_file_formats_name_every_declared_key():
         if not re.search(rf'[`".]{key}[`"]', section)
     ]
     assert not missing
+
+
+# The keys no built-in scenario holds, each added to a copy of a scenario
+# whose kind reads it, with a valid value.
+_ADDED_KEYS = {
+    ("mechanism", "appendix_b_lottery"): ("random-sca", "1/16"),
+    ("dynamics", "empty_start"): ("appendix-c-cycle", True),
+    ("dynamics", "keep_on_tie"): ("appendix-c-cycle", False),
+}
+
+
+def _holder(kind: str, key: str) -> tuple[str, object]:
+    """A built-in scenario whose object `kind` holds `key`, and its value there."""
+    for name in list_scenarios():
+        try:
+            found = _OBJECTS[kind](*_scenario_documents(name))
+        except (KeyError, IndexError):
+            continue
+        if key in found:
+            return name, found[key]
+    return _ADDED_KEYS[kind, key]
+
+
+@pytest.mark.parametrize(
+    "kind, key", [(kind, key) for kind, keys in cli.KEYS.items() for key in keys]
+)
+def test_wrong_typed_value_is_invalid_at_its_key(tmp_path, capsys, kind, key):
+    name, value = _holder(kind, key)
+    wrong = 7 if isinstance(value, (dict, list)) else [1]
+
+    def set_wrong(experiment, instance):
+        _OBJECTS[kind](experiment, instance)[key] = wrong
+
+    assert main(["validate", str(_copy_scenario(tmp_path, name, set_wrong))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("INVALID: ")
+    where = err[len("INVALID: "):].split(": ")[0]
+    assert where.endswith(f".{key}"), err
 
 
 _WRONG_VALUES = (None, True, -1, "x", "1/0", [], {}, [1])

@@ -8,6 +8,8 @@ from auctionlab import (
     ByzantineBidder,
     Declaration,
     FilteredGreedyMechanism,
+    GrandBundleMechanism,
+    PerturbedLearner,
     ValidationError,
     Valuation,
     WeightedLearner,
@@ -320,16 +322,31 @@ class TestStateCache:
             previous = record.profile
 
     @pytest.mark.parametrize("limit", [dynamics.STATE_CACHE_LIMIT, 1])
-    def test_regret_records_match_recomputation(self, limit, monkeypatch):
+    @pytest.mark.parametrize(
+        "mech, behavior, grand_prob, fractional",
+        [
+            (FilteredGreedyMechanism(6, 2), WeightedLearner(), 0.0, False),
+            (GrandBundleMechanism(6, Fraction(1, 4), Fraction(1, 16)), WeightedLearner(), 0.5, True),
+            (FilteredGreedyMechanism(6, 2, Fraction(1, 16)), PerturbedLearner(), 0.0, True),
+        ],
+        ids=["mw-greedy", "mw-grand-lottery", "fpl-lottery"],
+    )
+    def test_regret_records_match_recomputation(
+        self, limit, mech, behavior, grand_prob, fractional, monkeypatch
+    ):
         monkeypatch.setattr(dynamics, "STATE_CACHE_LIMIT", limit)
-        types = random_types(seeded_rng(47, "cache-mw"), 4, 6, max_atoms=3, max_value=24, max_size=2)
-        mech = FilteredGreedyMechanism(6, 2)
-        agents = [make_agent(i, t, WeightedLearner(), mech) for i, t in enumerate(types[:3])]
+        types = random_types(
+            seeded_rng(47, "cache-mw"), 4, 6, max_atoms=3, max_value=24, max_size=2,
+            grand_prob=grand_prob,
+        )
+        agents = [make_agent(i, t, behavior, mech) for i, t in enumerate(types[:3])]
         agents.append(make_agent(3, types[3], ByzantineBidder(), mech))
         cfg = RunConfig(mechanism=mech, agents=agents, rounds=600, seed=11)
-        # replay the run without caches: same streams, fresh learner states
+        # replay the run without caches: same streams, fresh learner states fed
+        # the dense utilities through the same conversion
         rngs = [seeded_rng(cfg.seed, "agent", i) for i in range(len(agents))]
         learners = {i: learner_state_for(agents[i]) for i in range(3)}
+        seen_fraction = False
         for record in run_regret_dynamics(cfg).records:
             expected = [
                 agents[i].candidate_bids[learners[i].choose(rngs[i])] if i in learners
@@ -338,5 +355,8 @@ class TestStateCache:
             ]
             assert list(record.profile) == expected
             for i, state in learners.items():
-                state.update(counterfactual_utilities(agents[i], record.profile, mech))
+                utilities = counterfactual_utilities(agents[i], record.profile, mech)
+                seen_fraction = seen_fraction or any(Fraction(u).denominator > 1 for u in utilities)
+                state.update(state.feedback(utilities))
             self.assert_round(cfg, record)
+        assert seen_fraction == fractional
