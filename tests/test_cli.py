@@ -725,12 +725,10 @@ def test_mutated_scenario_files_validate_without_traceback(tmp_path, capsys):
     """`validate` on damaged copies of every built-in scenario exits 0 or 2
     and never raises; exit 2 comes with an `INVALID: ` line."""
     rng = random.Random(4)
-    scenarios = resources.files("auctionlab") / "scenarios"
     problems = []
     for name in list_scenarios():
-        experiment = json.loads((scenarios / f"{name}.experiment.json").read_text())
+        experiment, instance = _scenario_documents(name)
         ref = experiment["instance"]
-        instance = json.loads((scenarios / ref).read_text())
         documents = {"experiment": experiment, "instance": instance}
         positions = {kind: list(_positions(doc)) for kind, doc in documents.items()}
         paths = {"experiment": tmp_path / f"{name}.experiment.json", "instance": tmp_path / ref}
