@@ -24,8 +24,6 @@ from .algorithms import (
     CLOSED,
     OPEN,
     AllocationRule,
-    check_loser_independent,
-    check_monotone,
     greedy_allocate,
     greedy_rule,
     optimal_allocation,

@@ -1,5 +1,4 @@
-"""Non-strategic allocation algorithms, the exact welfare oracle, and
-randomized property checkers (monotonicity, loser-independence).
+"""Non-strategic allocation algorithms and the exact welfare oracle.
 
 All algorithms are deterministic: bids are processed by descending value
 with ties broken by ascending agent index, and every other tie rule is
@@ -20,7 +19,6 @@ from .core import (
     bundle_key,
     declared_welfare,
     full_mask,
-    single_minded,
 )
 
 OPEN = "open"
@@ -248,114 +246,3 @@ def atoms_as_bids(types: Sequence, cap: int | None = None) -> list[tuple[int, in
 def optimal_welfare(types: Sequence, cap: int | None = None) -> tuple[tuple[int, ...], int]:
     """Exact optimum over a valuation profile (one atom per agent, disjoint)."""
     return optimal_allocation(atoms_as_bids(types, cap), len(types), cap)
-
-
-# ---------------------------------------------------------------------------
-# Property checkers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MonotonicityWitness:
-    profile: Profile
-    agent: int
-    won_set: int
-    won_bid: int
-    probe_set: int
-    probe_bid: int
-
-
-@dataclass(frozen=True)
-class LoserDependenceWitness:
-    agent: int
-    profile_a: Profile
-    profile_b: Profile
-    probe: Declaration
-    outcome_a: int
-    outcome_b: int
-
-
-def _random_subset(rng, mask: int) -> int:
-    items = []
-    m = mask
-    while m:
-        low = m & -m
-        items.append(low)
-        m ^= low
-    sub = 0
-    for bit in items:
-        if rng.random() < 0.6:
-            sub |= bit
-    return sub if sub else items[rng.randrange(len(items))]
-
-
-def check_monotone(
-    rule: AllocationRule,
-    instance_generator: Callable,
-    trials: int,
-    seed: int = 0,
-) -> MonotonicityWitness | None:
-    """Randomized search for a monotonicity violation: an agent who wins S at
-    bid v but loses some subset of S at a bid >= v.  None means no witness
-    was found in `trials` samples (not a proof)."""
-    from .dynamics import seeded_rng
-
-    rng = seeded_rng(seed, "monotone")
-    for _ in range(trials):
-        profile = instance_generator(rng)
-        alloc = rule.allocate(profile)
-        winners = [i for i, mask in enumerate(alloc) if mask]
-        if not winners:
-            continue
-        i = winners[rng.randrange(len(winners))]
-        won_set, won_bid = profile[i].set_mask, profile[i].bid
-        probe_set = won_set if rng.random() < 0.4 else _random_subset(rng, won_set)
-        probe_bid = won_bid + (0 if rng.random() < 0.5 else rng.randrange(1, 5))
-        probe = tuple(
-            single_minded(probe_set, probe_bid) if j == i else d for j, d in enumerate(profile)
-        )
-        if rule.allocate(probe)[i] != probe_set:
-            return MonotonicityWitness(profile, i, won_set, won_bid, probe_set, probe_bid)
-    return None
-
-
-def check_loser_independent(
-    rule: AllocationRule,
-    instance_generator: Callable,
-    trials: int,
-    seed: int = 0,
-) -> LoserDependenceWitness | None:
-    """Randomized search for two opponent profiles with identical winners and
-    winning values (when the probed agent stays out) under which one of 8
-    random probe declarations earns the agent different bundles."""
-    from .dynamics import seeded_rng
-
-    rng = seeded_rng(seed, "loser-independent")
-    seen: dict[tuple, Profile] = {}
-    for _ in range(trials):
-        profile = instance_generator(rng)
-        n = len(profile)
-        if n == 0:
-            continue
-        i = rng.randrange(n)
-        base = tuple(EMPTY if j == i else d for j, d in enumerate(profile))
-        alloc = rule.allocate(base)
-        signature = (
-            i,
-            tuple((j, alloc[j], base[j].value_on(alloc[j])) for j in range(n) if j != i),
-        )
-        other = seen.setdefault(signature, base)
-        if other == base:
-            continue
-        span = 0
-        for d in base + other:
-            span |= d.set_mask
-        span = span or 1
-        for _ in range(8):
-            probe_set = _random_subset(rng, span)
-            probe = single_minded(probe_set, rng.randrange(1, 40))
-            got_a = rule.allocate(tuple(probe if j == i else d for j, d in enumerate(base)))[i]
-            got_b = rule.allocate(tuple(probe if j == i else d for j, d in enumerate(other)))[i]
-            if got_a != got_b:
-                return LoserDependenceWitness(i, base, other, probe, got_a, got_b)
-    return None

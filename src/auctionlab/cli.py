@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -60,8 +61,13 @@ BEHAVIORS = {"best-response": BestResponder(), "mw": WeightedLearner(),
 BEHAVIOR_KINDS = tuple(BEHAVIORS)
 
 
+# The only string form of a rational: `Fraction` alone would also take
+# decimals and exponents, and "1e-100000" builds a 100,001-digit denominator.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_fraction(value: Any, where: str) -> Fraction:
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
+    if _integer(value) or isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -227,13 +233,15 @@ def load_instance(path: Path) -> Instance:
 
 def _read_json(path: Path) -> dict:
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ValidationError(f"{path}: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an over-long integer, or too deep a nesting
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +679,10 @@ def run_experiment(
     workers = _positive(workers, "--workers")
 
     targets = welfare_targets(experiment)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"--out-dir: {exc}") from None
     if workers > 1 and count > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(run_replica, [experiment] * count, range(count),

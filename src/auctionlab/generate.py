@@ -1,5 +1,5 @@
-"""Seeded random instances and profiles for checkers, property tests, and
-the desk-scale experiment suites."""
+"""Seeded random valuations and profiles for property tests and the
+desk-scale experiment suites."""
 from __future__ import annotations
 
 from typing import Optional
@@ -71,21 +71,6 @@ def random_profile(
                 Declaration(random_bundle(rng, item_count, max_size), rng.randint(1, max_value))
             )
     return tuple(decls)
-
-
-def profile_generator(
-    n_agents: int,
-    item_count: int,
-    max_size: int = 3,
-    max_value: int = 32,
-    empty_prob: float = 0.2,
-):
-    """Generator callable in the shape the property checkers expect."""
-
-    def gen(rng) -> Profile:
-        return random_profile(rng, n_agents, item_count, max_size, max_value, empty_prob)
-
-    return gen
 
 
 def truthful_profile(rng, types: list[Valuation]) -> Profile:

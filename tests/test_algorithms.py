@@ -1,3 +1,6 @@
+from dataclasses import dataclass
+from typing import Callable
+
 import pytest
 
 from auctionlab import (
@@ -6,8 +9,6 @@ from auctionlab import (
     Declaration,
     SizeError,
     ValidationError,
-    check_loser_independent,
-    check_monotone,
     greedy_allocate,
     greedy_rule,
     optimal_allocation,
@@ -16,9 +17,9 @@ from auctionlab import (
     partition_rule,
     two_tier_allocate,
 )
-from auctionlab.core import declared_welfare
+from auctionlab.core import Profile, declared_welfare, single_minded
 from auctionlab.dynamics import seeded_rng
-from auctionlab.generate import profile_generator, random_profile, random_types
+from auctionlab.generate import random_profile, random_types
 
 from conftest import A, B, C, D
 
@@ -190,9 +191,117 @@ class TestApproximation:
             assert (2 * ceil_sqrt(m) + 2) * got >= opt
 
 
+# ---------------------------------------------------------------------------
+# Randomized checkers for the premises of the paper's reduction: a monotone,
+# loser-independent allocation rule
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MonotonicityWitness:
+    profile: Profile
+    agent: int
+    won_set: int
+    won_bid: int
+    probe_set: int
+    probe_bid: int
+
+
+@dataclass(frozen=True)
+class LoserDependenceWitness:
+    agent: int
+    profile_a: Profile
+    profile_b: Profile
+    probe: Declaration
+    outcome_a: int
+    outcome_b: int
+
+
+def _random_subset(rng, mask: int) -> int:
+    items = []
+    m = mask
+    while m:
+        low = m & -m
+        items.append(low)
+        m ^= low
+    sub = 0
+    for bit in items:
+        if rng.random() < 0.6:
+            sub |= bit
+    return sub if sub else items[rng.randrange(len(items))]
+
+
+def check_monotone(
+    rule: AllocationRule,
+    instance_generator: Callable,
+    trials: int,
+    seed: int = 0,
+) -> MonotonicityWitness | None:
+    """Randomized search for a monotonicity violation: an agent who wins S at
+    bid v but loses some subset of S at a bid >= v.  None means no witness
+    was found in `trials` samples (not a proof)."""
+    rng = seeded_rng(seed, "monotone")
+    for _ in range(trials):
+        profile = instance_generator(rng)
+        alloc = rule.allocate(profile)
+        winners = [i for i, mask in enumerate(alloc) if mask]
+        if not winners:
+            continue
+        i = winners[rng.randrange(len(winners))]
+        won_set, won_bid = profile[i].set_mask, profile[i].bid
+        probe_set = won_set if rng.random() < 0.4 else _random_subset(rng, won_set)
+        probe_bid = won_bid + (0 if rng.random() < 0.5 else rng.randrange(1, 5))
+        probe = tuple(
+            single_minded(probe_set, probe_bid) if j == i else d for j, d in enumerate(profile)
+        )
+        if rule.allocate(probe)[i] != probe_set:
+            return MonotonicityWitness(profile, i, won_set, won_bid, probe_set, probe_bid)
+    return None
+
+
+def check_loser_independent(
+    rule: AllocationRule,
+    instance_generator: Callable,
+    trials: int,
+    seed: int = 0,
+) -> LoserDependenceWitness | None:
+    """Randomized search for two opponent profiles with identical winners and
+    winning values (when the probed agent stays out) under which one of 8
+    random probe declarations earns the agent different bundles."""
+    rng = seeded_rng(seed, "loser-independent")
+    seen: dict[tuple, Profile] = {}
+    for _ in range(trials):
+        profile = instance_generator(rng)
+        n = len(profile)
+        if n == 0:
+            continue
+        i = rng.randrange(n)
+        base = tuple(EMPTY if j == i else d for j, d in enumerate(profile))
+        alloc = rule.allocate(base)
+        signature = (
+            i,
+            tuple((j, alloc[j], base[j].value_on(alloc[j])) for j in range(n) if j != i),
+        )
+        other = seen.setdefault(signature, base)
+        if other == base:
+            continue
+        span = 0
+        for d in base + other:
+            span |= d.set_mask
+        span = span or 1
+        for _ in range(8):
+            probe_set = _random_subset(rng, span)
+            probe = single_minded(probe_set, rng.randrange(1, 40))
+            got_a = rule.allocate(tuple(probe if j == i else d for j, d in enumerate(base)))[i]
+            got_b = rule.allocate(tuple(probe if j == i else d for j, d in enumerate(other)))[i]
+            if got_a != got_b:
+                return LoserDependenceWitness(i, base, other, probe, got_a, got_b)
+    return None
+
+
 class TestCheckers:
     def test_greedy_is_monotone(self):
-        gen = profile_generator(4, 5, max_size=2, max_value=8)
+        gen = lambda rng: random_profile(rng, 4, 5, max_size=2, max_value=8)
         assert check_monotone(greedy_rule(2), gen, 10_000, seed=1) is None
 
     def test_broken_rule_caught(self):
@@ -201,7 +310,7 @@ class TestCheckers:
             return greedy_allocate(filtered, 2)
 
         broken = AllocationRule("even-only", even_only)
-        gen = profile_generator(4, 5, max_size=2, max_value=8)
+        gen = lambda rng: random_profile(rng, 4, 5, max_size=2, max_value=8)
         witness = check_monotone(broken, gen, 10_000, seed=1)
         assert witness is not None
         # replay the witness: the agent wins the original but loses the probe
@@ -210,16 +319,16 @@ class TestCheckers:
         assert witness.probe_bid >= witness.won_bid
 
     def test_zero_trials(self):
-        gen = profile_generator(3, 4)
+        gen = lambda rng: random_profile(rng, 3, 4)
         assert check_monotone(greedy_rule(2), gen, 0) is None
         assert check_loser_independent(greedy_rule(2), gen, 0) is None
 
     def test_greedy_is_loser_independent(self):
-        gen = profile_generator(4, 5, max_size=2, max_value=8)
+        gen = lambda rng: random_profile(rng, 4, 5, max_size=2, max_value=8)
         assert check_loser_independent(greedy_rule(2), gen, 10_000, seed=2) is None
 
     def test_partition_rule_is_not(self):
-        gen = profile_generator(4, 4, max_size=2, max_value=6)
+        gen = lambda rng: random_profile(rng, 4, 4, max_size=2, max_value=6)
         witness = check_loser_independent(partition_rule(4, 0b0011, cap=2), gen, 10_000, seed=3)
         assert witness is not None
         rule = partition_rule(4, 0b0011, cap=2)

@@ -164,9 +164,15 @@ class TestValidation:
 
     def test_fraction_parsing(self):
         assert parse_fraction("3/4", "x") == Fraction(3, 4)
+        assert parse_fraction("-6/8", "x") == Fraction(-3, 4)
+        assert parse_fraction("+2", "x") == Fraction(2)
         assert parse_fraction(2, "x") == Fraction(2)
-        with pytest.raises(ValidationError):
-            parse_fraction("nope", "x")
+        # only a JSON integer or a "p/q" string: no decimals, exponents,
+        # spaces, underscores, signed denominators or booleans
+        for bad in ("nope", "0.01", "1e-100000", "1/2.5", " 3/4", "1_000", "3/-4", "1/0",
+                    True, 0.5):
+            with pytest.raises(ValidationError):
+                parse_fraction(bad, "x")
 
     def test_validate_command(self, tmp_path, capsys):
         instance = write_instance(tmp_path)
@@ -353,6 +359,10 @@ def _gamma_out_of_range(experiment, instance):
     experiment["mechanism"]["gamma"] = "3/2"
 
 
+def _gamma_with_exponent(experiment, instance):
+    experiment["mechanism"]["gamma"] = "1e-100000"
+
+
 def _instance_agents_not_list(experiment, instance):
     instance["agents"] = 5
 
@@ -404,6 +414,10 @@ def _cap_as_string(experiment, instance):
 
 def _instance_ref_not_string(experiment, instance):
     experiment["instance"] = 5
+
+
+def _instance_ref_with_nul(experiment, instance):
+    experiment["instance"] = "nul\u0000.instance.json"
 
 
 def _partition_side_not_list(experiment, instance):
@@ -502,6 +516,7 @@ def _oversize_instance(experiment, instance):
         ("appendix-c-cycle", _agent_entry_not_object),
         ("section-3-3", _missing_partition_side),
         ("ca-theorem-11", _gamma_out_of_range),
+        ("ca-theorem-11", _gamma_with_exponent),
         ("appendix-c-cycle", _instance_agents_not_list),
         ("byzantine-mix", _overrides_not_object),
         ("regret-theorem-3", _checks_not_object),
@@ -514,6 +529,7 @@ def _oversize_instance(experiment, instance):
         ("section-3-3", _initial_not_list),
         ("appendix-c-cycle", _cap_as_string),
         ("regret-theorem-3", _instance_ref_not_string),
+        ("regret-theorem-3", _instance_ref_with_nul),
         ("section-3-3", _partition_side_not_list),
         ("ca-theorem-11", _lottery_out_of_range),
         ("appendix-c-cycle", _rounds_as_bool),
@@ -540,9 +556,11 @@ def _oversize_instance(experiment, instance):
         ("appendix-c-cycle", _oversize_instance),
     ],
     ids=["override-key", "agents-list", "agent-entry", "partition-side", "gamma",
+         "gamma-exponent",
          "instance-agents", "overrides", "checks", "initial-entry",
          "regret-best-response", "regret-bound", "unknown-check", "lone-pass-fraction",
          "scripted-order-type", "initial-type", "cap-type", "instance-ref-type",
+         "instance-ref-nul",
          "partition-side-type", "lottery-range", "rounds-bool", "atom-value-bool",
          "initial-bid-bool", "seed-type", "keep-on-tie-type", "empty-start-type",
          "unknown-acceptance", "unknown-dynamics-key", "unknown-mechanism-key",
@@ -585,6 +603,7 @@ def test_malformed_scripted_order_flag_is_invalid(tmp_path, capsys):
         (["appendix-c-cycle", "--workers", "-2"], "--workers"),
         (["ca-theorem-11", "--gamma", "2"], "--gamma"),
         (["ca-theorem-11", "--appendix-b-lottery", "3/2"], "--appendix-b-lottery"),
+        (["ca-theorem-11", "--gamma", "1e-100000"], "--gamma"),
     ],
 )
 def test_run_flags_obey_the_rules_of_their_keys(tmp_path, capsys, monkeypatch, argv, where):
@@ -593,6 +612,44 @@ def test_run_flags_obey_the_rules_of_their_keys(tmp_path, capsys, monkeypatch, a
     assert main(["run", *argv, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"INVALID: {where}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_dir_on_a_file_is_invalid(tmp_path, capsys, monkeypatch, under):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for engine in ("run_best_response_dynamics", "run_regret_dynamics"):
+        monkeypatch.setattr(cli, engine, _no_rounds)
+    out = taken / "out" if under else taken
+    assert main(["run", "appendix-c-cycle", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("INVALID: --out-dir: ") and "Traceback" not in err
+
+
+# Files that `json.loads` or the read before it rejects with an error other
+# than `JSONDecodeError`.
+_UNDECODABLE = {
+    "non-utf8": b'{"m": "\xff"}',
+    "long-integer": b'{"m": ' + b"1" * 5000 + b"}",
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "oracle", "validate-experiment", "run"])
+@pytest.mark.parametrize("kind", sorted(_UNDECODABLE))
+def test_undecodable_file_is_invalid(tmp_path, capsys, command, kind):
+    experiment = _copy_scenario(tmp_path, "appendix-c-cycle", lambda experiment, instance: None)
+    instance = tmp_path / json.loads(experiment.read_text())["instance"]
+    instance.write_bytes(_UNDECODABLE[kind])
+    argv = {
+        "validate": ["validate", str(instance)],
+        "oracle": ["oracle", str(instance)],
+        "validate-experiment": ["validate", str(experiment)],
+        "run": ["run", str(experiment), "--out-dir", str(tmp_path / "out")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"INVALID: {instance}: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
@@ -655,6 +712,14 @@ def test_readme_file_formats_name_every_declared_key():
         if not re.search(rf'[`".]{key}[`"]', section)
     ]
     assert not missing
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "547/550\n"
 
 
 # The keys no built-in scenario holds, each added to a copy of a scenario
