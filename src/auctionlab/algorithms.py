@@ -69,6 +69,21 @@ def greedy_allocate(profile: Sequence[Declaration], cap: int | None = None) -> t
     return tuple(alloc)
 
 
+def opposing_total(profile: Sequence[Declaration], agent: int, set_mask: int) -> int:
+    """Sum of the other agents' bids on sets that meet `set_mask`."""
+    return sum(bid for j, (s, bid) in enumerate(profile) if j != agent and s & set_mask)
+
+
+def filtered_allocate(profile: Sequence[Declaration], cap: int) -> tuple[int, ...]:
+    """Each agent wins its set iff it is non-empty, fits `cap`, and the bid
+    strictly exceeds the opposing total.  Equals greedy, then that filter:
+    such a bid beats every intersecting bid, so greedy accepts it first."""
+    return tuple(
+        s if s and s.bit_count() <= cap and bid > opposing_total(profile, i, s) else 0
+        for i, (s, bid) in enumerate(profile)
+    )
+
+
 def greedy_acceptances(
     profile: Sequence[Declaration], skip: int, cap: int | None = None
 ) -> list[tuple[int, int, int]]:

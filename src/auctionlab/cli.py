@@ -59,6 +59,8 @@ MECHANISM_KINDS = ("greedy", "filtered-greedy", "grand-bundle", "partition", "tw
 BEHAVIORS = {"best-response": BestResponder(), "mw": WeightedLearner(),
              "fpl": PerturbedLearner(), "byzantine": ByzantineBidder()}
 BEHAVIOR_KINDS = tuple(BEHAVIORS)
+# The behaviors each dynamics kind drives; agents of any other are INVALID.
+_DRIVES = {"best-response": ("best-response", "byzantine"), "regret": ("mw", "fpl", "byzantine")}
 
 
 # The only string form of a rational: `Fraction` alone would also take
@@ -95,11 +97,6 @@ class Instance:
     def mask_for(self, names: Sequence, where: str) -> int:
         indices = []
         for name in _list(names, where):
-            if _integer(name):
-                if not 0 <= name < self.item_count:
-                    raise ValidationError(f"{where}: item index {name} out of range")
-                indices.append(name)
-                continue
             try:
                 indices.append(self.labels.index(name))
             except ValueError:
@@ -340,6 +337,8 @@ def parse_experiment(
     empty_start = _flag(dyn.get("empty_start", True), f"{dw}.empty_start")
     if not empty_start and kind in ("filtered-greedy", "grand-bundle") and lottery is None:
         raise ValidationError(f"{dw}.empty_start: false needs appendix_b_lottery on {kind}")
+    if not empty_start and "initial" in dyn:
+        raise ValidationError(f"{dw}.empty_start: a random start (false) conflicts with initial")
     n = len(instance.types)
     order = dyn.get("scripted_order")
     if order is not None:
@@ -385,11 +384,10 @@ def parse_experiment(
         if value not in BEHAVIOR_KINDS:
             raise ValidationError(f"{aw}.overrides: unknown behavior {value!r}")
         behaviors[aid - 1] = value
-    if regret and "best-response" in behaviors:
-        raise ValidationError(
-            f"{aw}: agent {behaviors.index('best-response') + 1} is a best responder, "
-            "but regret dynamics needs learner or byzantine behaviors"
-        )
+    for aid, behavior in enumerate(behaviors, 1):
+        if behavior not in _DRIVES[dkind]:
+            raise ValidationError(f"{aw}: agent {aid} is {behavior}, but {dkind} dynamics "
+                                  f"drives only {' and '.join(_DRIVES[dkind])} agents")
 
     cw = f"{name}.acceptance"
     acceptance = _known(data.get("acceptance", {}), cw, "acceptance")

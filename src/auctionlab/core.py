@@ -86,13 +86,6 @@ class Declaration(NamedTuple("DeclarationFields", [("set_mask", int), ("bid", in
     def is_empty(self) -> bool:
         return self.set_mask == 0
 
-    def value_on(self, mask: int) -> int:
-        """Declared value of an arbitrary bundle (bid iff it covers the set)."""
-        set_mask, bid = self
-        if set_mask and set_mask & ~mask == 0:
-            return bid
-        return 0
-
 
 EMPTY = Declaration(0, 0)
 
@@ -184,6 +177,7 @@ def social_welfare(
 
 
 def declared_welfare(allocation: Sequence[int], profile: Sequence[Declaration]) -> int:
+    """Total declared value: each bid counts iff its agent's bundle covers its set."""
     return sum(bid for mask, (s, bid) in zip(allocation, profile) if s and s & ~mask == 0)
 
 

@@ -18,12 +18,14 @@ from .agents import (
     AgentModel,
     BestResponder,
     ByzantineBidder,
+    PerturbedLearner,
+    WeightedLearner,
     best_response,
     byzantine_bid,
     counterfactual_utilities,
     learner_state_for,
 )
-from .core import EMPTY, Declaration, Outcome, Profile, ValidationError, social_welfare
+from .core import EMPTY, Declaration, Outcome, Profile, ValidationError, declared_welfare, social_welfare
 from .mechanisms import COIN_NONE, Coin, FilteredGreedyMechanism, GrandBundleMechanism, Mechanism
 
 ALL_AGENTS = -1  # updater marker for concurrent (regret) rounds
@@ -92,6 +94,11 @@ class RunConfig:
             raise ValidationError(
                 "random starts on filtered mechanisms require the grand-bundle lottery"
             )
+        if self.initial_profile is not None:
+            if not self.empty_start:
+                raise ValidationError("an initial profile conflicts with a random start")
+            if len(self.initial_profile) != len(self.agents):
+                raise ValidationError("initial profile length must match the agent count")
         if self.scripted_order is not None:
             if not self.scripted_order:
                 raise ValidationError("scripted order must not be empty")
@@ -103,8 +110,6 @@ class RunConfig:
 
 def _starting_profile(config: RunConfig) -> Profile:
     if config.initial_profile is not None:
-        if len(config.initial_profile) != len(config.agents):
-            raise ValidationError("initial profile length must match the agent count")
         return tuple(config.initial_profile)
     if config.empty_start:
         return tuple(EMPTY for _ in config.agents)
@@ -135,8 +140,25 @@ def _round_result(
 ) -> tuple[Outcome, int, int]:
     """Outcome, declared welfare and true welfare of one round."""
     outcome = mechanism.outcome(profile, coin)
-    declared = sum(d.value_on(m) for d, m in zip(profile, outcome.allocation))
+    declared = declared_welfare(outcome.allocation, profile)
     return outcome, declared, _true_welfare(outcome.allocation, agents)
+
+
+def _check_behaviors(agents: Sequence[AgentModel], barred: tuple, engine: str) -> None:
+    for model in agents:
+        if isinstance(model.behavior, barred):
+            name = type(model.behavior).__name__
+            raise ValidationError(f"agent {model.index}: {engine} dynamics does not drive {name}")
+
+
+def _agentless_trace(config: RunConfig) -> Trace:
+    """A run without agents: every round records the empty profile and
+    outcome, and no stream is drawn."""
+    records = tuple(
+        RoundRecord(t, ALL_AGENTS, (), COIN_NONE, Outcome((), ()), 0, 0)
+        for t in range(1, config.rounds + 1)
+    )
+    return Trace(config.mechanism, (), records)
 
 
 def _cache_slot(cache: dict, key, make):
@@ -155,18 +177,14 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
     mechanism = config.mechanism
     agents = config.agents
     n = len(agents)
+    _check_behaviors(agents, (WeightedLearner, PerturbedLearner), "best-response")
+    if n == 0:
+        return _agentless_trace(config)
     rng_order = seeded_rng(config.seed, "order")
     rng_coin = seeded_rng(config.seed, "coin")
     agent_rngs = [seeded_rng(config.seed, "agent", i) for i in range(n)]
 
     profile = _starting_profile(config)
-    if n == 0:
-        nothing = Outcome((), ())
-        records = [
-            RoundRecord(t, ALL_AGENTS, (), COIN_NONE, nothing, 0, 0)
-            for t in range(1, config.rounds + 1)
-        ]
-        return Trace(mechanism, (), tuple(records))
     byzantine = [isinstance(model.behavior, ByzantineBidder) for model in agents]
     order = config.scripted_order
     draw_updater = rng_order.randrange
@@ -207,11 +225,9 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
     mechanism = config.mechanism
     agents = config.agents
     n = len(agents)
-    for model in agents:
-        if isinstance(model.behavior, BestResponder):
-            raise ValidationError(
-                f"agent {model.index}: regret dynamics needs learner or byzantine behaviors"
-            )
+    _check_behaviors(agents, (BestResponder,), "regret")
+    if n == 0:
+        return _agentless_trace(config)
     rng_coin = seeded_rng(config.seed, "coin")
     agent_rngs = [seeded_rng(config.seed, "agent", i) for i in range(n)]
 

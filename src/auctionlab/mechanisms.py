@@ -24,7 +24,9 @@ from .algorithms import (
     AllocationRule,
     PriceFn,
     ceil_sqrt,
-    greedy_allocate,
+    filtered_allocate,
+    greedy_allocate,  # not called here: perfbench/tracer.py patches this name in this module
+    opposing_total,
 )
 from .core import (
     EMPTY,
@@ -34,6 +36,7 @@ from .core import (
     Profile,
     ValidationError,
     Valuation,
+    declared_welfare,
     full_mask,
 )
 
@@ -330,9 +333,8 @@ class FilteredGreedyMechanism(Mechanism):
     """Greedy winners must also strictly exceed the sum of every intersecting
     declared bid; winners pay that sum (the threshold is always open).
 
-    Equivalent characterization, property-tested against the pipeline: an
-    agent wins his set iff it fits the cap and his bid strictly exceeds the
-    total of all other intersecting declared bids.
+    Allocates by the equivalent characterization, `filtered_allocate`, which
+    is property-tested against the greedy-then-filter pipeline.
     """
 
     def __init__(self, item_count: int, cap: int, lottery: Fraction | None = None):
@@ -344,15 +346,7 @@ class FilteredGreedyMechanism(Mechanism):
         self.name = f"filtered-greedy(m={item_count}, cap={cap})"
 
     def _allocate(self, profile: Profile, coin: Coin) -> tuple[int, ...]:
-        provisional = greedy_allocate(profile, self.cap)
-        alloc = list(provisional)
-        for i, won in enumerate(provisional):
-            if not won:
-                continue
-            pressure = sum(bid for j, (s, bid) in enumerate(profile) if j != i and s & won)
-            if profile[i].bid <= pressure:
-                alloc[i] = 0
-        return tuple(alloc)
+        return filtered_allocate(profile, self.cap)
 
     def critical_price(self, agent, set_mask, profile, coin=COIN_NONE):
         return self.thresholds(profile, agent, coin)(set_mask)
@@ -365,10 +359,7 @@ class FilteredGreedyMechanism(Mechanism):
         def price_of(set_mask):
             if set_mask == 0 or set_mask.bit_count() > cap:
                 return None
-            pressure = sum(
-                bid for j, (s, bid) in enumerate(profile) if j != agent and s & set_mask
-            )
-            return (pressure, OPEN)
+            return (opposing_total(profile, agent, set_mask), OPEN)
 
         return price_of
 
@@ -389,7 +380,6 @@ class GrandBundleMechanism(Mechanism):
         self.gamma = gamma
         self.small_cap = ceil_sqrt(item_count)
         self.grand = full_mask(item_count)
-        self._inner = FilteredGreedyMechanism(item_count, self.small_cap)
         self.name = f"grand-bundle(m={item_count}, gamma={gamma})"
         self._ignore_chance = float(gamma) if gamma else None
         if gamma:
@@ -409,22 +399,18 @@ class GrandBundleMechanism(Mechanism):
 
     def _small_welfare(self, profile: Profile) -> int:
         """Declared welfare of the filtered greedy run over small sets."""
-        alloc = self._inner._allocate(profile, COIN_NONE)
-        return sum(profile[i].bid for i, mask in enumerate(alloc) if mask)
+        return declared_welfare(filtered_allocate(profile, self.small_cap), profile)
 
     def _allocate(self, profile: Profile, coin: Coin) -> tuple[int, ...]:
         live = profile
         if coin.ignore_grand:
             live = tuple(EMPTY if d.set_mask == self.grand else d for d in profile)
-        alloc = list(self._inner._allocate(self._small_profile(live), COIN_NONE))
+        alloc = filtered_allocate(self._small_profile(live), self.small_cap)
         bigs = self._grand_bids(live)
         if bigs:
             top_bid, top_agent = max(bigs, key=lambda b: (b[0], -b[1]))
             rest = sum(b for b, _ in bigs) - top_bid
-            small_welfare = sum(
-                live[i].bid for i, mask in enumerate(alloc) if mask
-            )
-            if top_bid > rest and top_bid > small_welfare:
+            if top_bid > rest and top_bid > declared_welfare(alloc, live):
                 alloc = [0] * len(profile)
                 alloc[top_agent] = self.grand
         return tuple(alloc)
@@ -451,9 +437,7 @@ class GrandBundleMechanism(Mechanism):
                 return (max(others_grand, welfare), OPEN)
             if set_mask == 0 or set_mask.bit_count() > self.small_cap:
                 return None
-            floor = sum(
-                bid for j, (s, bid) in enumerate(small) if j != agent and s & set_mask
-            )
+            floor = opposing_total(small, agent, set_mask)
             if not grand_fires:
                 return (floor, OPEN)
             # Small welfare grows one-for-one with the probing bid once it

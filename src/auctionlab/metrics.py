@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .agents import AgentModel, external_regret
+from .algorithms import opposing_total
 from .core import AuctionError, Valuation
 from .dynamics import Trace
 
@@ -82,19 +83,10 @@ def coverage_report(
     targets = [types[i].value_of(target_alloc[i]) for i in range(n)]
 
     def row_of(profile) -> tuple[bool, ...]:
-        row = []
-        for i in range(n):
-            goal = targets[i]
-            if 2 * profile[i].bid >= goal:
-                row.append(True)
-                continue
-            pressure = sum(
-                d.bid
-                for j, d in enumerate(profile)
-                if j != i and d.set_mask & target_alloc[i]
-            )
-            row.append(2 * pressure >= goal)
-        return tuple(row)
+        return tuple(
+            2 * profile[i].bid >= goal or 2 * opposing_total(profile, i, target_alloc[i]) >= goal
+            for i, goal in enumerate(targets)
+        )
 
     # one row per distinct profile
     uses = Counter(r.profile for r in trace.records)

@@ -280,7 +280,10 @@ def check_loser_independent(
         alloc = rule.allocate(base)
         signature = (
             i,
-            tuple((j, alloc[j], base[j].value_on(alloc[j])) for j in range(n) if j != i),
+            tuple(
+                (j, alloc[j], declared_welfare((alloc[j],), (base[j],)))
+                for j in range(n) if j != i
+            ),
         )
         other = seen.setdefault(signature, base)
         if other == base:

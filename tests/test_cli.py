@@ -500,6 +500,22 @@ def _duplicate_initial_id(experiment, instance):
     experiment["dynamics"]["initial"].append({"id": 1, "items": ["a1"], "bid": 2})
 
 
+def _learner_under_best_response(experiment, instance):
+    experiment["agents"]["default"] = "mw"
+
+
+def _override_to_learner(experiment, instance):
+    experiment["agents"]["overrides"] = {"2": "fpl"}
+
+
+def _initial_with_random_start(experiment, instance):
+    experiment["dynamics"]["empty_start"] = False
+
+
+def _item_as_index(experiment, instance):
+    instance["agents"][0]["atoms"][0]["items"] = [0]
+
+
 def _oversize_instance(experiment, instance):
     # valid, but spanning more items than the oracle solves
     instance["items"] += [f"x{k}" for k in range(instance["m"], 24)]
@@ -554,6 +570,10 @@ def _oversize_instance(experiment, instance):
         ("ca-theorem-11", _cap_on_grand_bundle),
         ("section-3-3", _duplicate_initial_id),
         ("appendix-c-cycle", _oversize_instance),
+        ("appendix-c-cycle", _learner_under_best_response),
+        ("appendix-c-cycle", _override_to_learner),
+        ("section-3-3", _initial_with_random_start),
+        ("appendix-c-cycle", _item_as_index),
     ],
     ids=["override-key", "agents-list", "agent-entry", "partition-side", "gamma",
          "gamma-exponent",
@@ -567,7 +587,8 @@ def _oversize_instance(experiment, instance):
          "unknown-instance-agent-key", "unknown-initial-entry-key", "regret-scripted-order",
          "regret-initial", "regret-empty-start", "regret-keep-on-tie", "override-id-underscore",
          "override-id-space", "partition-side-on-greedy", "lottery-null", "cap-on-grand-bundle",
-         "duplicate-initial-id", "oversize-instance"],
+         "duplicate-initial-id", "oversize-instance", "best-response-mw", "best-response-fpl",
+         "initial-random-start", "item-index"],
 )
 def test_malformed_experiment_is_invalid_in_validate_and_run(
     tmp_path, capsys, monkeypatch, command, name, edit
@@ -582,6 +603,39 @@ def test_malformed_experiment_is_invalid_in_validate_and_run(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("INVALID: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, edit, where",
+    [
+        ("appendix-c-cycle", _learner_under_best_response, "appendix-c-cycle.agents: agent 1 "),
+        ("appendix-c-cycle", _override_to_learner, "appendix-c-cycle.agents: agent 2 "),
+        ("section-3-3", _initial_with_random_start, "section-3-3.dynamics.empty_start: "),
+        ("appendix-c-cycle", _item_as_index,
+         "{dir}/appendix_c.instance.json.agents[0].atoms[0].items: unknown item 0"),
+    ],
+    ids=["best-response-mw", "best-response-fpl", "initial-random-start", "item-index"],
+)
+def test_rejected_experiment_names_the_key(tmp_path, capsys, name, edit, where):
+    path = _copy_scenario(tmp_path, name, edit)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("INVALID: " + where.format(dir=tmp_path))
+
+
+def test_agentless_regret_run_with_lottery(tmp_path):
+    """No agent to hand the lottery to: every round is empty, and no coin is drawn."""
+    instance = write_instance(tmp_path, m=3, items=["a", "b", "c"], agents=[])
+    path = write_experiment(
+        tmp_path, instance,
+        mechanism={"kind": "filtered-greedy", "s": 2, "appendix_b_lottery": "1/2"},
+        dynamics={"kind": "regret", "rounds": 6, "replicas": 1},
+        agents={"default": "mw"},
+        acceptance={"epsilon": "1/10", "checks": {}},
+    )
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "trace-replica0.csv").read_text().splitlines()
+    assert rows[1:] == [f"{t},ALL,-,0,0" for t in range(1, 7)]
 
 
 def test_malformed_scripted_order_flag_is_invalid(tmp_path, capsys):

@@ -12,6 +12,7 @@ from auctionlab import (
     bundle_from_items,
     bundle_items,
     bundle_key,
+    declared_welfare,
     feasible,
     single_minded,
     social_welfare,
@@ -94,11 +95,11 @@ class TestDeclaration:
         with pytest.raises(ValidationError):
             Declaration(A, 0)
 
-    def test_value_on(self):
+    def test_declared_welfare_counts_covered_sets(self):
         d = Declaration(A | B, 7)
-        assert d.value_on(A | B | C) == 7
-        assert d.value_on(A) == 0
-        assert EMPTY.value_on(A) == 0
+        assert declared_welfare((A | B | C,), (d,)) == 7
+        assert declared_welfare((A,), (d,)) == 0
+        assert declared_welfare((A,), (EMPTY,)) == 0
 
 
 class TestFeasibility:

@@ -182,6 +182,45 @@ class TestBestResponseEngine:
         trace = run_best_response_dynamics(cfg)
         assert all(r.true_welfare == 0 for r in trace.records)
 
+    @pytest.mark.parametrize("behavior", [WeightedLearner(), PerturbedLearner()],
+                             ids=["mw", "fpl"])
+    def test_learners_rejected(self, cycle_types, cycle_mechanism, behavior):
+        agents = best_response_agents(cycle_types, cycle_mechanism)
+        agents[2] = make_agent(2, cycle_types[2], behavior, cycle_mechanism)
+        cfg = RunConfig(mechanism=cycle_mechanism, agents=agents, rounds=5, seed=5)
+        with pytest.raises(ValidationError, match="agent 2: best-response dynamics"):
+            run_best_response_dynamics(cfg)
+
+    def test_initial_profile_conflicts_with_random_start(self, cycle_types, cycle_mechanism):
+        agents = best_response_agents(cycle_types, cycle_mechanism)
+        with pytest.raises(ValidationError, match="random start"):
+            RunConfig(mechanism=cycle_mechanism, agents=agents, rounds=5,
+                      initial_profile=STATE_1, empty_start=False)
+
+    def test_initial_profile_length_checked_in_config(self, cycle_types, cycle_mechanism):
+        for agents in (best_response_agents(cycle_types, cycle_mechanism), []):
+            with pytest.raises(ValidationError, match="length"):
+                RunConfig(mechanism=cycle_mechanism, agents=agents, rounds=5,
+                          initial_profile=STATE_1[:1])
+
+
+@pytest.mark.parametrize(
+    "mechanism",
+    [FilteredGreedyMechanism(3, 2, lottery=Fraction(1, 2)), GrandBundleMechanism(4, Fraction(1, 2))],
+    ids=["lottery", "trembling"],
+)
+def test_agentless_runs_draw_no_coin_in_either_engine(mechanism):
+    """Without agents both engines record the same empty rounds, and no coin
+    is drawn: a lottery has nobody to pick, and trembling has no grand bid."""
+    traces = [
+        engine(RunConfig(mechanism=mechanism, agents=[], rounds=40, seed=1))
+        for engine in (run_best_response_dynamics, run_regret_dynamics)
+    ]
+    assert traces[0].records == traces[1].records
+    for record in traces[1].records:
+        assert (record.profile, record.coin, record.outcome) == ((), COIN_NONE, ((), ()))
+        assert record.declared_welfare == record.true_welfare == 0
+
 
 class TestRandomStartWithLottery:
     def test_random_start_requires_lottery_on_filtered_mechanism(self, cycle_types):

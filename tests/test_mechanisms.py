@@ -12,6 +12,7 @@ from auctionlab import (
     NonMonotoneDecisionError,
     RuleMechanism,
     Valuation,
+    greedy_allocate,
     greedy_rule,
     optimal_welfare,
     search_critical_price,
@@ -104,20 +105,28 @@ class TestFilteredGreedy:
         assert mech.outcome((Declaration(A, 2),)).payments == (0,)
         assert mech.critical_price(0, A, (EMPTY,)) == (0, OPEN)
 
-    def test_winner_iff_bid_exceeds_intersecting_sum(self):
+    def test_allocation_matches_greedy_then_filter(self):
+        """The characterization the mechanism allocates by agrees with the
+        pipeline it stands for: capped greedy, then every winner whose bid
+        does not exceed the other intersecting bids put together is dropped."""
+
+        def greedy_then_filter(profile, cap):
+            alloc = list(greedy_allocate(profile, cap))
+            for i, won in enumerate(alloc):
+                pressure = sum(o.bid for j, o in enumerate(profile) if j != i and o.set_mask & won)
+                if won and profile[i].bid <= pressure:
+                    alloc[i] = 0
+            return tuple(alloc)
+
         mech = FilteredGreedyMechanism(6, 2)
         rng = seeded_rng(41, "characterization")
+        winners = 0
         for _ in range(2000):
             profile = random_profile(rng, 5, 6, max_size=3, max_value=16)
-            alloc = mech.allocate(profile)
-            for i, d in enumerate(profile):
-                should_win = (
-                    not d.is_empty
-                    and d.set_mask.bit_count() <= 2
-                    and d.bid
-                    > sum(o.bid for j, o in enumerate(profile) if j != i and o.set_mask & d.set_mask)
-                )
-                assert (alloc[i] == d.set_mask and not d.is_empty) == should_win
+            expected = greedy_then_filter(profile, 2)
+            assert mech.allocate(profile) == expected
+            winners += sum(1 for won in expected if won)
+        assert winners > 1000  # the filter keeps winners, not only empty allocations
 
     def test_separated_winner_matches_max_form_off_boundary(self):
         mech = FilteredGreedyMechanism(6, 2)

@@ -7,6 +7,7 @@ from auctionlab import (
     BestResponder,
     Declaration,
     WeightedLearner,
+    declared_welfare,
     aggregate,
     coverage_report,
     external_regret,
@@ -32,7 +33,7 @@ def fixed_trace(profiles, mechanism, agents, types):
         records.append(
             RoundRecord(
                 t + 1, 0, p, COIN_NONE, out,
-                sum(d.value_on(a) for d, a in zip(p, out.allocation)),
+                declared_welfare(out.allocation, p),
                 social_welfare(out.allocation, types),
             )
         )
