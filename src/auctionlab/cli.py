@@ -40,6 +40,7 @@ from .core import (
 )
 from .dynamics import (
     ALL_AGENTS,
+    DRIVES,
     RunConfig,
     Trace,
     constant_tail_start,
@@ -59,8 +60,6 @@ MECHANISM_KINDS = ("greedy", "filtered-greedy", "grand-bundle", "partition", "tw
 BEHAVIORS = {"best-response": BestResponder(), "mw": WeightedLearner(),
              "fpl": PerturbedLearner(), "byzantine": ByzantineBidder()}
 BEHAVIOR_KINDS = tuple(BEHAVIORS)
-# The behaviors each dynamics kind drives; agents of any other are INVALID.
-_DRIVES = {"best-response": ("best-response", "byzantine"), "regret": ("mw", "fpl", "byzantine")}
 
 
 # The only string form of a rational: `Fraction` alone would also take
@@ -313,7 +312,7 @@ def parse_experiment(
         raise ValidationError(f"{mw}.kind: unknown kind {kind!r}")
     dyn = _known(_require(data, "dynamics", name), dw, "dynamics")
     dkind = _require(dyn, "kind", dw)
-    if dkind not in ("best-response", "regret"):
+    if dkind not in tuple(DRIVES):  # not `in DRIVES`: a JSON list is unhashable
         raise ValidationError(f"{dw}.kind: unknown kind {dkind!r}")
     for section, spec, what in (("mechanism", mech, kind), ("dynamics", dyn, dkind)):
         for key in spec:
@@ -321,24 +320,16 @@ def parse_experiment(
                 raise ValidationError(f"{at(section, key)}: {what} {section} does not read it")
 
     cap = _cap(mech["s"], f"{mw}.s") if "s" in mech else instance.cap
-    if kind == "filtered-greedy" and cap is None:
-        raise ValidationError(f"{mw}.s: filtered-greedy needs a cardinality cap")
     gamma = lottery = None
     if kind == "grand-bundle":
-        gw = at("mechanism", "gamma")
-        gamma = check_chance(parse_fraction(_require(mech, "gamma", mw), gw), gw, below_one=True)
+        gamma = parse_fraction(_require(mech, "gamma", mw), at("mechanism", "gamma"))
     if "appendix_b_lottery" in mech:
-        lw = at("mechanism", "appendix_b_lottery")
-        lottery = check_chance(parse_fraction(mech["appendix_b_lottery"], lw), lw)
+        lottery = parse_fraction(mech["appendix_b_lottery"], at("mechanism", "appendix_b_lottery"))
     side = 0
     if kind == "partition":
         side = instance.mask_for(_require(mech, "partition_a", mw), f"{mw}.partition_a")
 
     empty_start = _flag(dyn.get("empty_start", True), f"{dw}.empty_start")
-    if not empty_start and kind in ("filtered-greedy", "grand-bundle") and lottery is None:
-        raise ValidationError(f"{dw}.empty_start: false needs appendix_b_lottery on {kind}")
-    if not empty_start and "initial" in dyn:
-        raise ValidationError(f"{dw}.empty_start: a random start (false) conflicts with initial")
     n = len(instance.types)
     order = dyn.get("scripted_order")
     if order is not None:
@@ -384,10 +375,11 @@ def parse_experiment(
         if value not in BEHAVIOR_KINDS:
             raise ValidationError(f"{aw}.overrides: unknown behavior {value!r}")
         behaviors[aid - 1] = value
+    drives = [b for b, behavior in BEHAVIORS.items() if isinstance(behavior, DRIVES[dkind])]
     for aid, behavior in enumerate(behaviors, 1):
-        if behavior not in _DRIVES[dkind]:
+        if behavior not in drives:
             raise ValidationError(f"{aw}: agent {aid} is {behavior}, but {dkind} dynamics "
-                                  f"drives only {' and '.join(_DRIVES[dkind])} agents")
+                                  f"drives only {' and '.join(drives)} agents")
 
     cw = f"{name}.acceptance"
     acceptance = _known(data.get("acceptance", {}), cw, "acceptance")
@@ -402,10 +394,11 @@ def parse_experiment(
         lottery=lottery, partition_a=side, regret=regret, replicas=replicas, seed=seed,
         engine=engine,
     )
-    try:  # the constructors check what is left: a grand bundle needs 2 items
-        experiment.build_mechanism()
-    except ValidationError as exc:
-        raise ValidationError(f"{mw}: {exc}") from None
+    try:  # the library checks what is left, on the objects `run` builds
+        experiment.run_config(seed)
+    except ValidationError as exc:  # at the key or flag it names, else at the mechanism
+        section = "dynamics" if exc.arg in KEYS["dynamics"] else "mechanism"
+        raise ValidationError(exc.reason, arg=at(section, exc.arg) if exc.arg else mw) from None
     return experiment
 
 
@@ -468,8 +461,12 @@ class _Replica(NamedTuple):
     target_alloc: tuple[int, ...]
 
 
+def _share(value: Any, where: str) -> Fraction:
+    return check_chance(parse_fraction(value, where), where)
+
+
 def _g_fraction(value: Any, where: str) -> Fraction | str:
-    return value if value == "auto" else parse_fraction(value, where)
+    return value if value == "auto" else _share(value, where)
 
 
 def _by_agent(values: Sequence[Fraction]) -> dict[str, str]:
@@ -543,7 +540,7 @@ _CHECKS: dict[str, tuple[Callable[[Any, str], Any], Optional[Callable]]] = {
     "expect_convergence": (_flag, _convergence),
     "max_regret_per_round": (parse_fraction, _regret),
     "min_g_fraction": (_g_fraction, _coverage),
-    "replica_pass_fraction": (parse_fraction, None),
+    "replica_pass_fraction": (_share, None),
     "byzantine_restricted": (_flag, None),
 }
 KEYS["acceptance.checks"] = tuple(_CHECKS)

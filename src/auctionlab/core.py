@@ -25,7 +25,11 @@ class SizeError(AuctionError):
 
 
 class ValidationError(AuctionError):
-    """A file, profile, or configuration failed validation."""
+    """A file, profile, or configuration failed validation; `arg` names the argument at fault."""
+
+    def __init__(self, reason: str, arg: str | None = None):
+        super().__init__(f"{arg}: {reason}" if arg else reason)
+        self.arg, self.reason = arg, reason
 
 
 def full_mask(item_count: int) -> int:

@@ -90,13 +90,13 @@ class RunConfig:
         needs_lottery = isinstance(
             self.mechanism, (FilteredGreedyMechanism, GrandBundleMechanism)
         )
-        if not self.empty_start and needs_lottery and self.mechanism.lottery is None:
-            raise ValidationError(
-                "random starts on filtered mechanisms require the grand-bundle lottery"
-            )
+        if not self.empty_start and needs_lottery and not self.mechanism.lottery:
+            raise ValidationError("random starts on filtered mechanisms need a positive lottery",
+                                  arg="empty_start")
         if self.initial_profile is not None:
             if not self.empty_start:
-                raise ValidationError("an initial profile conflicts with a random start")
+                raise ValidationError("an initial profile conflicts with a random start",
+                                      arg="empty_start")
             if len(self.initial_profile) != len(self.agents):
                 raise ValidationError("initial profile length must match the agent count")
         if self.scripted_order is not None:
@@ -144,11 +144,16 @@ def _round_result(
     return outcome, declared, _true_welfare(outcome.allocation, agents)
 
 
-def _check_behaviors(agents: Sequence[AgentModel], barred: tuple, engine: str) -> None:
+# The behaviors each dynamics kind drives; an agent of any other is rejected.
+DRIVES = {"best-response": (BestResponder, ByzantineBidder),
+          "regret": (WeightedLearner, PerturbedLearner, ByzantineBidder)}
+
+
+def _check_behaviors(agents: Sequence[AgentModel], kind: str) -> None:
     for model in agents:
-        if isinstance(model.behavior, barred):
+        if not isinstance(model.behavior, DRIVES[kind]):
             name = type(model.behavior).__name__
-            raise ValidationError(f"agent {model.index}: {engine} dynamics does not drive {name}")
+            raise ValidationError(f"agent {model.index}: {kind} dynamics does not drive {name}")
 
 
 def _agentless_trace(config: RunConfig) -> Trace:
@@ -177,7 +182,7 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
     mechanism = config.mechanism
     agents = config.agents
     n = len(agents)
-    _check_behaviors(agents, (WeightedLearner, PerturbedLearner), "best-response")
+    _check_behaviors(agents, "best-response")
     if n == 0:
         return _agentless_trace(config)
     rng_order = seeded_rng(config.seed, "order")
@@ -225,7 +230,7 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
     mechanism = config.mechanism
     agents = config.agents
     n = len(agents)
-    _check_behaviors(agents, (BestResponder,), "regret")
+    _check_behaviors(agents, "regret")
     if n == 0:
         return _agentless_trace(config)
     rng_coin = seeded_rng(config.seed, "coin")

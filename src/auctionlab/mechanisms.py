@@ -47,10 +47,10 @@ class NonMonotoneDecisionError(AuctionError):
 
 def check_chance(value: Fraction, where: str, below_one: bool = False) -> Fraction:
     """`value` when it is a probability, in [0, 1) if `below_one`; otherwise
-    a ValidationError located at `where`."""
+    a ValidationError whose argument is `where`."""
     top = "1)" if below_one else "1]"
     if not 0 <= value <= 1 or (below_one and value == 1):
-        raise ValidationError(f"{where}: must lie in [0, {top}")
+        raise ValidationError(f"must lie in [0, {top}", arg=where)
     return value
 
 
@@ -338,8 +338,8 @@ class FilteredGreedyMechanism(Mechanism):
     """
 
     def __init__(self, item_count: int, cap: int, lottery: Fraction | None = None):
-        if cap < 1:
-            raise ValidationError("cardinality cap must be at least 1")
+        if cap is None or cap < 1:
+            raise ValidationError("filtered greedy needs a cardinality cap of at least 1", arg="s")
         self._set_lottery(lottery)
         self.item_count = item_count
         self.cap = cap

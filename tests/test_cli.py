@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from auctionlab import ValidationError, cli
+from auctionlab import ValidationError, cli, dynamics
 from auctionlab.cli import (
     list_scenarios,
     load_experiment,
@@ -516,6 +516,20 @@ def _item_as_index(experiment, instance):
     instance["agents"][0]["atoms"][0]["items"] = [0]
 
 
+def _pass_fraction_out_of_range(experiment, instance):
+    # a share below 0 would pass any run, even one that asks for ratio 2
+    experiment["acceptance"]["checks"].update(min_welfare_ratio="2", replica_pass_fraction="-1")
+
+
+def _g_fraction_out_of_range(experiment, instance):
+    experiment["acceptance"]["checks"]["min_g_fraction"] = "-1"
+
+
+def _random_start_with_zero_lottery(experiment, instance):
+    experiment["mechanism"]["appendix_b_lottery"] = "0"
+    experiment["dynamics"]["empty_start"] = False
+
+
 def _oversize_instance(experiment, instance):
     # valid, but spanning more items than the oracle solves
     instance["items"] += [f"x{k}" for k in range(instance["m"], 24)]
@@ -574,6 +588,9 @@ def _oversize_instance(experiment, instance):
         ("appendix-c-cycle", _override_to_learner),
         ("section-3-3", _initial_with_random_start),
         ("appendix-c-cycle", _item_as_index),
+        ("random-ca", _pass_fraction_out_of_range),
+        ("random-sca", _g_fraction_out_of_range),
+        ("random-ca", _random_start_with_zero_lottery),
     ],
     ids=["override-key", "agents-list", "agent-entry", "partition-side", "gamma",
          "gamma-exponent",
@@ -588,7 +605,8 @@ def _oversize_instance(experiment, instance):
          "regret-initial", "regret-empty-start", "regret-keep-on-tie", "override-id-underscore",
          "override-id-space", "partition-side-on-greedy", "lottery-null", "cap-on-grand-bundle",
          "duplicate-initial-id", "oversize-instance", "best-response-mw", "best-response-fpl",
-         "initial-random-start", "item-index"],
+         "initial-random-start", "item-index", "pass-fraction-range", "g-fraction-range",
+         "zero-lottery-random-start"],
 )
 def test_malformed_experiment_is_invalid_in_validate_and_run(
     tmp_path, capsys, monkeypatch, command, name, edit
@@ -613,8 +631,13 @@ def test_malformed_experiment_is_invalid_in_validate_and_run(
         ("section-3-3", _initial_with_random_start, "section-3-3.dynamics.empty_start: "),
         ("appendix-c-cycle", _item_as_index,
          "{dir}/appendix_c.instance.json.agents[0].atoms[0].items: unknown item 0"),
+        ("random-ca", _pass_fraction_out_of_range,
+         "random-ca.acceptance.checks.replica_pass_fraction: "),
+        ("random-sca", _g_fraction_out_of_range, "random-sca.acceptance.checks.min_g_fraction: "),
+        ("random-ca", _random_start_with_zero_lottery, "random-ca.dynamics.empty_start: "),
     ],
-    ids=["best-response-mw", "best-response-fpl", "initial-random-start", "item-index"],
+    ids=["best-response-mw", "best-response-fpl", "initial-random-start", "item-index",
+         "pass-fraction-range", "g-fraction-range", "zero-lottery-random-start"],
 )
 def test_rejected_experiment_names_the_key(tmp_path, capsys, name, edit, where):
     path = _copy_scenario(tmp_path, name, edit)
@@ -725,6 +748,34 @@ def test_random_start_on_filtered_mechanism_needs_the_lottery(tmp_path, capsys):
         experiment["mechanism"]["appendix_b_lottery"] = "1/16"
 
     assert main(["validate", str(_copy_scenario(tmp_path, "random-sca", with_lottery))]) == 0
+
+    def with_zero_lottery(experiment, instance):
+        random_start(experiment, instance)
+        experiment["mechanism"]["appendix_b_lottery"] = "0"
+
+    assert main(["validate", str(_copy_scenario(tmp_path, "random-sca", with_zero_lottery))]) == 2
+    assert capsys.readouterr().err.startswith("INVALID: random-sca.dynamics.empty_start: ")
+
+
+@pytest.mark.parametrize(
+    "arg, where",
+    [("keep_on_tie", "appendix-c-cycle.dynamics.keep_on_tie"),
+     ("gamma", "appendix-c-cycle.mechanism.gamma"),
+     (None, "appendix-c-cycle.mechanism")],
+    ids=["dynamics-key", "mechanism-key", "no-key"],
+)
+def test_validate_reports_a_rule_of_the_run_configuration_at_its_key(
+    tmp_path, capsys, monkeypatch, arg, where
+):
+    """`validate` builds the run configuration as `run` does, so a rule that
+    lives only in the library is still reported at the key it names."""
+    def refuse(config):
+        raise ValidationError("refused by the library", arg=arg)
+
+    monkeypatch.setattr(dynamics.RunConfig, "__post_init__", refuse)
+    path = _copy_scenario(tmp_path, "appendix-c-cycle", lambda experiment, instance: None)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"INVALID: {where}: refused by the library\n"
 
 
 # Where each object of `cli.KEYS` sits in the section-3-3 scenario's files.

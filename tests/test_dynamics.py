@@ -191,6 +191,16 @@ class TestBestResponseEngine:
         with pytest.raises(ValidationError, match="agent 2: best-response dynamics"):
             run_best_response_dynamics(cfg)
 
+    @pytest.mark.parametrize("engine", [run_best_response_dynamics, run_regret_dynamics],
+                             ids=["best-response", "regret"])
+    def test_unknown_behavior_rejected_by_both_engines(self, cycle_types, cycle_mechanism, engine):
+        """Each engine drives only the behaviors on its allow-list, so an
+        agent it does not know never runs as a bidder of another kind."""
+        agents = [make_agent(1, cycle_types[1], object(), cycle_mechanism)]
+        cfg = RunConfig(mechanism=cycle_mechanism, agents=agents, rounds=5, seed=5)
+        with pytest.raises(ValidationError, match="agent 1: .* does not drive object"):
+            engine(cfg)
+
     def test_initial_profile_conflicts_with_random_start(self, cycle_types, cycle_mechanism):
         agents = best_response_agents(cycle_types, cycle_mechanism)
         with pytest.raises(ValidationError, match="random start"):
@@ -224,10 +234,11 @@ def test_agentless_runs_draw_no_coin_in_either_engine(mechanism):
 
 class TestRandomStartWithLottery:
     def test_random_start_requires_lottery_on_filtered_mechanism(self, cycle_types):
-        mech = FilteredGreedyMechanism(4, 2)
-        agents = best_response_agents(cycle_types, mech)
-        with pytest.raises(ValidationError):
-            RunConfig(mechanism=mech, agents=agents, rounds=10, empty_start=False)
+        for lottery in (None, Fraction(0)):  # a zero lottery never fires
+            mech = FilteredGreedyMechanism(4, 2, lottery)
+            agents = best_response_agents(cycle_types, mech)
+            with pytest.raises(ValidationError):
+                RunConfig(mechanism=mech, agents=agents, rounds=10, empty_start=False)
 
     def test_separation_holds_once_everyone_updated(self):
         rng = seeded_rng(31, "lottery-warmup")

@@ -11,6 +11,7 @@ from auctionlab import (
     GrandBundleMechanism,
     NonMonotoneDecisionError,
     RuleMechanism,
+    ValidationError,
     Valuation,
     greedy_allocate,
     greedy_rule,
@@ -104,6 +105,12 @@ class TestFilteredGreedy:
         mech = FilteredGreedyMechanism(4, 2)
         assert mech.outcome((Declaration(A, 2),)).payments == (0,)
         assert mech.critical_price(0, A, (EMPTY,)) == (0, OPEN)
+
+    @pytest.mark.parametrize("cap", [None, 0])
+    def test_cap_is_required(self, cap):
+        with pytest.raises(ValidationError, match="^s: ") as caught:
+            FilteredGreedyMechanism(4, cap)
+        assert caught.value.arg == "s"
 
     def test_allocation_matches_greedy_then_filter(self):
         """The characterization the mechanism allocates by agrees with the
