@@ -89,19 +89,10 @@ def greedy_acceptances(
 ) -> list[tuple[int, int, int]]:
     """Accepted bids of the greedy run without agent `skip`, in processing
     order, as (bid, agent, set_mask) triples."""
-    live = [
-        (-bid, i, s)
-        for i, (s, bid) in enumerate(profile)
-        if i != skip and bid > 0 and (cap is None or s.bit_count() <= cap)
-    ]
-    live.sort()
-    used = 0
-    out = []
-    for neg_bid, i, s in live:
-        if not s & used:
-            out.append((-neg_bid, i, s))
-            used |= s
-    return out
+    alloc = greedy_allocate([EMPTY if i == skip else d for i, d in enumerate(profile)], cap)
+    return sorted(
+        ((profile[i][1], i, s) for i, s in enumerate(alloc) if s), key=lambda a: (-a[0], a[1])
+    )
 
 
 def greedy_thresholds(profile: Profile, agent: int, cap: int | None) -> PriceFn:

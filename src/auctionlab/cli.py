@@ -384,6 +384,8 @@ def parse_experiment(
     cw = f"{name}.acceptance"
     acceptance = _known(data.get("acceptance", {}), cw, "acceptance")
     epsilon = parse_fraction(acceptance.get("epsilon", "1/10"), at("acceptance", "epsilon"))
+    if not 0 <= epsilon < Fraction(1, 2):  # "auto" asks for a 1/2 - epsilon share
+        raise ValidationError(f"{at('acceptance', 'epsilon')}: must lie in [0, 1/2)")
     raw = _known(acceptance.get("checks", {}), f"{cw}.checks", "acceptance.checks")
     checks = {key: _CHECKS[key][0](value, f"{cw}.checks.{key}") for key, value in raw.items()}
     if "replica_pass_fraction" in checks and "min_welfare_ratio" not in checks:

@@ -167,16 +167,10 @@ def feasible(allocation: Sequence[int], cap: int | None = None) -> bool:
     return True
 
 
-def check_feasible(allocation: Sequence[int], cap: int | None = None) -> None:
-    if not feasible(allocation, cap):
-        raise FeasibilityError(f"infeasible allocation {tuple(allocation)} (cap={cap})")
-
-
-def social_welfare(
-    allocation: Sequence[int], types: Sequence[Valuation], cap: int | None = None
-) -> int:
+def social_welfare(allocation: Sequence[int], types: Sequence[Valuation]) -> int:
     """Total true value of a feasible allocation."""
-    check_feasible(allocation, cap)
+    if not feasible(allocation):
+        raise FeasibilityError(f"infeasible allocation {tuple(allocation)}")
     return sum(t.value_of(mask) for mask, t in zip(allocation, types))
 
 

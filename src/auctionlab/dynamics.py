@@ -31,10 +31,14 @@ from .mechanisms import COIN_NONE, Coin, FilteredGreedyMechanism, GrandBundleMec
 ALL_AGENTS = -1  # updater marker for concurrent (regret) rounds
 
 
+def _derived_seed(seed: int, *tags) -> int:
+    digest = hashlib.sha256(repr((seed,) + tags).encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
 def seeded_rng(seed: int, *tags) -> random.Random:
     """Deterministic stream derivation, stable across platforms and runs."""
-    digest = hashlib.sha256(repr((seed,) + tags).encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return random.Random(_derived_seed(seed, *tags))
 
 
 @dataclass(slots=True)
@@ -131,17 +135,13 @@ def _starting_profile(config: RunConfig) -> Profile:
 STATE_CACHE_LIMIT = 4096
 
 
-def _true_welfare(allocation, agents: Sequence[AgentModel]) -> int:
-    return social_welfare(allocation, [a.valuation for a in agents])
-
-
 def _round_result(
     mechanism: Mechanism, profile: Profile, coin: Coin, agents: Sequence[AgentModel]
 ) -> tuple[Outcome, int, int]:
     """Outcome, declared welfare and true welfare of one round."""
     outcome = mechanism.outcome(profile, coin)
     declared = declared_welfare(outcome.allocation, profile)
-    return outcome, declared, _true_welfare(outcome.allocation, agents)
+    return outcome, declared, social_welfare(outcome.allocation, [a.valuation for a in agents])
 
 
 # The behaviors each dynamics kind drives; an agent of any other is rejected.
@@ -310,5 +310,4 @@ def constant_tail_start(trace: Trace) -> int:
 
 def replica_seed(seed: int, replica: int) -> int:
     """Stable seed of one replica, derived from the run seed."""
-    digest = hashlib.sha256(repr((seed, "replica", replica)).encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+    return _derived_seed(seed, "replica", replica)

@@ -14,7 +14,6 @@ resolves against the probing agent.
 """
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -67,13 +66,6 @@ COIN_NONE = Coin()
 COIN_IGNORE_GRAND = Coin(ignore_grand=True)
 
 
-@functools.cache
-def _lottery_coin(agent: int) -> Coin:
-    """The coin on which the grand-bundle lottery goes to `agent`, built
-    once per agent index."""
-    return Coin(lottery_agent=agent)
-
-
 def with_probe(profile: Profile, agent: int, probe: Declaration) -> Profile:
     return (*profile[:agent], probe, *profile[agent + 1 :])
 
@@ -122,34 +114,30 @@ def wins_threshold(bid: int, price: tuple[int, str] | None) -> bool:
     return bid > theta if boundary == OPEN else bid >= theta
 
 
+def _pressure(profile: Sequence[Declaration], agent: int, set_mask: int, ceiling: int) -> int:
+    """Sum of the other agents' bids below `ceiling` on sets that meet `set_mask`."""
+    return sum(
+        b for j, (s, b) in enumerate(profile) if j != agent and s & set_mask and b < ceiling
+    )
+
+
 def declared_separated_for(agent: int, decl: Declaration, profile: Profile) -> bool:
     """Separation as a mechanism can observe it: the sum of strictly
     lower intersecting declared bids does not exceed the agent's own bid.
     Empty declarations are vacuously separated."""
     set_mask, bid = decl
-    pressure = sum(
-        b for j, (s, b) in enumerate(profile) if j != agent and s & set_mask and b < bid
-    )
-    return not set_mask or pressure <= bid
+    return not set_mask or _pressure(profile, agent, set_mask, bid) <= bid
 
 
 def separated_flags(profile: Sequence[Declaration], types: Sequence[Valuation]) -> tuple[bool, ...]:
     """Per-agent separation of a single-minded profile against true types:
     the intersecting bids strictly below the agent's true value for his set
-    must sum to at most his declared bid."""
-    flags = []
-    for i, (set_mask, bid) in enumerate(profile):
-        # an empty declaration (0, 0) meets no set: pressure 0 <= bid 0
-        true_value = types[i].value_of(set_mask)
-        pressure = sum(
-            b for j, (s, b) in enumerate(profile) if j != i and s & set_mask and b < true_value
-        )
-        flags.append(pressure <= bid)
-    return tuple(flags)
-
-
-def _no_price(set_mask: int) -> None:
-    return None
+    must sum to at most his declared bid.  An empty declaration (0, 0) meets
+    no set: pressure 0 <= bid 0."""
+    return tuple(
+        _pressure(profile, i, set_mask, types[i].value_of(set_mask)) <= bid
+        for i, (set_mask, bid) in enumerate(profile)
+    )
 
 
 class Mechanism:
@@ -225,7 +213,8 @@ class Mechanism:
 
     def thresholds(self, profile: Profile, agent: int, coin: Coin = COIN_NONE) -> PriceFn:
         """`price_of(set_mask)`: the critical price of each set for `agent`
-        against `profile` under `coin`.  State shared by all sets is built
+        against `profile` under `coin`, one of `branches`: a lottery round
+        is free, so it has no price.  State shared by all sets is built
         once per call.  Default: the generic search, one set at a time."""
         return lambda set_mask: Mechanism.critical_price(self, agent, set_mask, profile, coin)
 
@@ -268,7 +257,7 @@ class Mechanism:
                 else:
                     utilities.append(0)
             per_branch.append(utilities)
-        if self.lottery is None and len(per_branch) == 1:
+        if not self.lottery and len(per_branch) == 1:
             return per_branch[0]
         totals = [Fraction(0)] * len(decls)
         if self.lottery:
@@ -303,7 +292,7 @@ class Mechanism:
     def draw_coin(self, rng, n_agents: int) -> Coin:
         """One round's coin: the lottery draw first, then the trembling draw."""
         if self._lottery_chance is not None and rng.random() < self._lottery_chance:
-            return _lottery_coin(rng.randrange(n_agents))
+            return Coin(lottery_agent=rng.randrange(n_agents))
         if self._ignore_chance is not None and rng.random() < self._ignore_chance:
             return COIN_IGNORE_GRAND
         return COIN_NONE
@@ -352,8 +341,6 @@ class FilteredGreedyMechanism(Mechanism):
         return self.thresholds(profile, agent, coin)(set_mask)
 
     def thresholds(self, profile, agent, coin=COIN_NONE):
-        if coin.lottery_agent is not None:
-            return _no_price
         cap = self.cap
 
         def price_of(set_mask):
@@ -419,8 +406,6 @@ class GrandBundleMechanism(Mechanism):
         return self.thresholds(profile, agent, coin)(set_mask)
 
     def thresholds(self, profile, agent, coin=COIN_NONE):
-        if coin.lottery_agent is not None:
-            return _no_price
         small = self._small_profile(profile)
         bigs = [] if coin.ignore_grand else [b for b, _ in self._grand_bids(profile, skip=agent)]
         others_grand = sum(bigs)

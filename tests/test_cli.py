@@ -530,6 +530,24 @@ def _random_start_with_zero_lottery(experiment, instance):
     experiment["dynamics"]["empty_start"] = False
 
 
+def _epsilon_out_of_range(experiment, instance):
+    # with min_g_fraction "auto" (1/2 - epsilon), an epsilon of 1 passes every replica
+    experiment["acceptance"]["epsilon"] = "1"
+
+
+def _one_item(mechanism):
+    def edit(experiment, instance):
+        experiment["mechanism"] = mechanism
+        instance.update(m=1, items=["a"])
+        for agent in instance["agents"]:
+            agent["atoms"] = [{"items": ["a"], "value": agent["id"]}]
+    return edit
+
+
+def _duplicate_atom(experiment, instance):
+    instance["agents"][0]["atoms"][1]["items"] = ["b", "a"]
+
+
 def _oversize_instance(experiment, instance):
     # valid, but spanning more items than the oracle solves
     instance["items"] += [f"x{k}" for k in range(instance["m"], 24)]
@@ -591,6 +609,10 @@ def _oversize_instance(experiment, instance):
         ("random-ca", _pass_fraction_out_of_range),
         ("random-sca", _g_fraction_out_of_range),
         ("random-ca", _random_start_with_zero_lottery),
+        ("best-response-theorem-10", _epsilon_out_of_range),
+        ("appendix-c-cycle", _one_item({"kind": "grand-bundle", "gamma": "1/10"})),
+        ("appendix-c-cycle", _one_item({"kind": "two-tier"})),
+        ("appendix-c-cycle", _duplicate_atom),
     ],
     ids=["override-key", "agents-list", "agent-entry", "partition-side", "gamma",
          "gamma-exponent",
@@ -606,7 +628,8 @@ def _oversize_instance(experiment, instance):
          "override-id-space", "partition-side-on-greedy", "lottery-null", "cap-on-grand-bundle",
          "duplicate-initial-id", "oversize-instance", "best-response-mw", "best-response-fpl",
          "initial-random-start", "item-index", "pass-fraction-range", "g-fraction-range",
-         "zero-lottery-random-start"],
+         "zero-lottery-random-start", "epsilon-range", "one-item-grand-bundle",
+         "one-item-two-tier", "duplicate-atom"],
 )
 def test_malformed_experiment_is_invalid_in_validate_and_run(
     tmp_path, capsys, monkeypatch, command, name, edit
@@ -635,9 +658,18 @@ def test_malformed_experiment_is_invalid_in_validate_and_run(
          "random-ca.acceptance.checks.replica_pass_fraction: "),
         ("random-sca", _g_fraction_out_of_range, "random-sca.acceptance.checks.min_g_fraction: "),
         ("random-ca", _random_start_with_zero_lottery, "random-ca.dynamics.empty_start: "),
+        ("best-response-theorem-10", _epsilon_out_of_range,
+         "best-response-theorem-10.acceptance.epsilon: "),
+        ("appendix-c-cycle", _one_item({"kind": "grand-bundle", "gamma": "1/10"}),
+         "appendix-c-cycle.mechanism: grand-bundle mechanism needs at least 2 items"),
+        ("appendix-c-cycle", _one_item({"kind": "two-tier"}),
+         "appendix-c-cycle.mechanism: two-tier rule needs at least 2 items"),
+        ("appendix-c-cycle", _duplicate_atom,
+         "{dir}/appendix_c.instance.json.agents[0]: duplicate atom bundle 0x3"),
     ],
     ids=["best-response-mw", "best-response-fpl", "initial-random-start", "item-index",
-         "pass-fraction-range", "g-fraction-range", "zero-lottery-random-start"],
+         "pass-fraction-range", "g-fraction-range", "zero-lottery-random-start",
+         "epsilon-range", "one-item-grand-bundle", "one-item-two-tier", "duplicate-atom"],
 )
 def test_rejected_experiment_names_the_key(tmp_path, capsys, name, edit, where):
     path = _copy_scenario(tmp_path, name, edit)
@@ -661,6 +693,27 @@ def test_agentless_regret_run_with_lottery(tmp_path):
     assert rows[1:] == [f"{t},ALL,-,0,0" for t in range(1, 7)]
 
 
+def test_scenarios_command_lists_every_scenario(capsys):
+    assert main(["scenarios"]) == 0
+    assert capsys.readouterr().out.splitlines() == list_scenarios()
+
+
+def test_unknown_scenario_name_is_invalid(tmp_path, capsys):
+    assert main(["run", "no-such-scenario", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "INVALID: no experiment file or scenario named 'no-such-scenario'"
+    )
+
+
+def test_two_tier_experiment_validates_and_runs(tmp_path):
+    def two_tier(experiment, instance):
+        experiment["mechanism"] = {"kind": "two-tier"}  # two-tier reads no `s`
+
+    path = _copy_scenario(tmp_path, "appendix-c-cycle", two_tier)
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+
+
 def test_malformed_scripted_order_flag_is_invalid(tmp_path, capsys):
     argv = ["run", "appendix-c-cycle", "--scripted-order", "1,b", "--out-dir", str(tmp_path)]
     assert main(argv) == 2
@@ -681,6 +734,7 @@ def test_malformed_scripted_order_flag_is_invalid(tmp_path, capsys):
         (["ca-theorem-11", "--gamma", "2"], "--gamma"),
         (["ca-theorem-11", "--appendix-b-lottery", "3/2"], "--appendix-b-lottery"),
         (["ca-theorem-11", "--gamma", "1e-100000"], "--gamma"),
+        (["best-response-theorem-10", "--epsilon", "1"], "--epsilon"),
     ],
 )
 def test_run_flags_obey_the_rules_of_their_keys(tmp_path, capsys, monkeypatch, argv, where):

@@ -19,7 +19,7 @@ from auctionlab import (
 )
 from auctionlab.dynamics import seeded_rng
 from auctionlab.generate import random_valuation
-from auctionlab.mechanisms import COIN_IGNORE_GRAND, COIN_NONE, Coin, _lottery_coin
+from auctionlab.mechanisms import COIN_IGNORE_GRAND, COIN_NONE, Coin
 
 from conftest import A, B, C, D
 
@@ -177,7 +177,7 @@ class TestTupleValues:
             EMPTY,
             COIN_NONE,
             COIN_IGNORE_GRAND,
-            _lottery_coin(2),
+            Coin(lottery_agent=2),
             Outcome((A, 0, B), (3, 0, 0)),
         ]
         for value in values:
@@ -206,9 +206,8 @@ class TestTupleValues:
         assert single_minded(0, 0) is EMPTY
 
     def test_coins_keep_equality_and_distinct_hashes(self):
-        coins = [COIN_NONE, COIN_IGNORE_GRAND] + [_lottery_coin(k) for k in range(4)]
+        coins = [COIN_NONE, COIN_IGNORE_GRAND] + [Coin(lottery_agent=k) for k in range(4)]
         assert COIN_NONE == Coin() and COIN_IGNORE_GRAND == Coin(ignore_grand=True)
-        assert _lottery_coin(3) == Coin(lottery_agent=3) and _lottery_coin(3) is _lottery_coin(3)
         assert len({hash(c) for c in coins}) == len(coins)
         assert len(set(coins)) == len(coins)
         results = {c: k for k, c in enumerate(coins)}

@@ -344,6 +344,7 @@ class TestPaymentExactness:
         for mech, kind in (
             (RuleMechanism(greedy_rule(2), 4), int),
             (FilteredGreedyMechanism(4, 2), int),
+            (FilteredGreedyMechanism(4, 2, lottery=Fraction(0)), int),
             (GrandBundleMechanism(4, Fraction(0)), int),
             (GrandBundleMechanism(4, Fraction(1, 10)), Fraction),
             (FilteredGreedyMechanism(4, 2, lottery=Fraction(1, 10)), Fraction),

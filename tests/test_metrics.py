@@ -113,6 +113,11 @@ class TestCoverageReport:
         assert matrix[0][0] is True
         assert fractions[0] == 1
 
+    def test_target_of_the_wrong_length_rejected(self, cycle_types, cycle_mechanism, cycle_agents):
+        trace = fixed_trace([(EMPTY,) * 4], cycle_mechanism, cycle_agents, cycle_types)
+        with pytest.raises(InstanceMismatchError):
+            coverage_report(trace, cycle_types, (0, 0, C))
+
     def test_matches_direct_reimplementation(self, cycle_types, cycle_mechanism, cycle_agents):
         rng = seeded_rng(43, "coverage-reimpl")
         cfg = RunConfig(mechanism=cycle_mechanism, agents=cycle_agents, rounds=60, seed=9)
@@ -146,6 +151,14 @@ class TestResilience:
         trace = fixed_trace([profile], cycle_mechanism, cycle_agents, cycle_types)
         report = resilience_report(trace, cycle_types, frozenset({0, 1, 2, 3}), 0)
         assert report.ratio == 1  # a zero target is met vacuously
+
+    def test_byzantine_index_outside_the_trace_rejected(
+        self, cycle_types, cycle_mechanism, cycle_agents
+    ):
+        trace = fixed_trace([(EMPTY,) * 4], cycle_mechanism, cycle_agents, cycle_types)
+        for outside in (4, -1):
+            with pytest.raises(InstanceMismatchError):
+                resilience_report(trace, cycle_types, frozenset({outside}), 13)
 
     def test_byzantine_winnings_may_exceed_restricted_optimum(
         self, cycle_types, cycle_mechanism, cycle_agents
