@@ -9,10 +9,12 @@ purpose updates the table and says why.
 import contextlib
 import hashlib
 import io
+import json
+import shutil
 
 import pytest
 
-from auctionlab.cli import list_scenarios, main
+from auctionlab.cli import SCENARIO_DIR, list_scenarios, main
 
 DIGESTS = {
     "appendix-c-cycle/summary.json": "6d200576367e3ab40205024a60052f58280ae64afc58fae349884520833b697a",
@@ -41,6 +43,42 @@ DIGESTS = {
     "section-3-3/trace-replica1.csv": "4bfb2a80d64dce97dc7ac8440b9ac7f1927169704e282f5143c14dd13e8cacef",
 }
 
+# Variants of built-in scenarios that reach paths no scenario reaches: the
+# Appendix B lottery (from an empty and from a random start), FPL learners,
+# and the generic threshold search on the two-tier rule.  Each is
+# (scenario, edits of its experiment file, run flags); an edit maps
+# "object.key" to a new value, or to None to drop the key.  An edited
+# scenario runs from a copy named after the variant.
+VARIANTS = {
+    "random-sca-lottery": ("random-sca", {}, ["--appendix-b-lottery", "1/20"]),
+    "random-ca-lottery": ("random-ca", {}, ["--appendix-b-lottery", "1/20"]),
+    "random-sca-lottery-random-start": (
+        "random-sca", {"dynamics.empty_start": False}, ["--appendix-b-lottery", "1/20"]
+    ),
+    "regret-theorem-3-fpl": ("regret-theorem-3", {"agents.default": "fpl"}, []),
+    "appendix-c-cycle-two-tier": (
+        "appendix-c-cycle", {"mechanism.kind": "two-tier", "mechanism.s": None}, []
+    ),
+}
+
+VARIANT_DIGESTS = {
+    "appendix-c-cycle-two-tier/summary.json": "89b25e51f0ccec2d34294549395c3c4f3155bcc37413ad5cd8bccbe60c5ef8aa",
+    "appendix-c-cycle-two-tier/trace-replica0.csv": "46cef0f17556b04118504953245db5a0d9c60d72e061d1c2e790bd3df972b2d2",
+    "appendix-c-cycle-two-tier/trace-replica1.csv": "46cef0f17556b04118504953245db5a0d9c60d72e061d1c2e790bd3df972b2d2",
+    "random-ca-lottery/summary.json": "85ecc5eac2010cb963a693e84844d13dd47b13fb644fb73c10f63c03fb06a9c0",
+    "random-ca-lottery/trace-replica0.csv": "abb333b0cf4d1722faf570cf8fd53c24f54e03157a9de4e5f24fdda0c30d5190",
+    "random-ca-lottery/trace-replica1.csv": "d7b43515ee482094b6edc53fa9ac789c7b3fbde63158854865549e6d28dd38e6",
+    "random-sca-lottery/summary.json": "de4beece98f4d251a8baa78baf93d12c13a9a83a67347ded702ca9624b61447d",
+    "random-sca-lottery/trace-replica0.csv": "66a6a057f4c7d3102c2aaedae0a24b15980ac5ced6a3362e243131ff70e338be",
+    "random-sca-lottery/trace-replica1.csv": "467b1a21531a96fcaf05a01de20c85d79cb1ab9c91d6c365cea4e6413ab66c47",
+    "random-sca-lottery-random-start/summary.json": "4ad14448967e8928c7e3117acb3d09df21a37bb068eb1a8a96a4a27f711d994d",
+    "random-sca-lottery-random-start/trace-replica0.csv": "11b7a8ab2fc9b6d848d84310ba4ea4cba83af745a1a3a527fc45bde9f895230d",
+    "random-sca-lottery-random-start/trace-replica1.csv": "44ea5cdeb47fb82a46214b3ad32abe4a82e8b90ccfd2cd8451bb741e8df13fba",
+    "regret-theorem-3-fpl/summary.json": "20e9a1f3900fcca1ae1af799bde0b957a881cf87a426eb2a5cfb5067a5b576af",
+    "regret-theorem-3-fpl/trace-replica0.csv": "2c64dbb51d4af6682bb07bfe53106bcfb8c19777417c029a4437c9af80abc358",
+    "regret-theorem-3-fpl/trace-replica1.csv": "a845b6a67096e48981194ac57ac3026b7c20fd5d53fe75f566ab2e11699ab157",
+}
+
 
 def test_every_scenario_is_pinned():
     assert sorted({key.split("/")[0] for key in DIGESTS}) == list_scenarios()
@@ -55,4 +93,35 @@ def test_scenario_output_digests(name, tmp_path):
         for path in sorted(tmp_path.iterdir())
     }
     want = {key: value for key, value in DIGESTS.items() if key.startswith(f"{name}/")}
+    assert got == want
+
+
+def _variant_source(name, tmp_path):
+    scenario, edits, _ = VARIANTS[name]
+    if not edits:
+        return scenario
+    data = json.loads((SCENARIO_DIR / f"{scenario}.experiment.json").read_text())
+    for path, value in edits.items():
+        obj, key = path.split(".")
+        if value is None:
+            del data[obj][key]
+        else:
+            data[obj][key] = value
+    shutil.copy(SCENARIO_DIR / data["instance"], tmp_path / data["instance"])
+    source = tmp_path / f"{name}.experiment.json"
+    source.write_text(json.dumps(data))
+    return str(source)
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_variant_output_digests(name, tmp_path):
+    out_dir = tmp_path / "out"
+    source = _variant_source(name, tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["run", source, "--replicas", "2", "--out-dir", str(out_dir), *VARIANTS[name][2]])
+    got = {
+        f"{name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_dir.iterdir())
+    }
+    want = {key: value for key, value in VARIANT_DIGESTS.items() if key.startswith(f"{name}/")}
     assert got == want
