@@ -621,7 +621,7 @@ def run_replica(
 def separated_throughout(trace: Trace, types: Sequence[Valuation]) -> bool:
     """Whether every round's profile is separated; checks each distinct
     profile once."""
-    profiles = dict.fromkeys(r.profile for r in trace.records)
+    profiles = dict.fromkeys(step.profile for step in trace.steps)
     return all(all(separated_flags(p, types)) for p in profiles)
 
 
@@ -634,7 +634,8 @@ def _coin_text(coin) -> str:
 def trace_csv(trace: Trace, experiment: Experiment) -> str:
     """The trace as CSV, one row per round.  The text of a profile's
     `set_*,bid_*` columns and of an outcome's `won_*,pay_*` columns is
-    formatted once per distinct profile and outcome."""
+    formatted once per distinct profile and outcome, and the text from
+    `set_1` to `true_sw` once per step object."""
     def columns(prefix: str) -> list[str]:
         return [f"{prefix}_{i + 1}" for i in range(trace.n_agents)]
 
@@ -643,20 +644,22 @@ def trace_csv(trace: Trace, experiment: Experiment) -> str:
     lines = [",".join(header)]
     profile_text: dict[Profile, str] = {}
     outcome_text: dict[Outcome, str] = {}
-    for r in trace.records:
-        bids = profile_text.get(r.profile)
-        if bids is None:
-            cells = [d.set_mask for d in r.profile] + [d.bid for d in r.profile]
-            bids = profile_text[r.profile] = "".join(f",{c}" for c in cells)
-        wins = outcome_text.get(r.outcome)
-        if wins is None:
-            cells = r.outcome.allocation + r.outcome.payments
-            wins = outcome_text[r.outcome] = "".join(f",{c}" for c in cells)
-        updater = "ALL" if r.updater == ALL_AGENTS else r.updater + 1
-        lines.append(
-            f"{r.round},{updater}{bids},{_coin_text(r.coin)}{wins},"
-            f"{r.declared_welfare},{r.true_welfare}"
-        )
+    step_text: dict[int, str] = {}  # by step object, which the trace keeps alive
+    for t, (updater, step) in enumerate(zip(trace.updaters, trace.steps), 1):
+        text = step_text.get(id(step))
+        if text is None:
+            profile, coin, outcome, declared, true = step
+            bids = profile_text.get(profile)
+            if bids is None:
+                cells = [d.set_mask for d in profile] + [d.bid for d in profile]
+                bids = profile_text[profile] = "".join(f",{c}" for c in cells)
+            wins = outcome_text.get(outcome)
+            if wins is None:
+                cells = outcome.allocation + outcome.payments
+                wins = outcome_text[outcome] = "".join(f",{c}" for c in cells)
+            text = step_text[id(step)] = f"{bids},{_coin_text(coin)}{wins},{declared},{true}"
+        updater = "ALL" if updater == ALL_AGENTS else updater + 1
+        lines.append(f"{t},{updater}{text}")
     return "\n".join(lines) + "\n"
 
 

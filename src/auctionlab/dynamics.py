@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
 from .agents import (
     AgentModel,
@@ -41,11 +42,23 @@ def seeded_rng(seed: int, *tags) -> random.Random:
     return random.Random(_derived_seed(seed, *tags))
 
 
+class Step(NamedTuple):
+    """What a round played: the profile, the mechanism coin and what they
+    produced.  Both engines build one per distinct (state, coin) and every
+    round that plays it refers to that one step."""
+
+    profile: Profile
+    coin: Coin
+    outcome: Outcome
+    declared_welfare: int
+    true_welfare: int
+
+
 @dataclass(slots=True)
 class RoundRecord:
-    """One round of a trace.  Records are read-only by convention: both
-    engines build one per round, and a slotted record is several times
-    cheaper to build than a frozen one."""
+    """One round of a trace, as `Trace.records` presents it.  Records are
+    read-only by convention; the engines build none, and a trace builds its
+    records only when they are first read."""
 
     round: int
     updater: int  # agent index, or ALL_AGENTS for concurrent rounds
@@ -56,11 +69,39 @@ class RoundRecord:
     true_welfare: int
 
 
-@dataclass
 class Trace:
-    mechanism: Mechanism
-    agents: tuple[AgentModel, ...]
-    records: tuple[RoundRecord, ...] = ()
+    """The rounds of one run: round t (1-based) played `steps[t - 1]` after
+    `updaters[t - 1]` moved.  Rounds that revisit a (state, coin) share its
+    step object.  `Trace(mechanism, agents, records)` builds a trace from
+    records; the engines build theirs from steps with `from_steps`."""
+
+    def __init__(self, mechanism: Mechanism, agents: tuple[AgentModel, ...],
+                 records: Sequence[RoundRecord] = ()) -> None:
+        records = tuple(records)
+        self.mechanism = mechanism
+        self.agents = agents
+        self.steps = tuple(
+            Step(r.profile, r.coin, r.outcome, r.declared_welfare, r.true_welfare)
+            for r in records
+        )
+        self.updaters = tuple(r.updater for r in records)
+        self.records = records
+
+    @classmethod
+    def from_steps(cls, mechanism: Mechanism, agents: tuple[AgentModel, ...],
+                   steps: tuple[Step, ...], updaters: tuple[int, ...]) -> Trace:
+        trace = cls.__new__(cls)
+        trace.mechanism, trace.agents = mechanism, agents
+        trace.steps, trace.updaters = steps, updaters
+        return trace
+
+    @cached_property
+    def records(self) -> tuple[RoundRecord, ...]:
+        """One record per round, built on first read."""
+        return tuple(
+            RoundRecord(t, updater, *step)
+            for t, (updater, step) in enumerate(zip(self.updaters, self.steps), 1)
+        )
 
     @property
     def n_agents(self) -> int:
@@ -68,13 +109,13 @@ class Trace:
 
     @property
     def rounds(self) -> int:
-        return len(self.records)
+        return len(self.steps)
 
     def profiles(self) -> list[Profile]:
-        return [r.profile for r in self.records]
+        return [step.profile for step in self.steps]
 
     def history_for(self, agent: int) -> list[tuple[Declaration, Profile]]:
-        return [(r.profile[agent], r.profile) for r in self.records]
+        return [(step.profile[agent], step.profile) for step in self.steps]
 
 
 @dataclass
@@ -126,12 +167,14 @@ def _starting_profile(config: RunConfig) -> Profile:
 
 
 # Both engines revisit few states, and every per-state result below (round
-# results, best responses, learner feedback) is a pure function of its key,
+# steps, best responses, learner feedback) is a pure function of its key,
 # so caching them leaves traces unchanged.  The caches live for one run and
 # are emptied when they outgrow this many states, which bounds their memory
 # on runs that rarely repeat a state.  Measured runs stay far below it: at
 # most 357 distinct states in a 20,000-round learner run with a byzantine
 # bidder, at most 35 without one, and at most 10 in a best-response run.
+# The steps a trace refers to outlive a clear, so at worst a run keeps one
+# step per round.
 STATE_CACHE_LIMIT = 4096
 
 
@@ -157,13 +200,11 @@ def _check_behaviors(agents: Sequence[AgentModel], kind: str) -> None:
 
 
 def _agentless_trace(config: RunConfig) -> Trace:
-    """A run without agents: every round records the empty profile and
+    """A run without agents: every round plays the empty profile and
     outcome, and no stream is drawn."""
-    records = tuple(
-        RoundRecord(t, ALL_AGENTS, (), COIN_NONE, Outcome((), ()), 0, 0)
-        for t in range(1, config.rounds + 1)
-    )
-    return Trace(config.mechanism, (), records)
+    step = Step((), COIN_NONE, Outcome((), ()), 0, 0)
+    rounds = config.rounds
+    return Trace.from_steps(config.mechanism, (), (step,) * rounds, (ALL_AGENTS,) * rounds)
 
 
 def _cache_slot(cache: dict, key, make):
@@ -195,13 +236,14 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
     draw_updater = rng_order.randrange
     draw_coin = mechanism.draw_coin
     keep_on_tie = config.keep_on_tie
-    # per profile: best responses by updater, round results by coin
+    # per profile: best responses by updater, steps by coin
     states: dict = {}
-    responses, results = _cache_slot(states, profile, lambda: ({}, {}))
-    records = []
-    for t in range(1, config.rounds + 1):
+    responses, steps_by_coin = _cache_slot(states, profile, lambda: ({}, {}))
+    steps, updaters = [], []
+    play, moved = steps.append, updaters.append
+    for t in range(config.rounds):
         if order is not None:
-            updater = order[(t - 1) % len(order)]
+            updater = order[t % len(order)]
         else:
             updater = draw_updater(n)
         if byzantine[updater]:
@@ -214,13 +256,16 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
                 )
         if new_decl != profile[updater]:
             profile = profile[:updater] + (new_decl,) + profile[updater + 1 :]
-            responses, results = _cache_slot(states, profile, lambda: ({}, {}))
+            responses, steps_by_coin = _cache_slot(states, profile, lambda: ({}, {}))
         coin = draw_coin(rng_coin, n)
-        result = results.get(coin)
-        if result is None:
-            result = results[coin] = _round_result(mechanism, profile, coin, agents)
-        records.append(RoundRecord(t, updater, profile, coin, *result))
-    return Trace(mechanism, tuple(agents), tuple(records))
+        step = steps_by_coin.get(coin)
+        if step is None:
+            step = steps_by_coin[coin] = Step(
+                profile, coin, *_round_result(mechanism, profile, coin, agents)
+            )
+        play(step)
+        moved(updater)
+    return Trace.from_steps(mechanism, tuple(agents), tuple(steps), tuple(updaters))
 
 
 def run_regret_dynamics(config: RunConfig) -> Trace:
@@ -237,8 +282,8 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
     agent_rngs = [seeded_rng(config.seed, "agent", i) for i in range(n)]
 
     # keyed by the learners' candidate indices and the byzantine bidders'
-    # declarations: the profile, each learner's prepared feedback and round
-    # results by coin
+    # declarations: the profile, each learner's prepared feedback and steps
+    # by coin
     states: dict = {}
     # per agent: (learner state or None for a byzantine bidder, model, rng)
     plan = [(learner_state_for(model), model, agent_rngs[i]) for i, model in enumerate(agents)]
@@ -256,8 +301,9 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
         ]
         return profile, feedback, {}
 
-    records = []
-    for t in range(1, config.rounds + 1):
+    steps = []
+    play = steps.append
+    for _ in range(config.rounds):
         key = []
         for state, model, rng in plan:
             if state is not None:
@@ -269,15 +315,18 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
         entry = states.get(key)
         if entry is None:
             entry = _cache_slot(states, key, lambda: state_of(key))
-        profile, feedback, results = entry
+        profile, feedback, steps_by_coin = entry
         coin = draw_coin(rng_coin, n)
-        result = results.get(coin)
-        if result is None:
-            result = results[coin] = _round_result(mechanism, profile, coin, agents)
+        step = steps_by_coin.get(coin)
+        if step is None:
+            step = steps_by_coin[coin] = Step(
+                profile, coin, *_round_result(mechanism, profile, coin, agents)
+            )
         for state, gains in zip(learner_states, feedback):
             state.update(gains)
-        records.append(RoundRecord(t, ALL_AGENTS, profile, coin, *result))
-    return Trace(mechanism, tuple(agents), tuple(records))
+        play(step)
+    steps = tuple(steps)
+    return Trace.from_steps(mechanism, tuple(agents), steps, (ALL_AGENTS,) * len(steps))
 
 
 def detect_cycle(trace: Trace) -> Optional[tuple[int, int]]:

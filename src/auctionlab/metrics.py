@@ -45,7 +45,7 @@ def _build_report(
 ) -> WelfareReport:
     if len(types) != trace.n_agents:
         raise InstanceMismatchError("type profile length differs from the trace")
-    series = tuple(r.true_welfare for r in trace.records)
+    series = tuple(step.true_welfare for step in trace.steps)
     if series and not allow_excess and max(series) > optimum:
         raise InstanceMismatchError("trace welfare exceeds the claimed optimum")
     if not series:
@@ -89,9 +89,9 @@ def coverage_report(
         )
 
     # one row per distinct profile
-    uses = Counter(r.profile for r in trace.records)
+    uses = Counter(step.profile for step in trace.steps)
     rows = {profile: row_of(profile) for profile in uses}
-    matrix = [rows[r.profile] for r in trace.records]
+    matrix = [rows[step.profile] for step in trace.steps]
     counts = [sum(k for profile, k in uses.items() if rows[profile][i]) for i in range(n)]
     rounds = max(1, trace.rounds)
     return matrix, tuple(Fraction(c, rounds) for c in counts)

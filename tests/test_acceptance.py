@@ -61,7 +61,7 @@ def mw_average_welfare(types, mechanism, rounds, seed, byzantine=()):
     ]
     cfg = RunConfig(mechanism=mechanism, agents=agents, rounds=rounds, seed=seed)
     trace = run_regret_dynamics(cfg)
-    return Fraction(sum(r.true_welfare for r in trace.records), trace.rounds)
+    return Fraction(sum(s.true_welfare for s in trace.steps), trace.rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -88,18 +88,18 @@ def capped_fleet():
                 mechanism=mech, agents=agents, rounds=200 * n, seed=seed * 977 + k
             )
             trace = run_best_response_dynamics(cfg)
-            profiles = dict.fromkeys(r.profile for r in trace.records)
-            separated = all(all(separated_flags(p, types)) for p in profiles)
+            profiles = trace.profiles()
+            separated = all(all(separated_flags(p, types)) for p in dict.fromkeys(profiles))
             hits = [0] * n
-            for record in trace.records:
-                for i, d in enumerate(record.profile):
+            for profile in profiles:
+                for i, d in enumerate(profile):
                     goal = goals[i]
                     if 2 * d.bid >= goal:
                         hits[i] += 1
                         continue
                     pressure = sum(
                         o.bid
-                        for j, o in enumerate(record.profile)
+                        for j, o in enumerate(profile)
                         if j != i and o.set_mask & target[i]
                     )
                     if 2 * pressure >= goal:
@@ -107,7 +107,7 @@ def capped_fleet():
             runs.append(
                 {
                     "optimum": optimum,
-                    "average": Fraction(sum(r.true_welfare for r in trace.records), trace.rounds),
+                    "average": Fraction(sum(s.true_welfare for s in trace.steps), trace.rounds),
                     "separated": separated,
                     "min_step_fraction": min(
                         (Fraction(h, trace.rounds) for h in hits), default=Fraction(1)
@@ -142,7 +142,7 @@ def grand_fleet():
             trace = run_best_response_dynamics(cfg)
             full_ok = True
             scale_ok = True
-            for profile in dict.fromkeys(r.profile for r in trace.records):
+            for profile in dict.fromkeys(trace.profiles()):
                 if not all(separated_flags(profile, types)):
                     full_ok = False
                 small = tuple(d if d.set_mask != grand else EMPTY for d in profile)
@@ -155,7 +155,7 @@ def grand_fleet():
                 {
                     "m": m,
                     "optimum": optimum,
-                    "average": Fraction(sum(r.true_welfare for r in trace.records), trace.rounds),
+                    "average": Fraction(sum(s.true_welfare for s in trace.steps), trace.rounds),
                     "separated_full": full_ok,
                     "separated_by_scale": scale_ok,
                 }

@@ -4,7 +4,9 @@ Each scenario runs with two replicas through the CLI; the SHA-256 of every
 trace CSV and of `summary.json` must match the values recorded here.  A
 change that is meant to keep behaviour identical (a refactor, a cache, a
 faster path) must leave this test green; a change that alters traces on
-purpose updates the table and says why.
+purpose updates the table and says why.  The runs build no `RoundRecord`:
+`auctionlab run` reads a trace's steps, and a trace builds its records
+only for a caller that reads them.
 """
 import contextlib
 import hashlib
@@ -14,6 +16,7 @@ import shutil
 
 import pytest
 
+from auctionlab import dynamics
 from auctionlab.cli import SCENARIO_DIR, list_scenarios, main
 
 DIGESTS = {
@@ -80,23 +83,39 @@ VARIANT_DIGESTS = {
 }
 
 
+@pytest.fixture
+def no_round_records(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("the run built a RoundRecord")
+
+    monkeypatch.setattr(dynamics, "RoundRecord", refuse)
+
+
 def test_every_scenario_is_pinned():
     assert sorted({key.split("/")[0] for key in DIGESTS}) == list_scenarios()
 
 
-@pytest.mark.parametrize("name", sorted({key.split("/")[0] for key in DIGESTS}))
-def test_scenario_output_digests(name, tmp_path):
+def run_digests(name, argv, out_dir):
+    """SHA-256 of each file that `auctionlab run` writes for `argv` with two
+    replicas, keyed `<name>/<file>`."""
     with contextlib.redirect_stdout(io.StringIO()):
-        main(["run", name, "--replicas", "2", "--out-dir", str(tmp_path)])
-    got = {
+        main(["run", *argv, "--replicas", "2", "--out-dir", str(out_dir)])
+    return {
         f"{name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(tmp_path.iterdir())
+        for path in sorted(out_dir.iterdir())
     }
-    want = {key: value for key, value in DIGESTS.items() if key.startswith(f"{name}/")}
-    assert got == want
 
 
-def _variant_source(name, tmp_path):
+def pinned(table, name):
+    return {key: value for key, value in table.items() if key.startswith(f"{name}/")}
+
+
+@pytest.mark.parametrize("name", sorted({key.split("/")[0] for key in DIGESTS}))
+def test_scenario_output_digests(name, tmp_path, no_round_records):
+    assert run_digests(name, [name], tmp_path) == pinned(DIGESTS, name)
+
+
+def variant_source(name, tmp_path):
     scenario, edits, _ = VARIANTS[name]
     if not edits:
         return scenario
@@ -114,14 +133,6 @@ def _variant_source(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
-def test_variant_output_digests(name, tmp_path):
-    out_dir = tmp_path / "out"
-    source = _variant_source(name, tmp_path)
-    with contextlib.redirect_stdout(io.StringIO()):
-        main(["run", source, "--replicas", "2", "--out-dir", str(out_dir), *VARIANTS[name][2]])
-    got = {
-        f"{name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(out_dir.iterdir())
-    }
-    want = {key: value for key, value in VARIANT_DIGESTS.items() if key.startswith(f"{name}/")}
-    assert got == want
+def test_variant_output_digests(name, tmp_path, no_round_records):
+    argv = [variant_source(name, tmp_path), *VARIANTS[name][2]]
+    assert run_digests(name, argv, tmp_path / "out") == pinned(VARIANT_DIGESTS, name)
