@@ -29,8 +29,6 @@ from .algorithms import greedy_rule, optimal_welfare, partition_rule, two_tier_r
 from .core import (
     EMPTY,
     MAX_ITEMS,
-    Outcome,
-    Profile,
     SizeError,
     ValidationError,
     Valuation,
@@ -429,16 +427,15 @@ def load_experiment(source: str | Path, overrides: Optional[dict] = None) -> Exp
     path = Path(source)
     if path.suffix == ".json" and path.exists():
         name, where, home = path.stem.replace(".experiment", ""), str(path), path.parent
-        data = _read_json(path)
     else:
         name = where = str(source)
         home = SCENARIO_DIR
-        try:
-            data = json.loads((home / f"{name}.experiment.json").read_text())
-        except FileNotFoundError:
+        path = home / f"{name}.experiment.json"
+        if not path.exists():
             raise ValidationError(
                 f"no experiment file or scenario named {name!r}; try 'auctionlab scenarios'"
-            ) from None
+            )
+    data = _read_json(path)
     ref = _require(data, "instance", where)
     if not isinstance(ref, str):
         raise ValidationError(f"{where}.instance: expected a file name")
@@ -621,7 +618,7 @@ def run_replica(
 def separated_throughout(trace: Trace, types: Sequence[Valuation]) -> bool:
     """Whether every round's profile is separated; checks each distinct
     profile once."""
-    profiles = dict.fromkeys(step.profile for step in trace.steps)
+    profiles = dict.fromkeys(step.profile for step in trace.states)
     return all(all(separated_flags(p, types)) for p in profiles)
 
 
@@ -632,34 +629,23 @@ def _coin_text(coin) -> str:
 
 
 def trace_csv(trace: Trace, experiment: Experiment) -> str:
-    """The trace as CSV, one row per round.  The text of a profile's
-    `set_*,bid_*` columns and of an outcome's `won_*,pay_*` columns is
-    formatted once per distinct profile and outcome, and the text from
-    `set_1` to `true_sw` once per step object."""
+    """The trace as CSV, one row per round.  The text from `set_1` to
+    `true_sw` is formatted once per state."""
     def columns(prefix: str) -> list[str]:
         return [f"{prefix}_{i + 1}" for i in range(trace.n_agents)]
 
     header = ["round", "updater", *columns("set"), *columns("bid"), "coin",
               *columns("won"), *columns("pay"), "declared_sw", "true_sw"]
     lines = [",".join(header)]
-    profile_text: dict[Profile, str] = {}
-    outcome_text: dict[Outcome, str] = {}
-    step_text: dict[int, str] = {}  # by step object, which the trace keeps alive
-    for t, (updater, step) in enumerate(zip(trace.updaters, trace.steps), 1):
-        text = step_text.get(id(step))
-        if text is None:
-            profile, coin, outcome, declared, true = step
-            bids = profile_text.get(profile)
-            if bids is None:
-                cells = [d.set_mask for d in profile] + [d.bid for d in profile]
-                bids = profile_text[profile] = "".join(f",{c}" for c in cells)
-            wins = outcome_text.get(outcome)
-            if wins is None:
-                cells = outcome.allocation + outcome.payments
-                wins = outcome_text[outcome] = "".join(f",{c}" for c in cells)
-            text = step_text[id(step)] = f"{bids},{_coin_text(coin)}{wins},{declared},{true}"
+    texts = []
+    for profile, coin, outcome, declared, true in trace.states:
+        cells = [d.set_mask for d in profile] + [d.bid for d in profile]
+        bids = "".join(f",{c}" for c in cells)
+        wins = "".join(f",{c}" for c in outcome.allocation + outcome.payments)
+        texts.append(f"{bids},{_coin_text(coin)}{wins},{declared},{true}")
+    for t, (updater, k) in enumerate(zip(trace.updaters, trace.plays), 1):
         updater = "ALL" if updater == ALL_AGENTS else updater + 1
-        lines.append(f"{t},{updater}{text}")
+        lines.append(f"{t},{updater}{texts[k]}")
     return "\n".join(lines) + "\n"
 
 

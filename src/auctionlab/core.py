@@ -155,13 +155,11 @@ class Valuation:
 Profile = tuple[Declaration, ...]
 
 
-def feasible(allocation: Sequence[int], cap: int | None = None) -> bool:
-    """True iff bundles are pairwise disjoint and respect the cardinality cap."""
+def feasible(allocation: Sequence[int]) -> bool:
+    """True iff bundles are pairwise disjoint."""
     used = 0
     for mask in allocation:
         if mask & used:
-            return False
-        if cap is not None and mask.bit_count() > cap:
             return False
         used |= mask
     return True

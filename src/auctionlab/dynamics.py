@@ -44,8 +44,7 @@ def seeded_rng(seed: int, *tags) -> random.Random:
 
 class Step(NamedTuple):
     """What a round played: the profile, the mechanism coin and what they
-    produced.  Both engines build one per distinct (state, coin) and every
-    round that plays it refers to that one step."""
+    produced.  A trace keeps each distinct step once, as one of its states."""
 
     profile: Profile
     coin: Coin
@@ -70,37 +69,45 @@ class RoundRecord:
 
 
 class Trace:
-    """The rounds of one run: round t (1-based) played `steps[t - 1]` after
-    `updaters[t - 1]` moved.  Rounds that revisit a (state, coin) share its
-    step object.  `Trace(mechanism, agents, records)` builds a trace from
-    records; the engines build theirs from steps with `from_steps`."""
+    """The rounds of one run.  `states` holds each distinct step once, in
+    order of first play; round t (1-based) played `states[plays[t - 1]]`
+    after `updaters[t - 1]` moved.  `steps`, `profiles()`, `history_for()`
+    and `records` are per-round views of these.  The engines build a trace
+    with `from_states`; `Trace(mechanism, agents, records)` builds one from
+    records, with one state per distinct step value."""
 
     def __init__(self, mechanism: Mechanism, agents: tuple[AgentModel, ...],
                  records: Sequence[RoundRecord] = ()) -> None:
-        records = tuple(records)
-        self.mechanism = mechanism
-        self.agents = agents
-        self.steps = tuple(
-            Step(r.profile, r.coin, r.outcome, r.declared_welfare, r.true_welfare)
+        index: dict[Step, int] = {}
+        plays = tuple(
+            index.setdefault(Step(r.profile, r.coin, r.outcome, r.declared_welfare,
+                                  r.true_welfare), len(index))
             for r in records
         )
+        self.mechanism, self.agents = mechanism, agents
+        self.states, self.plays = tuple(index), plays
         self.updaters = tuple(r.updater for r in records)
-        self.records = records
 
     @classmethod
-    def from_steps(cls, mechanism: Mechanism, agents: tuple[AgentModel, ...],
-                   steps: tuple[Step, ...], updaters: tuple[int, ...]) -> Trace:
+    def from_states(cls, mechanism: Mechanism, agents: Sequence[AgentModel],
+                    states: Sequence[Step], plays: Sequence[int],
+                    updaters: Sequence[int]) -> Trace:
         trace = cls.__new__(cls)
-        trace.mechanism, trace.agents = mechanism, agents
-        trace.steps, trace.updaters = steps, updaters
+        trace.mechanism, trace.agents = mechanism, tuple(agents)
+        trace.states, trace.plays, trace.updaters = tuple(states), tuple(plays), tuple(updaters)
         return trace
+
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        """The step of each round."""
+        return tuple(map(self.states.__getitem__, self.plays))
 
     @cached_property
     def records(self) -> tuple[RoundRecord, ...]:
         """One record per round, built on first read."""
         return tuple(
-            RoundRecord(t, updater, *step)
-            for t, (updater, step) in enumerate(zip(self.updaters, self.steps), 1)
+            RoundRecord(t, updater, *self.states[k])
+            for t, (updater, k) in enumerate(zip(self.updaters, self.plays), 1)
         )
 
     @property
@@ -109,13 +116,15 @@ class Trace:
 
     @property
     def rounds(self) -> int:
-        return len(self.steps)
+        return len(self.plays)
 
     def profiles(self) -> list[Profile]:
-        return [step.profile for step in self.steps]
+        profiles = [step.profile for step in self.states]
+        return [profiles[k] for k in self.plays]
 
     def history_for(self, agent: int) -> list[tuple[Declaration, Profile]]:
-        return [(step.profile[agent], step.profile) for step in self.steps]
+        pairs = [(step.profile[agent], step.profile) for step in self.states]
+        return [pairs[k] for k in self.plays]
 
 
 @dataclass
@@ -166,15 +175,15 @@ def _starting_profile(config: RunConfig) -> Profile:
     return tuple(picks)
 
 
-# Both engines revisit few states, and every per-state result below (round
-# steps, best responses, learner feedback) is a pure function of its key,
-# so caching them leaves traces unchanged.  The caches live for one run and
-# are emptied when they outgrow this many states, which bounds their memory
-# on runs that rarely repeat a state.  Measured runs stay far below it: at
+# Both engines revisit few states, and every per-state result below (a
+# round's state index, best responses, learner feedback) is a pure function
+# of its key, so caching them leaves traces unchanged.  The caches live for
+# one run and are emptied when they outgrow this many states, which bounds
+# their memory on runs that rarely repeat a state.  Measured runs stay far below it: at
 # most 357 distinct states in a 20,000-round learner run with a byzantine
 # bidder, at most 35 without one, and at most 10 in a best-response run.
-# The steps a trace refers to outlive a clear, so at worst a run keeps one
-# step per round.
+# A trace's states outlive a clear, and an equal state met after one is
+# appended again, so at worst a run keeps one state per round.
 STATE_CACHE_LIMIT = 4096
 
 
@@ -204,7 +213,7 @@ def _agentless_trace(config: RunConfig) -> Trace:
     outcome, and no stream is drawn."""
     step = Step((), COIN_NONE, Outcome((), ()), 0, 0)
     rounds = config.rounds
-    return Trace.from_steps(config.mechanism, (), (step,) * rounds, (ALL_AGENTS,) * rounds)
+    return Trace.from_states(config.mechanism, (), (step,), (0,) * rounds, (ALL_AGENTS,) * rounds)
 
 
 def _cache_slot(cache: dict, key, make):
@@ -236,11 +245,11 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
     draw_updater = rng_order.randrange
     draw_coin = mechanism.draw_coin
     keep_on_tie = config.keep_on_tie
-    # per profile: best responses by updater, steps by coin
-    states: dict = {}
-    responses, steps_by_coin = _cache_slot(states, profile, lambda: ({}, {}))
-    steps, updaters = [], []
-    play, moved = steps.append, updaters.append
+    # per profile: best responses by updater, state indices by coin
+    cache: dict = {}
+    responses, by_coin = _cache_slot(cache, profile, lambda: ({}, {}))
+    states, plays, updaters = [], [], []
+    play, moved = plays.append, updaters.append
     for t in range(config.rounds):
         if order is not None:
             updater = order[t % len(order)]
@@ -256,16 +265,15 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
                 )
         if new_decl != profile[updater]:
             profile = profile[:updater] + (new_decl,) + profile[updater + 1 :]
-            responses, steps_by_coin = _cache_slot(states, profile, lambda: ({}, {}))
+            responses, by_coin = _cache_slot(cache, profile, lambda: ({}, {}))
         coin = draw_coin(rng_coin, n)
-        step = steps_by_coin.get(coin)
-        if step is None:
-            step = steps_by_coin[coin] = Step(
-                profile, coin, *_round_result(mechanism, profile, coin, agents)
-            )
-        play(step)
+        k = by_coin.get(coin)
+        if k is None:
+            k = by_coin[coin] = len(states)
+            states.append(Step(profile, coin, *_round_result(mechanism, profile, coin, agents)))
+        play(k)
         moved(updater)
-    return Trace.from_steps(mechanism, tuple(agents), tuple(steps), tuple(updaters))
+    return Trace.from_states(mechanism, agents, states, plays, updaters)
 
 
 def run_regret_dynamics(config: RunConfig) -> Trace:
@@ -282,9 +290,9 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
     agent_rngs = [seeded_rng(config.seed, "agent", i) for i in range(n)]
 
     # keyed by the learners' candidate indices and the byzantine bidders'
-    # declarations: the profile, each learner's prepared feedback and steps
-    # by coin
-    states: dict = {}
+    # declarations: the profile, each learner's prepared feedback and state
+    # indices by coin
+    cache: dict = {}
     # per agent: (learner state or None for a byzantine bidder, model, rng)
     plan = [(learner_state_for(model), model, agent_rngs[i]) for i, model in enumerate(agents)]
     learner_states = [state for state, _, _ in plan if state is not None]
@@ -301,8 +309,8 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
         ]
         return profile, feedback, {}
 
-    steps = []
-    play = steps.append
+    states, plays = [], []
+    play = plays.append
     for _ in range(config.rounds):
         key = []
         for state, model, rng in plan:
@@ -312,21 +320,19 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
                 # looked up per call, so a wrapper installed on this module sees it
                 key.append(byzantine_bid(model, rng))
         key = tuple(key)
-        entry = states.get(key)
+        entry = cache.get(key)
         if entry is None:
-            entry = _cache_slot(states, key, lambda: state_of(key))
-        profile, feedback, steps_by_coin = entry
+            entry = _cache_slot(cache, key, lambda: state_of(key))
+        profile, feedback, by_coin = entry
         coin = draw_coin(rng_coin, n)
-        step = steps_by_coin.get(coin)
-        if step is None:
-            step = steps_by_coin[coin] = Step(
-                profile, coin, *_round_result(mechanism, profile, coin, agents)
-            )
+        k = by_coin.get(coin)
+        if k is None:
+            k = by_coin[coin] = len(states)
+            states.append(Step(profile, coin, *_round_result(mechanism, profile, coin, agents)))
         for state, gains in zip(learner_states, feedback):
             state.update(gains)
-        play(step)
-    steps = tuple(steps)
-    return Trace.from_steps(mechanism, tuple(agents), steps, (ALL_AGENTS,) * len(steps))
+        play(k)
+    return Trace.from_states(mechanism, agents, states, plays, (ALL_AGENTS,) * len(plays))
 
 
 def detect_cycle(trace: Trace) -> Optional[tuple[int, int]]:

@@ -45,7 +45,8 @@ def _build_report(
 ) -> WelfareReport:
     if len(types) != trace.n_agents:
         raise InstanceMismatchError("type profile length differs from the trace")
-    series = tuple(step.true_welfare for step in trace.steps)
+    welfare = [step.true_welfare for step in trace.states]
+    series = tuple(welfare[k] for k in trace.plays)
     if series and not allow_excess and max(series) > optimum:
         raise InstanceMismatchError("trace welfare exceeds the claimed optimum")
     if not series:
@@ -88,11 +89,10 @@ def coverage_report(
             for i, goal in enumerate(targets)
         )
 
-    # one row per distinct profile
-    uses = Counter(step.profile for step in trace.steps)
-    rows = {profile: row_of(profile) for profile in uses}
-    matrix = [rows[step.profile] for step in trace.steps]
-    counts = [sum(k for profile, k in uses.items() if rows[profile][i]) for i in range(n)]
+    rows = [row_of(step.profile) for step in trace.states]
+    matrix = [rows[k] for k in trace.plays]
+    uses = Counter(trace.plays)
+    counts = [sum(m for k, m in uses.items() if rows[k][i]) for i in range(n)]
     rounds = max(1, trace.rounds)
     return matrix, tuple(Fraction(c, rounds) for c in counts)
 

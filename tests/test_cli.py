@@ -705,6 +705,20 @@ def test_unknown_scenario_name_is_invalid(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("kind", ["malformed", "directory"])
+def test_experiment_named_without_its_suffix_is_read_like_a_path(tmp_path, capsys, kind):
+    """`run <dir>/bad` reads `<dir>/bad.experiment.json` through the same
+    checks as `run <dir>/bad.experiment.json`."""
+    target = tmp_path / "bad.experiment.json"
+    if kind == "directory":
+        target.mkdir()
+    else:
+        target.write_text("{")
+    assert main(["run", str(tmp_path / "bad"), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"INVALID: {target}:") and "Traceback" not in err
+
+
 def test_two_tier_experiment_validates_and_runs(tmp_path):
     def two_tier(experiment, instance):
         experiment["mechanism"] = {"kind": "two-tier"}  # two-tier reads no `s`

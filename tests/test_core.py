@@ -106,10 +106,6 @@ class TestFeasibility:
     def test_overlap(self):
         assert not feasible([A, A])
 
-    def test_cap(self):
-        assert feasible([A | B, C], cap=2)
-        assert not feasible([A | B | C], cap=2)
-
     def test_social_welfare(self, cycle_types):
         assert social_welfare([D, B | C, 0, 0], cycle_types) == 11
         assert social_welfare([0, 0, 0, 0], cycle_types) == 0

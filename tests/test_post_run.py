@@ -1,10 +1,11 @@
 """The post-run stages of `auctionlab run` (CSV export, separation check,
-coverage report, hindsight totals) work once per distinct profile or
-outcome value.  Each must give exactly what a plain per-row computation
-gives: on every built-in scenario, also when the engine cache is emptied at
-almost every state so that equal states arrive as distinct objects, on a
-zero-agent trace, and on hand-built traces whose objects are shared in ways
-the engines never produce."""
+coverage report) work once per state of the trace, and the hindsight totals
+once per distinct profile value; a trace built from records holds one state
+per distinct step value.  Each stage must give exactly what a plain per-row
+computation gives: on every built-in scenario, also when the engine cache
+is emptied at almost every state so that an equal state is appended again,
+on a zero-agent trace, and on hand-built traces whose objects are shared in
+ways the engines never produce."""
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction

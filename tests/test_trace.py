@@ -1,12 +1,13 @@
-"""A trace holds one step per round, shared by the rounds that play the same
-(state, coin), and `Trace.records` is a view of those steps: built on first
-read and kept.  A trace rebuilt from its records reads the same."""
+"""A trace holds each distinct step once, as one of its `states`, and each
+round's index into them in `plays`; `Trace.records` is a view of those: built
+on first read and kept.  A trace rebuilt from its records reads the same."""
 from dataclasses import replace
 
 import pytest
 
 from auctionlab.algorithms import greedy_rule
 from auctionlab.cli import load_experiment
+from auctionlab.core import Declaration, Outcome
 from auctionlab.dynamics import (
     RunConfig,
     Trace,
@@ -55,8 +56,27 @@ def test_trace_rebuilt_from_records_reads_the_same(kind):
     assert rebuilt.records is rebuilt.records
 
 
-@pytest.mark.parametrize("kind", ["best-response", "regret"])
+@pytest.mark.parametrize("kind", sorted(TRACES))
 def test_engines_build_one_step_per_state_and_coin(kind):
     trace = TRACES[kind]()
     distinct = {(step.profile, step.coin) for step in trace.steps}
     assert len({id(step) for step in trace.steps}) == len(distinct) < trace.rounds
+    assert len(trace.states) == len(distinct) and len(trace.plays) == trace.rounds
+    assert all(0 <= k < len(trace.states) for k in trace.plays)
+    for record in trace.records:
+        assert trace.states[trace.plays[record.round - 1]] == (
+            record.profile, record.coin, record.outcome,
+            record.declared_welfare, record.true_welfare,
+        )
+    if kind == "agentless":
+        assert len(trace.states) == 1
+
+    # records whose steps are equal but distinct objects give one state per value
+    copies = [
+        replace(record, profile=tuple(Declaration(*d) for d in record.profile),
+                outcome=Outcome(list(record.outcome.allocation), list(record.outcome.payments)))
+        for record in trace.records
+    ]
+    assert copies[0].outcome is not trace.records[0].outcome
+    rebuilt = Trace(trace.mechanism, trace.agents, copies)
+    assert rebuilt.states == trace.states and rebuilt.plays == trace.plays
