@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .core import EMPTY, Declaration, Profile, ValidationError, Valuation, bundle_key, full_mask, single_minded
+from .core import (EMPTY, Declaration, Profile, ValidationError, Valuation, bundle_key, full_mask,
+                   randbelow, single_minded)
 from .mechanisms import GrandBundleMechanism, Mechanism
 
 
@@ -118,8 +119,8 @@ def byzantine_bid(model: AgentModel, rng) -> Declaration:
     n = len(model.candidates)
     if n < 2:
         return EMPTY
-    k = rng.randrange(n - 1) + 1
-    bid = rng.randint(0, model.candidate_bids[k].bid)
+    k = randbelow(rng, n - 1) + 1
+    bid = randbelow(rng, model.candidate_bids[k].bid + 1)
     if bid == 0:
         return EMPTY
     return Declaration(model.candidates[k], bid)
@@ -222,7 +223,7 @@ class PerturbedLearnerState:
         width = math.ceil(math.sqrt(self.rounds + 1)) * self.u_max
         best_k, best_score = 0, None
         for k, c in enumerate(self.cumulative):
-            score = c + (rng.randint(0, width) if width > 0 else 0)
+            score = c + (randbelow(rng, width + 1) if width > 0 else 0)
             if best_score is None or score > best_score:
                 best_k, best_score = k, score
         return best_k

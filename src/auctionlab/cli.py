@@ -421,20 +421,24 @@ _OVERRIDES = {
 
 
 def load_experiment(source: str | Path, overrides: Optional[dict] = None) -> Experiment:
-    """Load an experiment by file path or built-in scenario name.  Each
-    `overrides` value replaces its key of the file before the parse, so a
-    flag obeys the rules of the key it replaces."""
-    path = Path(source)
-    if path.suffix == ".json" and path.exists():
-        name, where, home = path.stem.replace(".experiment", ""), str(path), path.parent
-    else:
+    """Load an experiment by built-in scenario name or by file path, where a
+    path without a `.json` suffix names `<path>.experiment.json`; a file's
+    instance is read beside it.  Each `overrides` value replaces its key of
+    the file before the parse, so a flag obeys the rules of the key it
+    replaces."""
+    if str(source) in list_scenarios():
         name = where = str(source)
         home = SCENARIO_DIR
         path = home / f"{name}.experiment.json"
+    else:
+        path = Path(source)
+        if path.suffix != ".json":
+            path = Path(f"{source}.experiment.json")
         if not path.exists():
             raise ValidationError(
-                f"no experiment file or scenario named {name!r}; try 'auctionlab scenarios'"
+                f"no experiment file or scenario named {str(source)!r}; try 'auctionlab scenarios'"
             )
+        name, where, home = path.stem.replace(".experiment", ""), str(path), path.parent
     data = _read_json(path)
     ref = _require(data, "instance", where)
     if not isinstance(ref, str):

@@ -32,6 +32,39 @@ class ValidationError(AuctionError):
         self.arg, self.reason = arg, reason
 
 
+# The one rule for a seeded uniform int.  CPython's `Random.randrange(n)`
+# draws this way, so the rule repeats its values and final generator state
+# at a fraction of the call cost (`randint(a, b)` is `a + randbelow(rng,
+# b - a + 1)`); tests/test_core.py::TestDrawIdentity pins it to the running
+# interpreter.
+
+
+def randbelow(rng, n: int) -> int:
+    """A uniform int in [0, n), drawn as `rng.randrange(n)` draws it."""
+    if n < 1:
+        raise ValueError(f"empty range: no int below {n}")
+    bits = n.bit_length()
+    r = rng.getrandbits(bits)
+    while r >= n:
+        r = rng.getrandbits(bits)
+    return r
+
+
+def draws_below(rng, n: int, count: int) -> list[int]:
+    """`count` successive `randbelow(rng, n)` draws."""
+    if n < 1:
+        raise ValueError(f"empty range: no int below {n}")
+    getrandbits, bits = rng.getrandbits, n.bit_length()
+    out = []
+    append = out.append
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        append(r)
+    return out
+
+
 def full_mask(item_count: int) -> int:
     """Bitmask of all items of an instance with `item_count` items."""
     if not 0 <= item_count <= MAX_ITEMS:

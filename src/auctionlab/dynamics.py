@@ -5,7 +5,12 @@ detection.
 Randomness is split into fixed streams derived from the run seed: one for
 the updater order, one for mechanism coins, one per agent (learner
 sampling and byzantine policies), and one for non-empty starts.  Identical
-configs therefore produce bit-identical traces.
+configs therefore produce bit-identical traces.  The order and coin streams
+feed nothing else, so a run draws both in full before its first round
+(`core.draws_below`, `Mechanism.draw_coins`); that consumes the same values
+in the same order as drawing them round by round.  Every uniform int goes
+through the one `core.randbelow` rule, which tests/test_core.py
+(`TestDrawIdentity`) pins draw for draw to the interpreter's `randrange`.
 """
 from __future__ import annotations
 
@@ -13,6 +18,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import cycle, islice
 from typing import NamedTuple, Optional, Sequence
 
 from .agents import (
@@ -26,7 +32,8 @@ from .agents import (
     counterfactual_utilities,
     learner_state_for,
 )
-from .core import EMPTY, Declaration, Outcome, Profile, ValidationError, declared_welfare, social_welfare
+from .core import (EMPTY, Declaration, Outcome, Profile, ValidationError, declared_welfare,
+                   draws_below, randbelow, social_welfare)
 from .mechanisms import COIN_NONE, Coin, FilteredGreedyMechanism, GrandBundleMechanism, Mechanism
 
 ALL_AGENTS = -1  # updater marker for concurrent (regret) rounds
@@ -170,7 +177,7 @@ def _starting_profile(config: RunConfig) -> Profile:
     rng = seeded_rng(config.seed, "init")
     picks = []
     for model in config.agents:
-        k = rng.randrange(len(model.candidates))
+        k = randbelow(rng, len(model.candidates))
         picks.append(model.candidate_bids[k])
     return tuple(picks)
 
@@ -227,34 +234,31 @@ def _cache_slot(cache: dict, key, make):
 
 def run_best_response_dynamics(config: RunConfig) -> Trace:
     """One uniformly random agent per round switches to a best response
-    (scripted orders override the draw); the mechanism coin is drawn per
-    round and the realized outcome recorded."""
+    (scripted orders override the draw) and the round plays the mechanism's
+    coin; each round's updater and coin are drawn before the first round."""
     mechanism = config.mechanism
     agents = config.agents
     n = len(agents)
     _check_behaviors(agents, "best-response")
     if n == 0:
         return _agentless_trace(config)
-    rng_order = seeded_rng(config.seed, "order")
-    rng_coin = seeded_rng(config.seed, "coin")
+    rounds = config.rounds
+    if config.scripted_order is not None:
+        updaters = list(islice(cycle(config.scripted_order), rounds))
+    else:
+        updaters = draws_below(seeded_rng(config.seed, "order"), n, rounds)
+    coins = mechanism.draw_coins(seeded_rng(config.seed, "coin"), n, rounds)
     agent_rngs = [seeded_rng(config.seed, "agent", i) for i in range(n)]
 
     profile = _starting_profile(config)
     byzantine = [isinstance(model.behavior, ByzantineBidder) for model in agents]
-    order = config.scripted_order
-    draw_updater = rng_order.randrange
-    draw_coin = mechanism.draw_coin
     keep_on_tie = config.keep_on_tie
     # per profile: best responses by updater, state indices by coin
     cache: dict = {}
     responses, by_coin = _cache_slot(cache, profile, lambda: ({}, {}))
-    states, plays, updaters = [], [], []
-    play, moved = plays.append, updaters.append
-    for t in range(config.rounds):
-        if order is not None:
-            updater = order[t % len(order)]
-        else:
-            updater = draw_updater(n)
+    states, plays = [], []
+    play = plays.append
+    for updater, coin in zip(updaters, coins):
         if byzantine[updater]:
             new_decl = byzantine_bid(agents[updater], agent_rngs[updater])
         else:
@@ -266,13 +270,11 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
         if new_decl != profile[updater]:
             profile = profile[:updater] + (new_decl,) + profile[updater + 1 :]
             responses, by_coin = _cache_slot(cache, profile, lambda: ({}, {}))
-        coin = draw_coin(rng_coin, n)
         k = by_coin.get(coin)
         if k is None:
             k = by_coin[coin] = len(states)
             states.append(Step(profile, coin, *_round_result(mechanism, profile, coin, agents)))
         play(k)
-        moved(updater)
     return Trace.from_states(mechanism, agents, states, plays, updaters)
 
 
@@ -286,7 +288,7 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
     _check_behaviors(agents, "regret")
     if n == 0:
         return _agentless_trace(config)
-    rng_coin = seeded_rng(config.seed, "coin")
+    coins = mechanism.draw_coins(seeded_rng(config.seed, "coin"), n, config.rounds)
     agent_rngs = [seeded_rng(config.seed, "agent", i) for i in range(n)]
 
     # keyed by the learners' candidate indices and the byzantine bidders'
@@ -296,7 +298,6 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
     # per agent: (learner state or None for a byzantine bidder, model, rng)
     plan = [(learner_state_for(model), model, agent_rngs[i]) for i, model in enumerate(agents)]
     learner_states = [state for state, _, _ in plan if state is not None]
-    draw_coin = mechanism.draw_coin
 
     def state_of(key):
         profile = tuple(
@@ -311,7 +312,7 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
 
     states, plays = [], []
     play = plays.append
-    for _ in range(config.rounds):
+    for coin in coins:
         key = []
         for state, model, rng in plan:
             if state is not None:
@@ -324,7 +325,6 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
         if entry is None:
             entry = _cache_slot(cache, key, lambda: state_of(key))
         profile, feedback, by_coin = entry
-        coin = draw_coin(rng_coin, n)
         k = by_coin.get(coin)
         if k is None:
             k = by_coin[coin] = len(states)

@@ -2,17 +2,31 @@
 desk-scale experiment suites."""
 from __future__ import annotations
 
+from math import ceil, log
 from typing import Optional
 
-from .core import EMPTY, Declaration, Profile, Valuation, full_mask, single_minded
+from .core import EMPTY, Declaration, Profile, Valuation, full_mask, randbelow, single_minded
 
 
 def random_bundle(rng, item_count: int, max_size: int) -> int:
-    size = rng.randint(1, max(1, min(max_size, item_count)))
-    items = rng.sample(range(item_count), size)
+    """Mask of 1 to `max_size` distinct random items, drawn as
+    `rng.sample(range(item_count), rng.randint(1, size cap))` draws them."""
+    size = 1 + randbelow(rng, max(1, min(max_size, item_count)))
     mask = 0
-    for j in items:
-        mask |= 1 << j
+    # `sample` keeps a pool list while it is smaller than a set of `size` picks
+    setsize = 21 if size <= 5 else 21 + 4 ** ceil(log(size * 3, 4))
+    if item_count <= setsize:
+        pool = list(range(item_count))
+        for left in range(item_count, item_count - size, -1):
+            j = randbelow(rng, left)
+            mask |= 1 << pool[j]
+            pool[j] = pool[left - 1]
+    else:
+        for _ in range(size):
+            j = randbelow(rng, item_count)
+            while mask >> j & 1:
+                j = randbelow(rng, item_count)
+            mask |= 1 << j
     return mask
 
 
@@ -26,12 +40,12 @@ def random_valuation(
     grand_max_value: Optional[int] = None,
 ) -> Valuation:
     atoms: dict[int, int] = {}
-    for _ in range(rng.randint(1, max_atoms)):
-        atoms[random_bundle(rng, item_count, max_size)] = rng.randint(1, max_value)
+    for _ in range(1 + randbelow(rng, max_atoms)):
+        atoms[random_bundle(rng, item_count, max_size)] = 1 + randbelow(rng, max_value)
     if grand_prob and rng.random() < grand_prob:
         grand = full_mask(item_count)
         ceiling = grand_max_value or 2 * max_value
-        atoms[grand] = rng.randint(max_value, ceiling)
+        atoms[grand] = max_value + randbelow(rng, ceiling - max_value + 1)
     return Valuation(atoms.items())
 
 
@@ -68,7 +82,7 @@ def random_profile(
             decls.append(EMPTY)
         else:
             decls.append(
-                Declaration(random_bundle(rng, item_count, max_size), rng.randint(1, max_value))
+                Declaration(random_bundle(rng, item_count, max_size), 1 + randbelow(rng, max_value))
             )
     return tuple(decls)
 
@@ -78,6 +92,6 @@ def truthful_profile(rng, types: list[Valuation]) -> Profile:
     decls = []
     for t in types:
         choices = [0] + [mask for mask, _ in t.atoms]
-        mask = choices[rng.randrange(len(choices))]
+        mask = choices[randbelow(rng, len(choices))]
         decls.append(single_minded(mask, t.value_of(mask)))
     return tuple(decls)

@@ -37,6 +37,7 @@ from .core import (
     Valuation,
     declared_welfare,
     full_mask,
+    randbelow,
 )
 
 
@@ -145,7 +146,8 @@ class Mechanism:
     charge critical prices.  `allocate` alone chooses between the lottery and
     `_allocate`, which subclasses implement (pure, coin-conditioned); they may
     override `thresholds` with closed forms, tested against the generic
-    threshold search that is the default."""
+    threshold search that is the default.  `draw_coins` draws the coins of
+    a run's rounds, one of `branches` or a lottery coin each."""
 
     name: str = "mechanism"
     item_count: int
@@ -289,13 +291,22 @@ class Mechanism:
         self.lottery = lottery
         self._lottery_chance = float(lottery) if lottery else None
 
-    def draw_coin(self, rng, n_agents: int) -> Coin:
-        """One round's coin: the lottery draw first, then the trembling draw."""
-        if self._lottery_chance is not None and rng.random() < self._lottery_chance:
-            return Coin(lottery_agent=rng.randrange(n_agents))
-        if self._ignore_chance is not None and rng.random() < self._ignore_chance:
-            return COIN_IGNORE_GRAND
-        return COIN_NONE
+    def draw_coins(self, rng, n_agents: int, rounds: int) -> list[Coin]:
+        """The coin of each of `rounds` rounds, drawn round by round: the
+        lottery draw first (then, if it fires, the lottery agent), then the
+        trembling draw.  A mechanism without randomness draws nothing."""
+        lottery, ignore = self._lottery_chance, self._ignore_chance
+        if lottery is None and ignore is None:
+            return [COIN_NONE] * rounds
+        random, coins = rng.random, []
+        for _ in range(rounds):
+            if lottery is not None and random() < lottery:
+                coins.append(Coin(lottery_agent=randbelow(rng, n_agents)))
+            elif ignore is not None and random() < ignore:
+                coins.append(COIN_IGNORE_GRAND)
+            else:
+                coins.append(COIN_NONE)
+        return coins
 
 
 class RuleMechanism(Mechanism):

@@ -719,6 +719,43 @@ def test_experiment_named_without_its_suffix_is_read_like_a_path(tmp_path, capsy
     assert err.startswith(f"INVALID: {target}:") and "Traceback" not in err
 
 
+def _copy_scenario_as(directory: Path, name: str) -> Path:
+    """Copy appendix-c-cycle and its instance into `directory` as `<name>.experiment.json`."""
+    directory.mkdir(exist_ok=True)
+    path = _copy_scenario(directory, "appendix-c-cycle", lambda experiment, instance: None)
+    return path.rename(directory / f"{name}.experiment.json")
+
+
+def test_relative_source_without_its_suffix_is_read_from_the_working_directory(
+    tmp_path, monkeypatch
+):
+    _copy_scenario_as(tmp_path / "d", "x")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "d/x", "--out-dir", "out"]) == 0
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["experiment"] == "x"
+
+
+@pytest.mark.parametrize("suffix", ["", ".experiment.json"])
+def test_source_reads_its_instance_beside_it(tmp_path, capsys, suffix):
+    """A local instance named like a built-in one is the one read, and a
+    malformed one is INVALID, whether or not the source has its suffix."""
+    path = _copy_scenario_as(tmp_path, "x")
+    instance = tmp_path / json.loads(path.read_text())["instance"]
+    instance.write_text("{")
+    assert main(["run", f"{tmp_path / 'x'}{suffix}", "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"INVALID: {instance}:")
+
+
+def test_dotted_source_never_reaches_the_scenario_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    source = "../scenarios/appendix-c-cycle"
+    assert main(["run", source, "--out-dir", "out"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"INVALID: no experiment file or scenario named {source!r}"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_two_tier_experiment_validates_and_runs(tmp_path):
     def two_tier(experiment, instance):
         experiment["mechanism"] = {"kind": "two-tier"}  # two-tier reads no `s`

@@ -1,4 +1,5 @@
 import pickle
+import random
 
 import pytest
 
@@ -17,11 +18,70 @@ from auctionlab import (
     single_minded,
     social_welfare,
 )
+from auctionlab.core import draws_below, randbelow
 from auctionlab.dynamics import seeded_rng
-from auctionlab.generate import random_valuation
+from auctionlab.generate import random_bundle, random_valuation
 from auctionlab.mechanisms import COIN_IGNORE_GRAND, COIN_NONE, Coin
 
 from conftest import A, B, C, D
+
+
+def reference_random_bundle(rng, item_count, max_size):
+    """`random_bundle` as first written: the draws the faster one must repeat."""
+    size = rng.randint(1, max(1, min(max_size, item_count)))
+    mask = 0
+    for j in rng.sample(range(item_count), size):
+        mask |= 1 << j
+    return mask
+
+
+class TestDrawIdentity:
+    """The one uniform-int rule repeats the running interpreter's `random`
+    draw for draw, with the same final generator state."""
+
+    def test_randbelow_and_draws_below_match_randrange(self):
+        # 1..70 includes every power of two up to 64 and the 2^k + 1 after it
+        for seed in range(6):
+            for n in range(1, 71):
+                rule, ref = random.Random(seed), random.Random(seed)
+                assert draws_below(rule, n, 40) == [ref.randrange(n) for _ in range(40)]
+                singles = [randbelow(rule, n) for _ in range(8)]
+                assert singles == [ref.randrange(n) for _ in range(8)]
+                assert rule.getstate() == ref.getstate()
+
+    def test_shifted_randbelow_matches_randint(self):
+        for seed in range(6):
+            rule, ref = random.Random(seed), random.Random(seed)
+            for a, b in [(0, 0), (0, 1), (1, 32), (0, 63), (0, 64), (32, 64), (5, 70)]:
+                got = [a + randbelow(rule, b - a + 1) for _ in range(30)]
+                assert got == [ref.randint(a, b) for _ in range(30)]
+            assert rule.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("n", [0, -1, -8])
+    def test_empty_range_raises_like_randrange(self, n):
+        with pytest.raises(ValueError):
+            random.Random(0).randrange(n)
+        with pytest.raises(ValueError):
+            randbelow(random.Random(0), n)
+        with pytest.raises(ValueError):
+            draws_below(random.Random(0), n, 3)
+
+    def test_random_bundle_matches_sample(self):
+        # `sample` draws from a pool list up to n = 21 for at most 5 picks
+        # and up to n = 85 (its larger set table) for 6 to 21, else from a set
+        for seed in range(12):
+            for n in [*range(1, 41), 64, 85, 86, 100]:
+                for max_size in (1, 2, 3, 5, 6, 8, 12):
+                    fast, slow = random.Random(seed), random.Random(seed)
+                    got = [random_bundle(fast, n, max_size) for _ in range(4)]
+                    assert got == [reference_random_bundle(slow, n, max_size) for _ in range(4)]
+                    assert fast.getstate() == slow.getstate()
+
+    def test_random_bundle_without_items_raises_like_sample(self):
+        with pytest.raises(ValueError):
+            reference_random_bundle(random.Random(0), 0, 2)
+        with pytest.raises(ValueError):
+            random_bundle(random.Random(0), 0, 2)
 
 
 class TestBundles:

@@ -22,7 +22,7 @@ from auctionlab import (
 )
 from auctionlab.core import declared_welfare, full_mask
 from auctionlab.dynamics import seeded_rng
-from auctionlab.mechanisms import COIN_NONE, Coin, Mechanism
+from auctionlab.mechanisms import COIN_IGNORE_GRAND, COIN_NONE, Coin, Mechanism
 from auctionlab.generate import random_profile, random_types, truthful_profile
 
 from conftest import A, B, C, D
@@ -476,3 +476,33 @@ class TestLottery:
         u = mech.expected_utility(0, profile[0], profile, types[0])
         # nine tenths of the mechanism utility plus his half of the lottery
         assert u == Fraction(9, 10) * 5 + Fraction(1, 10) * Fraction(1, 2) * 5
+
+
+def reference_draw_coin(mech, rng, n_agents):
+    """One round's coin as first drawn, a round at a time: the draws
+    `draw_coins` must repeat."""
+    if mech.lottery and rng.random() < float(mech.lottery):
+        return Coin(lottery_agent=rng.randrange(n_agents))
+    gamma = getattr(mech, "gamma", 0)
+    if gamma and rng.random() < float(gamma):
+        return COIN_IGNORE_GRAND
+    return COIN_NONE
+
+
+class TestDrawCoins:
+    @pytest.mark.parametrize("mech", [
+        FilteredGreedyMechanism(8, 2),
+        GrandBundleMechanism(8, Fraction(1, 4)),
+        FilteredGreedyMechanism(8, 2, lottery=Fraction(1, 16)),
+        GrandBundleMechanism(8, Fraction(1, 4), lottery=Fraction(1, 16)),
+    ], ids=["no-coin", "gamma", "lottery", "lottery-and-gamma"])
+    def test_same_coins_and_draws_as_one_round_at_a_time(self, mech):
+        for seed in range(4):
+            bulk, one = seeded_rng(seed, "coins"), seeded_rng(seed, "coins")
+            coins = mech.draw_coins(bulk, 5, 1500)
+            assert coins == [reference_draw_coin(mech, one, 5) for _ in range(1500)]
+            assert bulk.getstate() == one.getstate()
+        # every draw the mechanism makes fired at least once, and no other
+        lottery_rounds = sum(c.lottery_agent is not None for c in coins)
+        assert (lottery_rounds > 0) == bool(mech.lottery)
+        assert (COIN_IGNORE_GRAND in coins) == bool(getattr(mech, "gamma", 0))
