@@ -653,6 +653,13 @@ def trace_csv(trace: Trace, experiment: Experiment) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"--out-dir: {exc}") from None
+
+
 def run_experiment(
     source: str | Path,
     out_dir: Path,
@@ -673,15 +680,15 @@ def run_experiment(
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"--out-dir: {exc}") from None
-    if workers > 1 and count > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if workers > 1 and count > 1:  # a pool may start all its workers at once
+        with ProcessPoolExecutor(max_workers=min(workers, count)) as pool:
             outputs = list(pool.map(run_replica, [experiment] * count, range(count),
                                     [base_seed] * count, [targets] * count))
     else:
         outputs = [run_replica(experiment, r, base_seed, targets) for r in range(count)]
 
     for r, out in enumerate(outputs):
-        (out_dir / f"trace-replica{r}.csv").write_text(out["csv"])
+        _write(out_dir / f"trace-replica{r}.csv", out["csv"])
     summaries = [out["summary"] for out in outputs]
     ratios = [out["ratio"] for out in outputs]
 
@@ -719,7 +726,7 @@ def run_experiment(
         },
         "pass": bool(overall),
     }
-    (out_dir / "summary.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    _write(out_dir / "summary.json", json.dumps(document, indent=2, sort_keys=True) + "\n")
 
     for summary in summaries:
         for item in summary["checks"]:

@@ -80,8 +80,10 @@ class Trace:
     order of first play; round t (1-based) played `states[plays[t - 1]]`
     after `updaters[t - 1]` moved.  `steps`, `profiles()`, `history_for()`
     and `records` are per-round views of these.  The engines build a trace
-    with `from_states`; `Trace(mechanism, agents, records)` builds one from
-    records, with one state per distinct step value."""
+    with `from_states`, appending a step only when its profile and coin
+    first play, so its states are distinct for any number of rounds;
+    `Trace(mechanism, agents, records)` builds one from records, with one
+    state per distinct step value."""
 
     def __init__(self, mechanism: Mechanism, agents: tuple[AgentModel, ...],
                  records: Sequence[RoundRecord] = ()) -> None:
@@ -184,14 +186,9 @@ def _starting_profile(config: RunConfig) -> Profile:
 
 # Both engines revisit few states, and every per-state result below (a
 # round's state index, best responses, learner feedback) is a pure function
-# of its key, so caching them leaves traces unchanged.  The caches live for
-# one run and are emptied when they outgrow this many states, which bounds
-# their memory on runs that rarely repeat a state.  Measured runs stay far below it: at
-# most 357 distinct states in a 20,000-round learner run with a byzantine
-# bidder, at most 35 without one, and at most 10 in a best-response run.
-# A trace's states outlive a clear, and an equal state met after one is
-# appended again, so at worst a run keeps one state per round.
-STATE_CACHE_LIMIT = 4096
+# of its key, so caching them leaves traces unchanged.  Each cache is a plain
+# dict kept for the whole run; only a miss appends a state to the trace, so a
+# trace's states are distinct by construction and the cache grows with them.
 
 
 def _round_result(
@@ -223,15 +220,6 @@ def _agentless_trace(config: RunConfig) -> Trace:
     return Trace.from_states(config.mechanism, (), (step,), (0,) * rounds, (ALL_AGENTS,) * rounds)
 
 
-def _cache_slot(cache: dict, key, make):
-    entry = cache.get(key)
-    if entry is None:
-        entry = cache[key] = make()
-        if len(cache) > STATE_CACHE_LIMIT:
-            cache.clear()
-    return entry
-
-
 def run_best_response_dynamics(config: RunConfig) -> Trace:
     """One uniformly random agent per round switches to a best response
     (scripted orders override the draw) and the round plays the mechanism's
@@ -254,8 +242,8 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
     byzantine = [isinstance(model.behavior, ByzantineBidder) for model in agents]
     keep_on_tie = config.keep_on_tie
     # per profile: best responses by updater, state indices by coin
-    cache: dict = {}
-    responses, by_coin = _cache_slot(cache, profile, lambda: ({}, {}))
+    cache = {profile: ({}, {})}
+    responses, by_coin = cache[profile]
     states, plays = [], []
     play = plays.append
     for updater, coin in zip(updaters, coins):
@@ -269,7 +257,10 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
                 )
         if new_decl != profile[updater]:
             profile = profile[:updater] + (new_decl,) + profile[updater + 1 :]
-            responses, by_coin = _cache_slot(cache, profile, lambda: ({}, {}))
+            entry = cache.get(profile)
+            if entry is None:
+                entry = cache[profile] = ({}, {})
+            responses, by_coin = entry
         k = by_coin.get(coin)
         if k is None:
             k = by_coin[coin] = len(states)
@@ -323,7 +314,7 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
         key = tuple(key)
         entry = cache.get(key)
         if entry is None:
-            entry = _cache_slot(cache, key, lambda: state_of(key))
+            entry = cache[key] = state_of(key)
         profile, feedback, by_coin = entry
         k = by_coin.get(coin)
         if k is None:

@@ -808,6 +808,40 @@ def test_out_dir_on_a_file_is_invalid(tmp_path, capsys, monkeypatch, under):
     assert err.startswith("INVALID: --out-dir: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["trace-replica0.csv", "summary.json"])
+def test_output_write_failure_is_invalid(tmp_path, capsys, name):
+    (tmp_path / name).mkdir()
+    assert main(["run", "appendix-c-cycle", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("INVALID: --out-dir: ") and name in err and "Traceback" not in err
+
+
+def test_worker_pool_is_capped_at_the_replica_count(tmp_path, monkeypatch):
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    base = ["run", "byzantine-mix", "--replicas", "2"]
+    main([*base, "--workers", "5000", "--out-dir", str(tmp_path / "pool")])
+    assert pools == [2]
+    main([*base, "--workers", "1", "--out-dir", str(tmp_path / "one")])
+    assert pools == [2]
+    for name in ("summary.json", "trace-replica0.csv", "trace-replica1.csv"):
+        assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
 # Files that `json.loads` or the read before it rejects with an error other
 # than `JSONDecodeError`.
 _UNDECODABLE = {

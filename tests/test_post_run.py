@@ -2,17 +2,16 @@
 coverage report) work once per state of the trace, and the hindsight totals
 once per distinct profile value; a trace built from records holds one state
 per distinct step value.  Each stage must give exactly what a plain per-row
-computation gives: on every built-in scenario, also when the engine cache
-is emptied at almost every state so that an equal state is appended again,
-on a zero-agent trace, and on hand-built traces whose objects are shared in
-ways the engines never produce."""
+computation gives: on every built-in scenario, on a zero-agent trace, and
+on hand-built traces whose objects are shared in ways the engines never
+produce."""
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from auctionlab import cli, dynamics
+from auctionlab import cli
 from auctionlab.agents import BestResponder, hindsight_totals, make_agent
 from auctionlab.algorithms import greedy_rule
 from auctionlab.cli import (
@@ -105,10 +104,8 @@ def assert_matches_reference(trace, types, target_alloc):
             )
 
 
-@pytest.mark.parametrize("limit", [dynamics.STATE_CACHE_LIMIT, 1])
 @pytest.mark.parametrize("name", list_scenarios())
-def test_scenario_post_run_matches_per_row_reference(name, limit, monkeypatch):
-    monkeypatch.setattr(dynamics, "STATE_CACHE_LIMIT", limit)
+def test_scenario_post_run_matches_per_row_reference(name):
     experiment = load_experiment(name)
     config = experiment.run_config(seed=3)
     config = replace(config, rounds=min(config.rounds, 400))

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from auctionlab.agents import ByzantineBidder, make_agent
 from auctionlab.algorithms import greedy_rule
 from auctionlab.cli import load_experiment
 from auctionlab.core import Declaration, Outcome
@@ -13,7 +14,9 @@ from auctionlab.dynamics import (
     Trace,
     run_best_response_dynamics,
     run_regret_dynamics,
+    seeded_rng,
 )
+from auctionlab.generate import random_types
 from auctionlab.mechanisms import RuleMechanism
 
 
@@ -22,12 +25,24 @@ def scenario_trace(name, engine):
     return engine(replace(config, rounds=min(config.rounds, 300)))
 
 
+def low_reuse_trace():
+    """Six byzantine bidders: almost every round plays a new state, so the
+    trace holds thousands of states, and they must stay distinct."""
+    mechanism = RuleMechanism(greedy_rule(2), 8)
+    types = random_types(seeded_rng(5, "lowreuse"), 6, 8, max_atoms=3, max_value=32, max_size=2)
+    agents = [make_agent(i, t, ByzantineBidder(), mechanism) for i, t in enumerate(types)]
+    return run_best_response_dynamics(
+        RunConfig(mechanism=mechanism, agents=agents, rounds=5000, seed=3)
+    )
+
+
 TRACES = {
     "best-response": lambda: scenario_trace("random-ca", run_best_response_dynamics),
     "regret": lambda: scenario_trace("byzantine-mix", run_regret_dynamics),
     "agentless": lambda: run_best_response_dynamics(
         RunConfig(mechanism=RuleMechanism(greedy_rule(2), 2), agents=[], rounds=3)
     ),
+    "low-reuse": low_reuse_trace,
 }
 
 
