@@ -49,6 +49,11 @@ def ceil_sqrt(item_count: int) -> int:
     return r if r * r == item_count else r + 1
 
 
+def small_cap(item_count: int) -> int:
+    """Size cap of the two-scale rules' small sets: never the grand bundle."""
+    return min(ceil_sqrt(item_count), item_count - 1)
+
+
 def greedy_allocate(profile: Sequence[Declaration], cap: int | None = None) -> tuple[int, ...]:
     """Accept bids in descending value order (ties: lower agent index first)
     whenever the set is disjoint from everything accepted so far.
@@ -123,12 +128,11 @@ def greedy_rule(cap: int | None = None) -> AllocationRule:
 
 
 def two_tier_allocate(profile: Sequence[Declaration], item_count: int) -> tuple[int, ...]:
-    """Greedy over sets of at most ceil(sqrt(m)) items versus the single best
+    """Greedy over sets of at most `small_cap(m)` items versus the single best
     grand-bundle bid; the side with higher declared welfare wins, ties favor
     the greedy side.  Bids for mid-size sets are ignored by both sides."""
-    small_cap = ceil_sqrt(item_count)
     grand = full_mask(item_count)
-    galloc = greedy_allocate(profile, small_cap)
+    galloc = greedy_allocate(profile, small_cap(item_count))
     gwelfare = declared_welfare(galloc, profile)
     bigs = [(bid, -i) for i, (s, bid) in enumerate(profile) if s == grand and bid > 0]
     if bigs:

@@ -459,7 +459,6 @@ class _Replica(NamedTuple):
 
     experiment: Experiment
     trace: Trace
-    agents: list[AgentModel]
     report: Any  # the welfare or resilience report
     target_alloc: tuple[int, ...]
 
@@ -513,7 +512,7 @@ def _convergence(want: bool, run: _Replica):
 
 
 def _regret(want: Fraction, run: _Replica):
-    per_agent = regret_report(run.trace, run.agents).per_agent
+    per_agent = regret_report(run.trace, run.trace.agents).per_agent
     worst = max(per_agent, default=Fraction(0))
     detail = f"max regret {format_fraction(worst)} <= {format_fraction(want)}"
     return worst <= want, detail, {"regret": _by_agent(per_agent)}
@@ -606,7 +605,7 @@ def run_replica(
             "ratio": format_fraction(report.ratio),
         },
     }
-    run = _Replica(experiment, trace, config.agents, report, target_alloc)
+    run = _Replica(experiment, trace, report, target_alloc)
     results = []
     for name, (_, evaluate) in _CHECKS.items():
         if name in checks and evaluate is not None:
@@ -745,10 +744,10 @@ def run_experiment(
 
 def cmd_validate(args) -> int:
     path = Path(args.path)
-    data = _read_json(path)
-    if isinstance(data, dict) and ("instance" in data or "mechanism" in data):
-        welfare_targets(load_experiment(path))  # `run` solves the oracle before any round
-        print(f"OK: experiment {path}")
+    data = _read_json(path) if path.is_file() else None  # None: a source `run` resolves
+    if data is None or isinstance(data, dict) and ("instance" in data or "mechanism" in data):
+        welfare_targets(load_experiment(args.path))  # `run` solves the oracle before any round
+        print(f"OK: experiment {args.path}")
     else:
         instance = parse_instance(data, where=str(path))
         print(f"OK: instance {path} ({len(instance.types)} agents, {instance.item_count} items)")

@@ -34,7 +34,7 @@ from .agents import (
 )
 from .core import (EMPTY, Declaration, Outcome, Profile, ValidationError, declared_welfare,
                    draws_below, randbelow, social_welfare)
-from .mechanisms import COIN_NONE, Coin, FilteredGreedyMechanism, GrandBundleMechanism, Mechanism
+from .mechanisms import COIN_NONE, Coin, FilteredGreedyMechanism, Mechanism
 
 ALL_AGENTS = -1  # updater marker for concurrent (regret) rounds
 
@@ -150,9 +150,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValidationError("a run needs at least one round")
-        needs_lottery = isinstance(
-            self.mechanism, (FilteredGreedyMechanism, GrandBundleMechanism)
-        )
+        needs_lottery = isinstance(self.mechanism, FilteredGreedyMechanism)
         if not self.empty_start and needs_lottery and not self.mechanism.lottery:
             raise ValidationError("random starts on filtered mechanisms need a positive lottery",
                                   arg="empty_start")
@@ -276,6 +274,10 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
     mechanism = config.mechanism
     agents = config.agents
     n = len(agents)
+    for field, default in (("scripted_order", None), ("initial_profile", None),
+                           ("keep_on_tie", True), ("empty_start", True)):
+        if getattr(config, field) != default:  # only best-response dynamics reads it
+            raise ValidationError("regret dynamics does not use it", arg=field)
     _check_behaviors(agents, "regret")
     if n == 0:
         return _agentless_trace(config)

@@ -22,10 +22,10 @@ from .algorithms import (
     OPEN,
     AllocationRule,
     PriceFn,
-    ceil_sqrt,
     filtered_allocate,
     greedy_allocate,  # not called here: perfbench/tracer.py patches this name in this module
     opposing_total,
+    small_cap,
 )
 from .core import (
     EMPTY,
@@ -285,12 +285,6 @@ class Mechanism:
 
     # -- randomization -------------------------------------------------------
 
-    def _set_lottery(self, lottery: Fraction | None) -> None:
-        if lottery is not None:
-            check_chance(lottery, "appendix_b_lottery")
-        self.lottery = lottery
-        self._lottery_chance = float(lottery) if lottery else None
-
     def draw_coins(self, rng, n_agents: int, rounds: int) -> list[Coin]:
         """The coin of each of `rounds` rounds, drawn round by round: the
         lottery draw first (then, if it fires, the lottery agent), then the
@@ -340,7 +334,10 @@ class FilteredGreedyMechanism(Mechanism):
     def __init__(self, item_count: int, cap: int, lottery: Fraction | None = None):
         if cap is None or cap < 1:
             raise ValidationError("filtered greedy needs a cardinality cap of at least 1", arg="s")
-        self._set_lottery(lottery)
+        if lottery is not None:
+            check_chance(lottery, "appendix_b_lottery")
+        self.lottery = lottery
+        self._lottery_chance = float(lottery) if lottery else None
         self.item_count = item_count
         self.cap = cap
         self.name = f"filtered-greedy(m={item_count}, cap={cap})"
@@ -362,10 +359,11 @@ class FilteredGreedyMechanism(Mechanism):
         return price_of
 
 
-class GrandBundleMechanism(Mechanism):
-    """Filtered greedy over small sets combined with a grand-bundle branch:
-    the top grand bid takes everything when it strictly exceeds both the
-    other grand bids and the small-side declared welfare.  With probability
+class GrandBundleMechanism(FilteredGreedyMechanism):
+    """Filtered greedy over the small sets, of at most `small_cap(m)` items,
+    combined with a grand-bundle branch: the top grand bid takes everything
+    when it strictly exceeds both the other grand bids and the small-side
+    declared welfare.  Bids on mid-size sets never win.  With probability
     gamma the round ignores grand bids entirely, which keeps small-set
     bidding attractive."""
 
@@ -373,10 +371,8 @@ class GrandBundleMechanism(Mechanism):
         if item_count < 2:
             raise ValidationError("grand-bundle mechanism needs at least 2 items")
         gamma = check_chance(Fraction(gamma), "gamma", below_one=True)
-        self._set_lottery(lottery)
-        self.item_count = item_count
+        super().__init__(item_count, small_cap(item_count), lottery)
         self.gamma = gamma
-        self.small_cap = ceil_sqrt(item_count)
         self.grand = full_mask(item_count)
         self.name = f"grand-bundle(m={item_count}, gamma={gamma})"
         self._ignore_chance = float(gamma) if gamma else None
@@ -384,7 +380,7 @@ class GrandBundleMechanism(Mechanism):
             self.branches = ((gamma, COIN_IGNORE_GRAND), (1 - gamma, COIN_NONE))
 
     def _small_profile(self, profile: Profile) -> Profile:
-        cap = self.small_cap
+        cap = self.cap
         return tuple(d if d.set_mask.bit_count() <= cap else EMPTY for d in profile)
 
     def _grand_bids(self, profile: Profile, skip: int = -1) -> list[tuple[int, int]]:
@@ -397,27 +393,22 @@ class GrandBundleMechanism(Mechanism):
 
     def _small_welfare(self, profile: Profile) -> int:
         """Declared welfare of the filtered greedy run over small sets."""
-        return declared_welfare(filtered_allocate(profile, self.small_cap), profile)
+        return declared_welfare(filtered_allocate(profile, self.cap), profile)
 
     def _allocate(self, profile: Profile, coin: Coin) -> tuple[int, ...]:
-        live = profile
-        if coin.ignore_grand:
-            live = tuple(EMPTY if d.set_mask == self.grand else d for d in profile)
-        alloc = filtered_allocate(self._small_profile(live), self.small_cap)
-        bigs = self._grand_bids(live)
+        alloc = filtered_allocate(self._small_profile(profile), self.cap)
+        bigs = [] if coin.ignore_grand else self._grand_bids(profile)
         if bigs:
             top_bid, top_agent = max(bigs, key=lambda b: (b[0], -b[1]))
             rest = sum(b for b, _ in bigs) - top_bid
-            if top_bid > rest and top_bid > declared_welfare(alloc, live):
+            if top_bid > rest and top_bid > declared_welfare(alloc, profile):
                 alloc = [0] * len(profile)
                 alloc[top_agent] = self.grand
         return tuple(alloc)
 
-    def critical_price(self, agent, set_mask, profile, coin=COIN_NONE):
-        return self.thresholds(profile, agent, coin)(set_mask)
-
     def thresholds(self, profile, agent, coin=COIN_NONE):
         small = self._small_profile(profile)
+        small_price = super().thresholds(small, agent, coin)
         bigs = [] if coin.ignore_grand else [b for b, _ in self._grand_bids(profile, skip=agent)]
         others_grand = sum(bigs)
         top_bid = max(bigs, default=0)
@@ -431,18 +422,15 @@ class GrandBundleMechanism(Mechanism):
                     return None
                 welfare = self._small_welfare(with_probe(small, agent, EMPTY))
                 return (max(others_grand, welfare), OPEN)
-            if set_mask == 0 or set_mask.bit_count() > self.small_cap:
-                return None
-            floor = opposing_total(small, agent, set_mask)
-            if not grand_fires:
-                return (floor, OPEN)
+            price = small_price(set_mask)
+            if price is None or not grand_fires:
+                return price
             # Small welfare grows one-for-one with the probing bid once it
             # wins, so the grand branch stops firing at a fixed offset.
+            floor = price[0]
             winning = with_probe(small, agent, Declaration(set_mask, floor + 1))
             companions = self._small_welfare(winning) - (floor + 1)
             takeover = top_bid - companions
-            if takeover > floor:
-                return (takeover, CLOSED)
-            return (floor, OPEN)
+            return (takeover, CLOSED) if takeover > floor else price
 
         return price_of

@@ -91,6 +91,11 @@ class TestTwoTier:
         profile = (Declaration(0b1111, 6), Declaration(A, 3), Declaration(B, 3))
         assert two_tier_allocate(profile, 4) == (0, A, B)
 
+    def test_grand_bundle_is_never_a_small_set(self):
+        # on 2 items ceil(sqrt(2)) = 2, yet the small side holds the singletons only
+        profile = (Declaration(A | B, 5), Declaration(A, 3), Declaration(B, 3))
+        assert two_tier_allocate(profile, 2) == (0, A, B)
+
 
 class TestPartitionMax:
     def test_single_grand_side_bid_wins_over_silence(self):

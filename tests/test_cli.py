@@ -756,6 +756,17 @@ def test_dotted_source_never_reaches_the_scenario_directory(tmp_path, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("source", ["appendix-c-cycle", "mine"])
+def test_validate_resolves_a_source_as_run_does(tmp_path, monkeypatch, capsys, source):
+    """A scenario name, and a path without its suffix beside
+    `<path>.experiment.json`, validate as they run."""
+    _copy_scenario_as(tmp_path, "mine")
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", source]) == 0
+    assert capsys.readouterr().out == f"OK: experiment {source}\n"
+    assert main(["run", source, "--out-dir", "out"]) == 0
+
+
 def test_two_tier_experiment_validates_and_runs(tmp_path):
     def two_tier(experiment, instance):
         experiment["mechanism"] = {"kind": "two-tier"}  # two-tier reads no `s`

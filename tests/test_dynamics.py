@@ -318,6 +318,23 @@ class TestRegretEngine:
         with pytest.raises(ValidationError):
             run_regret_dynamics(cfg)
 
+    @pytest.mark.parametrize("field, value", [
+        ("scripted_order", [0, 1]),
+        ("initial_profile", (EMPTY,) * 4),
+        ("keep_on_tie", False),
+        ("empty_start", False),
+    ])
+    def test_best_response_fields_rejected(self, cycle_types, cycle_mechanism, field, value):
+        agents = [
+            make_agent(i, t, WeightedLearner(), cycle_mechanism)
+            for i, t in enumerate(cycle_types)
+        ]
+        cfg = RunConfig(mechanism=cycle_mechanism, agents=agents, rounds=5, seed=5,
+                        **{field: value})
+        with pytest.raises(ValidationError) as err:
+            run_regret_dynamics(cfg)
+        assert err.value.arg == field
+
     def test_deterministic_given_seed(self, cycle_types, cycle_mechanism):
         def run():
             agents = [

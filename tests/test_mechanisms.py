@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -215,6 +216,27 @@ class TestGrandBundle:
         assert not mech.wins(2, A, 5, others)
         assert mech.wins(2, A, 6, others)
 
+    def test_two_items_closed_forms_match_generic_search(self):
+        # ceil(sqrt(2)) = 2 items, yet the small sets are the singletons
+        mech = GrandBundleMechanism(2, Fraction(1, 4), lottery=Fraction(1, 8))
+        decls = [EMPTY] + [Declaration(s, b) for s in (0b01, 0b10, 0b11) for b in (1, 2, 3)]
+        for profile in itertools.product(decls, repeat=3):
+            for agent in range(3):
+                for _, coin in mech.branches:
+                    price_of = mech.thresholds(profile, agent, coin)
+                    for mask in (0b01, 0b10, 0b11):
+                        assert price_of(mask) == Mechanism.critical_price(
+                            mech, agent, mask, profile, coin
+                        )
+
+    def test_two_items_outcome_utility_is_the_expected_utility(self):
+        mech = GrandBundleMechanism(2, Fraction(0))
+        profile = (Declaration(0b11, 3), Declaration(0b01, 3))
+        v = Valuation([(0b11, 10)])
+        out = mech.outcome(profile)
+        assert out.allocation == (0, 0b01)
+        assert mech.expected_utility(0, profile[0], profile, v) == out.utility(0, v) == 0
+
 
 class TestSeparation:
     def test_all_empty_profile_is_separated(self):
@@ -337,6 +359,16 @@ class TestPaymentExactness:
                 price_of = mech.thresholds(profile, i, coin)
                 for mask in masks:
                     assert price_of(mask) == Mechanism.critical_price(mech, i, mask, profile, coin)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_generic_search_does_not_read_thresholds(self, monkeypatch, index):
+        # perfbench and the tests above take the unbound base method as the reference
+        mech = self._mechanisms()[index]
+        profile = (Declaration(A, 5), Declaration(A | B, 3))
+        search = Mechanism.critical_price(mech, 1, A | B, profile)
+        monkeypatch.setattr(type(mech), "thresholds", lambda *args: lambda mask: (99, CLOSED))
+        assert mech.critical_price(1, A | B, profile) == (99, CLOSED)
+        assert Mechanism.critical_price(mech, 1, A | B, profile) == search != (99, CLOSED)
 
     def test_utilities_are_ints_only_when_deterministic(self):
         v = Valuation([(A, 5)])
