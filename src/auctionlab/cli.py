@@ -420,33 +420,45 @@ _OVERRIDES = {
 }
 
 
+def resolve_source(source: str | Path) -> tuple[Path, str]:
+    """The file that `run` and `validate` read for `source`, and the name its
+    errors are reported at: a built-in scenario name first, then the path as
+    given if it ends in `.json` or is an existing file, then
+    `<source>.experiment.json`.  So `./name` reads a local file that shares a
+    scenario's name."""
+    text = str(source)
+    if text in list_scenarios():
+        return SCENARIO_DIR / f"{text}.experiment.json", text
+    path = Path(source)
+    if path.suffix != ".json" and not path.is_file():
+        path = Path(f"{text}.experiment.json")
+    if not path.exists():
+        raise ValidationError(
+            f"no experiment file or scenario named {text!r}; try 'auctionlab scenarios'"
+        )
+    return path, str(path)
+
+
 def load_experiment(source: str | Path, overrides: Optional[dict] = None) -> Experiment:
-    """Load an experiment by built-in scenario name or by file path, where a
-    path without a `.json` suffix names `<path>.experiment.json`; a file's
-    instance is read beside it.  Each `overrides` value replaces its key of
-    the file before the parse, so a flag obeys the rules of the key it
-    replaces."""
-    if str(source) in list_scenarios():
-        name = where = str(source)
-        home = SCENARIO_DIR
-        path = home / f"{name}.experiment.json"
-    else:
-        path = Path(source)
-        if path.suffix != ".json":
-            path = Path(f"{source}.experiment.json")
-        if not path.exists():
-            raise ValidationError(
-                f"no experiment file or scenario named {str(source)!r}; try 'auctionlab scenarios'"
-            )
-        name, where, home = path.stem.replace(".experiment", ""), str(path), path.parent
-    data = _read_json(path)
+    """Load the experiment that `resolve_source` finds for `source`.  Each
+    `overrides` value replaces its key of the file before the parse, so a
+    flag obeys the rules of the key it replaces."""
+    path, where = resolve_source(source)
+    return _experiment_of(_read_json(path), path, where, overrides)
+
+
+def _experiment_of(data: Any, path: Path, where: str,
+                   overrides: Optional[dict] = None) -> Experiment:
+    """The experiment in `data`, read from `path`; its instance is read
+    beside it."""
+    name = path.name.removesuffix(".json").removesuffix(".experiment")
     ref = _require(data, "instance", where)
     if not isinstance(ref, str):
         raise ValidationError(f"{where}.instance: expected a file name")
     overrides = overrides or {}
     for key, value in overrides.items():
         _object(data.setdefault(_OVERRIDES[key], {}), f"{name}.{_OVERRIDES[key]}")[key] = value
-    return parse_experiment(data, load_instance(home / ref), name, flags=tuple(overrides))
+    return parse_experiment(data, load_instance(path.parent / ref), name, flags=tuple(overrides))
 
 
 # ---------------------------------------------------------------------------
@@ -743,14 +755,15 @@ def run_experiment(
 
 
 def cmd_validate(args) -> int:
-    path = Path(args.path)
-    data = _read_json(path) if path.is_file() else None  # None: a source `run` resolves
-    if data is None or isinstance(data, dict) and ("instance" in data or "mechanism" in data):
-        welfare_targets(load_experiment(args.path))  # `run` solves the oracle before any round
+    path, where = resolve_source(args.path)
+    data = _read_json(path)
+    if isinstance(data, dict) and ("instance" in data or "mechanism" in data):
+        welfare_targets(_experiment_of(data, path, where))  # as `run` does before any round
         print(f"OK: experiment {args.path}")
     else:
-        instance = parse_instance(data, where=str(path))
-        print(f"OK: instance {path} ({len(instance.types)} agents, {instance.item_count} items)")
+        instance = parse_instance(data, where=where)
+        size = f"{len(instance.types)} agents, {instance.item_count} items"
+        print(f"OK: instance {args.path} ({size})")
     return 0
 
 

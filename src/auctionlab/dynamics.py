@@ -76,35 +76,17 @@ class RoundRecord:
 
 
 class Trace:
-    """The rounds of one run.  `states` holds each distinct step once, in
-    order of first play; round t (1-based) played `states[plays[t - 1]]`
+    """The rounds of one run: round t (1-based) played `states[plays[t - 1]]`
     after `updaters[t - 1]` moved.  `steps`, `profiles()`, `history_for()`
-    and `records` are per-round views of these.  The engines build a trace
-    with `from_states`, appending a step only when its profile and coin
-    first play, so its states are distinct for any number of rounds;
-    `Trace(mechanism, agents, records)` builds one from records, with one
-    state per distinct step value."""
+    and `records` are per-round views of these.  The engines append a step
+    only when its profile and coin first play, so their states are distinct,
+    in order of first play, for any number of rounds."""
 
-    def __init__(self, mechanism: Mechanism, agents: tuple[AgentModel, ...],
-                 records: Sequence[RoundRecord] = ()) -> None:
-        index: dict[Step, int] = {}
-        plays = tuple(
-            index.setdefault(Step(r.profile, r.coin, r.outcome, r.declared_welfare,
-                                  r.true_welfare), len(index))
-            for r in records
-        )
-        self.mechanism, self.agents = mechanism, agents
-        self.states, self.plays = tuple(index), plays
-        self.updaters = tuple(r.updater for r in records)
-
-    @classmethod
-    def from_states(cls, mechanism: Mechanism, agents: Sequence[AgentModel],
-                    states: Sequence[Step], plays: Sequence[int],
-                    updaters: Sequence[int]) -> Trace:
-        trace = cls.__new__(cls)
-        trace.mechanism, trace.agents = mechanism, tuple(agents)
-        trace.states, trace.plays, trace.updaters = tuple(states), tuple(plays), tuple(updaters)
-        return trace
+    def __init__(self, mechanism: Mechanism, agents: Sequence[AgentModel],
+                 states: Sequence[Step], plays: Sequence[int],
+                 updaters: Sequence[int]) -> None:
+        self.mechanism, self.agents = mechanism, tuple(agents)
+        self.states, self.plays, self.updaters = tuple(states), tuple(plays), tuple(updaters)
 
     @property
     def steps(self) -> tuple[Step, ...]:
@@ -215,7 +197,7 @@ def _agentless_trace(config: RunConfig) -> Trace:
     outcome, and no stream is drawn."""
     step = Step((), COIN_NONE, Outcome((), ()), 0, 0)
     rounds = config.rounds
-    return Trace.from_states(config.mechanism, (), (step,), (0,) * rounds, (ALL_AGENTS,) * rounds)
+    return Trace(config.mechanism, (), (step,), (0,) * rounds, (ALL_AGENTS,) * rounds)
 
 
 def run_best_response_dynamics(config: RunConfig) -> Trace:
@@ -264,7 +246,7 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
             k = by_coin[coin] = len(states)
             states.append(Step(profile, coin, *_round_result(mechanism, profile, coin, agents)))
         play(k)
-    return Trace.from_states(mechanism, agents, states, plays, updaters)
+    return Trace(mechanism, agents, states, plays, updaters)
 
 
 def run_regret_dynamics(config: RunConfig) -> Trace:
@@ -325,7 +307,7 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
         for state, gains in zip(learner_states, feedback):
             state.update(gains)
         play(k)
-    return Trace.from_states(mechanism, agents, states, plays, (ALL_AGENTS,) * len(plays))
+    return Trace(mechanism, agents, states, plays, (ALL_AGENTS,) * len(plays))
 
 
 def detect_cycle(trace: Trace) -> Optional[tuple[int, int]]:

@@ -319,6 +319,28 @@ class TestRunCommand:
         csv_text = (out / "trace-replica0.csv").read_text()
         assert "lottery:" in csv_text  # with p=1/3 over 30 rounds a draw fires
 
+    @pytest.mark.parametrize("want", [False, True])
+    def test_require_separated_false_asks_for_nothing(self, tmp_path, monkeypatch, capsys, want):
+        """`require_separated: false` adds no row to any replica's checks and
+        computes no separation; `true` adds one row per replica."""
+        instance = write_instance(tmp_path)
+        path = write_experiment(
+            tmp_path, instance, acceptance={"checks": {"require_separated": want}}
+        )
+        if not want:
+            def unasked(trace, types):
+                raise AssertionError("separation computed although no check asks for it")
+
+            monkeypatch.setattr(cli, "separated_throughout", unasked)
+        status = main(["run", str(path), "--out-dir", str(tmp_path / "out")])
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        rows = [[item["name"] for item in replica["checks"]] for replica in summary["replicas"]]
+        assert rows == [["require_separated"] if want else []] * 2
+        printed = re.findall(r"(?:PASS|FAIL) (\w+):", capsys.readouterr().out)
+        assert printed == (["require_separated"] * 2 if want else [])
+        if not want:
+            assert status == 0 and summary["pass"]
+
 
 def _scenario_documents(name: str) -> tuple[dict, dict]:
     """The experiment and instance documents of a built-in scenario."""
@@ -756,15 +778,47 @@ def test_dotted_source_never_reaches_the_scenario_directory(tmp_path, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("source", ["appendix-c-cycle", "mine"])
-def test_validate_resolves_a_source_as_run_does(tmp_path, monkeypatch, capsys, source):
-    """A scenario name, and a path without its suffix beside
-    `<path>.experiment.json`, validate as they run."""
-    _copy_scenario_as(tmp_path, "mine")
+@pytest.mark.parametrize(
+    "source, local",
+    [
+        pytest.param("appendix-c-cycle", None, id="appendix-c-cycle"),
+        pytest.param("mine", None, id="mine"),
+        pytest.param("mine.experiment.json", None, id="experiment-file"),
+        pytest.param("appendix-c-cycle", "instance", id="scenario-beside-a-local-instance"),
+        pytest.param("myexp", "experiment", id="suffix-less-file"),
+    ],
+)
+def test_validate_resolves_a_source_as_run_does(tmp_path, monkeypatch, capsys, source, local):
+    """A scenario name, an experiment file, a path without its suffix beside
+    `<path>.experiment.json` and an existing file without a suffix validate
+    as they run: both commands read the same files, and `validate` reads
+    each once.  A scenario name comes before a local file of that name,
+    which `./<name>` reads."""
+    experiment = _copy_scenario_as(tmp_path, "mine")
+    if local == "instance":
+        write_instance(tmp_path).rename(tmp_path / source)
+    elif local == "experiment":
+        experiment.rename(tmp_path / source)
     monkeypatch.chdir(tmp_path)
+    reads = []
+    read_json = cli._read_json
+
+    def counted_read(path):
+        reads.append(Path(path).resolve())
+        return read_json(path)
+
+    monkeypatch.setattr(cli, "_read_json", counted_read)
     assert main(["validate", source]) == 0
     assert capsys.readouterr().out == f"OK: experiment {source}\n"
+    validated = list(reads)
+    assert len(validated) == len(set(validated)) == 2  # the experiment and its instance
+    reads.clear()
     assert main(["run", source, "--out-dir", "out"]) == 0
+    assert reads == validated
+    if local == "instance":
+        capsys.readouterr()
+        assert main(["validate", f"./{source}"]) == 0
+        assert capsys.readouterr().out == f"OK: instance ./{source} (4 agents, 4 items)\n"
 
 
 def test_two_tier_experiment_validates_and_runs(tmp_path):

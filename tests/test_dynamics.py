@@ -20,8 +20,8 @@ from auctionlab import dynamics
 from auctionlab.agents import best_response, byzantine_bid, counterfactual_utilities, learner_state_for
 from auctionlab.dynamics import (
     ALL_AGENTS,
-    RoundRecord,
     RunConfig,
+    Step,
     Trace,
     constant_tail_start,
     detect_cycle,
@@ -90,13 +90,19 @@ class TestScriptedCycle:
                 mechanism=cycle_mechanism, agents=agents, rounds=3, seed=0, scripted_order=[]
             )
 
+    @pytest.mark.parametrize("unknown", [-1, 4])  # the cycle has agents 0 to 3
+    def test_order_naming_an_unknown_agent_rejected(self, cycle_types, cycle_mechanism, unknown):
+        agents = best_response_agents(cycle_types, cycle_mechanism)
+        with pytest.raises(ValidationError, match=f"scripted order names unknown agent {unknown}$"):
+            RunConfig(
+                mechanism=cycle_mechanism, agents=agents, rounds=3, seed=0,
+                scripted_order=[0, unknown],
+            )
+
 
 def synthetic_trace(profiles, mechanism, agents):
-    records = tuple(
-        RoundRecord(t + 1, 0, p, COIN_NONE, mechanism.outcome(p), 0, 0)
-        for t, p in enumerate(profiles)
-    )
-    return Trace(mechanism, tuple(agents), records)
+    steps = [Step(p, COIN_NONE, mechanism.outcome(p), 0, 0) for p in profiles]
+    return Trace(mechanism, agents, steps, range(len(steps)), [0] * len(steps))
 
 
 class TestCycleDetection:

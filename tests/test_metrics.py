@@ -17,7 +17,7 @@ from auctionlab import (
     resilience_report,
     welfare_report,
 )
-from auctionlab.dynamics import RoundRecord, RunConfig, Trace, run_best_response_dynamics, seeded_rng
+from auctionlab.dynamics import RunConfig, Step, Trace, run_best_response_dynamics, seeded_rng
 from auctionlab.mechanisms import COIN_NONE
 from auctionlab.metrics import InstanceMismatchError
 
@@ -27,17 +27,14 @@ from conftest import A, B, C, D
 def fixed_trace(profiles, mechanism, agents, types):
     from auctionlab.core import social_welfare
 
-    records = []
-    for t, p in enumerate(profiles):
+    steps = []
+    for p in profiles:
         out = mechanism.outcome(p)
-        records.append(
-            RoundRecord(
-                t + 1, 0, p, COIN_NONE, out,
-                declared_welfare(out.allocation, p),
-                social_welfare(out.allocation, types),
-            )
+        steps.append(
+            Step(p, COIN_NONE, out, declared_welfare(out.allocation, p),
+                 social_welfare(out.allocation, types))
         )
-    return Trace(mechanism, tuple(agents), tuple(records))
+    return Trace(mechanism, agents, steps, range(len(steps)), [0] * len(steps))
 
 
 def hindsight_target_check(trace, types, target_alloc, model):

@@ -37,7 +37,7 @@ def _traced_run(tmp_path, scenario):
 
 def test_tracer_records_replicas_checks_and_export(tmp_path):
     tracer = _traced_run(tmp_path, "appendix-c-cycle")
-    for layer in ("cli.run_replica", "cli.checks", "cli.export"):
+    for layer in ("cli.load", "cli.run_replica", "cli.checks", "cli.export"):
         assert tracer.calls[layer] > 0, f"{layer} recorded no calls"
 
 

@@ -1,10 +1,10 @@
 """The post-run stages of `auctionlab run` (CSV export, separation check,
 coverage report) work once per state of the trace, and the hindsight totals
-once per distinct profile value; a trace built from records holds one state
-per distinct step value.  Each stage must give exactly what a plain per-row
-computation gives: on every built-in scenario, on a zero-agent trace, and
-on hand-built traces whose objects are shared in ways the engines never
-produce."""
+once per distinct profile value.  A hand-built trace may hold one state
+per round, so its states can repeat a value.  Each stage must give exactly
+what a plain per-row computation gives: on every built-in scenario, on a
+zero-agent trace, and on hand-built traces whose objects are shared in ways
+the engines never produce."""
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -24,8 +24,8 @@ from auctionlab.cli import (
 from auctionlab.core import EMPTY, Declaration, Outcome, Valuation
 from auctionlab.dynamics import (
     ALL_AGENTS,
-    RoundRecord,
     RunConfig,
+    Step,
     Trace,
     run_best_response_dynamics,
     run_regret_dynamics,
@@ -149,11 +149,10 @@ def test_shared_objects_that_engines_never_produce():
         (revisit, COIN_NONE, first, 1),
         (separated, COIN_NONE, first, 6),
     ]
-    records = tuple(
-        RoundRecord(t, t % 2, profile, coin, outcome, welfare, welfare)
-        for t, (profile, coin, outcome, welfare) in enumerate(rows, 1)
-    )
-    trace = Trace(mechanism, agents, records)
+    steps = [Step(profile, coin, outcome, welfare, welfare)
+             for profile, coin, outcome, welfare in rows]
+    updaters = [t % 2 for t in range(1, len(steps) + 1)]
+    trace = Trace(mechanism, agents, steps, range(len(steps)), updaters)
     assert_matches_reference(trace, types, [0b011, 0b010])
     assert not separated_throughout(trace, types)
     matrix, _ = coverage_report(trace, types, [0b011, 0b010])
@@ -161,9 +160,10 @@ def test_shared_objects_that_engines_never_produce():
 
 
 def test_equal_but_distinct_objects_are_worked_once(monkeypatch):
-    """Records whose profiles, declarations and outcomes are equal but
-    distinct objects give what shared objects give, and each post-run stage
-    works once per distinct value."""
+    """Steps whose profiles, declarations and outcomes are equal but
+    distinct objects give what shared objects give, and the separation
+    check and the hindsight totals work once per distinct value, although
+    the trace's states repeat those values."""
     types = [Valuation([(0b011, 6)]), Valuation([(0b010, 5)]), Valuation([(0b100, 3)])]
     mechanism = RuleMechanism(greedy_rule(2), 3)
     agents = tuple(make_agent(i, t, BestResponder(), mechanism) for i, t in enumerate(types))
@@ -174,20 +174,21 @@ def test_equal_but_distinct_objects_are_worked_once(monkeypatch):
     ]
     visits = [0, 1, 1, 0, 2, 0, 1, 2, 2, 0]
 
-    def record(t, k):
+    def step(k):
         pairs, coin, allocation, payments, welfare = states[k]
         profile = tuple(Declaration(*p) for p in pairs)
-        return RoundRecord(t, t % 3, profile, coin, Outcome(allocation, payments), welfare, welfare)
+        return Step(profile, coin, Outcome(allocation, payments), welfare, welfare)
 
-    fresh = tuple(record(t, k) for t, k in enumerate(visits, 1))
-    built = [record(0, k) for k in range(len(states))]
-    shared = tuple(replace(built[k], round=t, updater=t % 3) for t, k in enumerate(visits, 1))
+    fresh = [step(k) for k in visits]
+    built = [step(k) for k in range(len(states))]
+    shared = [built[k] for k in visits]
     assert fresh[0].profile == fresh[3].profile and fresh[0].profile is not fresh[3].profile
     assert fresh[0].profile[0] is not fresh[3].profile[0]
     assert fresh[0].outcome == fresh[3].outcome and fresh[0].outcome is not fresh[3].outcome
     assert shared[0].profile is shared[3].profile
-    fresh_trace = Trace(mechanism, agents, fresh)
-    shared_trace = Trace(mechanism, agents, shared)
+    plays, updaters = range(len(visits)), [t % 3 for t in range(1, len(visits) + 1)]
+    fresh_trace = Trace(mechanism, agents, fresh, plays, updaters)
+    shared_trace = Trace(mechanism, agents, shared, plays, updaters)
     target_alloc = [0b011, 0b010, 0b100]
 
     assert trace_csv(fresh_trace, None) == trace_csv(shared_trace, None)

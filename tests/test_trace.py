@@ -1,6 +1,6 @@
 """A trace holds each distinct step once, as one of its `states`, and each
 round's index into them in `plays`; `Trace.records` is a view of those: built
-on first read and kept.  A trace rebuilt from its records reads the same."""
+on first read and kept."""
 from dataclasses import replace
 
 import pytest
@@ -8,10 +8,8 @@ import pytest
 from auctionlab.agents import ByzantineBidder, make_agent
 from auctionlab.algorithms import greedy_rule
 from auctionlab.cli import load_experiment
-from auctionlab.core import Declaration, Outcome
 from auctionlab.dynamics import (
     RunConfig,
-    Trace,
     run_best_response_dynamics,
     run_regret_dynamics,
     seeded_rng,
@@ -59,19 +57,6 @@ def test_records_are_a_kept_view_of_the_steps(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(TRACES))
-def test_trace_rebuilt_from_records_reads_the_same(kind):
-    trace = TRACES[kind]()
-    rebuilt = Trace(trace.mechanism, trace.agents, trace.records)
-    assert rebuilt.rounds == trace.rounds
-    assert rebuilt.profiles() == trace.profiles()
-    for i in range(trace.n_agents):
-        assert rebuilt.history_for(i) == trace.history_for(i)
-    assert rebuilt.steps == trace.steps and rebuilt.updaters == trace.updaters
-    assert rebuilt.records == trace.records
-    assert rebuilt.records is rebuilt.records
-
-
-@pytest.mark.parametrize("kind", sorted(TRACES))
 def test_engines_build_one_step_per_state_and_coin(kind):
     trace = TRACES[kind]()
     distinct = {(step.profile, step.coin) for step in trace.steps}
@@ -85,13 +70,3 @@ def test_engines_build_one_step_per_state_and_coin(kind):
         )
     if kind == "agentless":
         assert len(trace.states) == 1
-
-    # records whose steps are equal but distinct objects give one state per value
-    copies = [
-        replace(record, profile=tuple(Declaration(*d) for d in record.profile),
-                outcome=Outcome(list(record.outcome.allocation), list(record.outcome.payments)))
-        for record in trace.records
-    ]
-    assert copies[0].outcome is not trace.records[0].outcome
-    rebuilt = Trace(trace.mechanism, trace.agents, copies)
-    assert rebuilt.states == trace.states and rebuilt.plays == trace.plays
