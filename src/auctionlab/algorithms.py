@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -36,7 +37,9 @@ class AllocationRule:
     When the rule has closed-form bid thresholds, `thresholds(profile,
     agent)` returns a `price_of(set_mask)` that gives (theta, OPEN|CLOSED),
     or None for an unwinnable set, without recomputing the state shared by
-    all sets; the entry profile[agent] is ignored.
+    all sets; the entry profile[agent] is ignored.  All three built-in
+    rules fill it.  A rule without it is priced by the generic search,
+    which is also the reference the closed forms are tested against.
     """
 
     name: str
@@ -101,10 +104,14 @@ def greedy_acceptances(
 
 
 def greedy_thresholds(profile: Profile, agent: int, cap: int | None) -> PriceFn:
-    """The bid thresholds for `agent` against the greedy run without him: the
+    """The bid thresholds for `agent` against the greedy run without the agent."""
+    return _greedy_price(greedy_acceptances(profile, agent, cap), agent, cap)
+
+
+def _greedy_price(acceptances: list[tuple[int, int, int]], agent: int, cap: int | None) -> PriceFn:
+    """Prices against the `acceptances` of a greedy run without `agent`: the
     first accepted bid whose set intersects, with the boundary decided by
     who would win the tie at that value."""
-    acceptances = greedy_acceptances(profile, agent, cap)
 
     def price_of(set_mask: int) -> tuple[int, str] | None:
         if set_mask == 0:
@@ -117,6 +124,50 @@ def greedy_thresholds(profile: Profile, agent: int, cap: int | None) -> PriceFn:
         return (0, OPEN)
 
     return price_of
+
+
+def _greedy_welfare(profile: Profile, cap: int | None = None) -> int:
+    """Declared welfare of the greedy run over `profile`."""
+    return declared_welfare(greedy_allocate(profile, cap), profile)
+
+
+def with_probe(profile: Profile, agent: int, probe: Declaration) -> Profile:
+    return (*profile[:agent], probe, *profile[agent + 1 :])
+
+
+def takeover_price(
+    price_of: PriceFn,
+    welfare_of: Callable[[Profile], int],
+    profile: Profile,
+    agent: int,
+    rival: int,
+    wins_ties: bool,
+) -> PriceFn:
+    """Prices for `agent` on one side of a rule that hands everything to the
+    side of higher declared welfare: `price_of` prices a set within the
+    side, `welfare_of` gives the side's declared welfare of a profile, and
+    `rival` is the other side's welfare, which the agent does not move.
+    The side wins exact ties iff `wins_ties`.
+
+    Once the agent wins its set, the side's welfare grows one for one with
+    the bid, because the others it then admits do not depend on the bid.  So
+    the rival stops winning at a fixed offset, `rival - companions`.  A rival
+    of 0 never binds: a side price of 0 is always open."""
+    if rival <= 0:
+        return price_of
+
+    def price(set_mask: int) -> tuple[int, str] | None:
+        side_price = price_of(set_mask)
+        if side_price is None:
+            return None
+        floor = side_price[0]
+        winning = with_probe(profile, agent, Declaration(set_mask, floor + 1))
+        takeover = rival - (welfare_of(winning) - (floor + 1))
+        if wins_ties:
+            return (takeover, CLOSED) if takeover > floor else side_price
+        return (takeover, OPEN) if takeover >= floor else side_price
+
+    return price
 
 
 def greedy_rule(cap: int | None = None) -> AllocationRule:
@@ -144,13 +195,48 @@ def two_tier_allocate(profile: Sequence[Declaration], item_count: int) -> tuple[
     return galloc
 
 
+def two_tier_thresholds(profile: Profile, agent: int, item_count: int) -> PriceFn:
+    """The bid thresholds of `two_tier_allocate` for `agent`.  A small set
+    must win the greedy run and keep the greedy side level with the top
+    other grand bid.  The grand bundle must beat the others' greedy welfare
+    and the top other grand bid, a tie with that bid going to the lower
+    index.  A mid-size set never wins."""
+    cap, grand = small_cap(item_count), full_mask(item_count)
+    accepted = greedy_acceptances(profile, agent, cap)
+    others_welfare = sum(bid for bid, _, _ in accepted)
+    top_bid, top_agent = max(
+        ((bid, j) for j, (s, bid) in enumerate(profile) if j != agent and s == grand and bid > 0),
+        key=lambda b: (b[0], -b[1]),
+        default=(0, -1),
+    )
+    small_price = takeover_price(
+        _greedy_price(accepted, agent, cap), partial(_greedy_welfare, cap=cap),
+        profile, agent, top_bid, wins_ties=True,
+    )
+
+    def price_of(set_mask: int) -> tuple[int, str] | None:
+        if set_mask != grand:
+            return small_price(set_mask)
+        if top_bid > others_welfare:
+            return (top_bid, CLOSED if agent < top_agent else OPEN)
+        return (others_welfare, OPEN)
+
+    return price_of
+
+
 def two_tier_rule(item_count: int) -> AllocationRule:
     if item_count < 2:
         raise ValidationError("two-tier rule needs at least 2 items")
     return AllocationRule(
         name=f"two-tier(m={item_count})",
         allocate=lambda profile: two_tier_allocate(profile, item_count),
+        thresholds=lambda p, i: two_tier_thresholds(p, i, item_count),
     )
+
+
+def _inside(profile: Sequence[Declaration], side: int) -> Profile:
+    """`profile` with every bid not on a non-empty subset of `side` blanked."""
+    return tuple(d if d.set_mask and d.set_mask & ~side == 0 else EMPTY for d in profile)
 
 
 def partition_max_allocate(
@@ -160,13 +246,39 @@ def partition_max_allocate(
     side B; the side with higher declared welfare wins, ties favor side A."""
     if side_a & side_b:
         raise ValidationError("partition sides must be disjoint")
-    a_profile = tuple(d if d.set_mask and d.set_mask & ~side_a == 0 else EMPTY for d in profile)
-    b_profile = tuple(d if d.set_mask and d.set_mask & ~side_b == 0 else EMPTY for d in profile)
-    alloc_a = greedy_allocate(a_profile, cap)
-    alloc_b = greedy_allocate(b_profile, cap)
+    alloc_a = greedy_allocate(_inside(profile, side_a), cap)
+    alloc_b = greedy_allocate(_inside(profile, side_b), cap)
     if declared_welfare(alloc_a, profile) >= declared_welfare(alloc_b, profile):
         return alloc_a
     return alloc_b
+
+
+def partition_thresholds(
+    profile: Profile, agent: int, side_a: int, side_b: int, cap: int | None
+) -> PriceFn:
+    """The bid thresholds of `partition_max_allocate` for `agent`.  A set
+    inside one side must win that side's greedy run and lift the side's
+    welfare over the other's, side A winning ties.  A set that straddles
+    the sides never wins."""
+
+    def side(mask: int) -> tuple[Profile, PriceFn, int]:
+        inside = _inside(profile, mask)
+        accepted = greedy_acceptances(inside, agent, cap)
+        return inside, _greedy_price(accepted, agent, cap), sum(b for b, _, _ in accepted)
+
+    (a_profile, a_price, a_welfare), (b_profile, b_price, b_welfare) = side(side_a), side(side_b)
+    welfare_of = partial(_greedy_welfare, cap=cap)
+    a_side = takeover_price(a_price, welfare_of, a_profile, agent, b_welfare, wins_ties=True)
+    b_side = takeover_price(b_price, welfare_of, b_profile, agent, a_welfare, wins_ties=False)
+
+    def price_of(set_mask: int) -> tuple[int, str] | None:
+        if set_mask & ~side_a == 0:
+            return a_side(set_mask)
+        if set_mask & ~side_b == 0:
+            return b_side(set_mask)
+        return None
+
+    return price_of
 
 
 def partition_rule(item_count: int, side_a: int, cap: int | None = None) -> AllocationRule:
@@ -174,6 +286,7 @@ def partition_rule(item_count: int, side_a: int, cap: int | None = None) -> Allo
     return AllocationRule(
         name=f"partition(m={item_count}, a={side_a:#x}, cap={cap})",
         allocate=lambda profile: partition_max_allocate(profile, side_a, side_b, cap),
+        thresholds=lambda p, i: partition_thresholds(p, i, side_a, side_b, cap),
     )
 
 

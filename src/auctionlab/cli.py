@@ -673,15 +673,18 @@ def _write(path: Path, text: str) -> None:
 
 def run_experiment(
     source: str | Path,
-    out_dir: Path,
+    out_dir: Optional[Path] = None,
     seed: Optional[int] = None,
     replicas: Optional[int] = None,
     overrides: Optional[dict] = None,
     workers: int = 1,
 ) -> int:
-    """Run every replica, write one CSV per replica plus a summary JSON, and
-    return the exit status (0 iff all configured checks pass)."""
+    """Run every replica, write one CSV per replica plus a summary JSON into
+    `out_dir` (default `runs/<experiment name>`), and return the exit status
+    (0 iff all configured checks pass)."""
     experiment = load_experiment(source, overrides)
+    if out_dir is None:
+        out_dir = Path("runs") / experiment.name
     base_seed = experiment.seed if seed is None else _whole(seed, "--seed")
     count = experiment.replicas if replicas is None else _positive(replicas, "--replicas")
     workers = _positive(workers, "--workers")
@@ -791,7 +794,7 @@ def cmd_run(args) -> int:
             overrides["scripted_order"] = [int(x) for x in args.scripted_order.split(",")]
         except ValueError:
             raise ValidationError("--scripted-order: expected comma-separated agent ids") from None
-    out_dir = Path(args.out_dir) if args.out_dir else Path("runs") / Path(str(args.source)).stem
+    out_dir = Path(args.out_dir) if args.out_dir else None
     return run_experiment(args.source, out_dir, args.seed, args.replicas, overrides, args.workers)
 
 

@@ -26,6 +26,8 @@ from .algorithms import (
     greedy_allocate,  # not called here: perfbench/tracer.py patches this name in this module
     opposing_total,
     small_cap,
+    takeover_price,
+    with_probe,
 )
 from .core import (
     EMPTY,
@@ -65,10 +67,6 @@ class Coin(NamedTuple):
 
 COIN_NONE = Coin()
 COIN_IGNORE_GRAND = Coin(ignore_grand=True)
-
-
-def with_probe(profile: Profile, agent: int, probe: Declaration) -> Profile:
-    return (*profile[:agent], probe, *profile[agent + 1 :])
 
 
 def tie_loss_probe(profile: Profile, agent: int, set_mask: int, bid: int) -> Profile:
@@ -146,8 +144,10 @@ class Mechanism:
     charge critical prices.  `allocate` alone chooses between the lottery and
     `_allocate`, which subclasses implement (pure, coin-conditioned); they may
     override `thresholds` with closed forms, tested against the generic
-    threshold search that is the default.  `draw_coins` draws the coins of
-    a run's rounds, one of `branches` or a lottery coin each."""
+    threshold search that is the default.  Every built-in mechanism does,
+    and `RuleMechanism` takes its rule's closed forms, so the search prices
+    only a user-supplied rule without them.  `draw_coins` draws the coins
+    of a run's rounds, one of `branches` or a lottery coin each."""
 
     name: str = "mechanism"
     item_count: int
@@ -408,29 +408,23 @@ class GrandBundleMechanism(FilteredGreedyMechanism):
 
     def thresholds(self, profile, agent, coin=COIN_NONE):
         small = self._small_profile(profile)
-        small_price = super().thresholds(small, agent, coin)
         bigs = [] if coin.ignore_grand else [b for b, _ in self._grand_bids(profile, skip=agent)]
         others_grand = sum(bigs)
         top_bid = max(bigs, default=0)
         # The grand branch can only fire when the top opposing grand bid
-        # strictly exceeds the rest of them.
-        grand_fires = top_bid > others_grand - top_bid
+        # strictly exceeds the rest of them; the small side wins ties.
+        rival = top_bid if top_bid > others_grand - top_bid else 0
+        small_price = takeover_price(
+            super().thresholds(small, agent, coin), self._small_welfare,
+            small, agent, rival, wins_ties=True,
+        )
 
         def price_of(set_mask):
-            if set_mask == self.grand:
-                if coin.ignore_grand:
-                    return None
-                welfare = self._small_welfare(with_probe(small, agent, EMPTY))
-                return (max(others_grand, welfare), OPEN)
-            price = small_price(set_mask)
-            if price is None or not grand_fires:
-                return price
-            # Small welfare grows one-for-one with the probing bid once it
-            # wins, so the grand branch stops firing at a fixed offset.
-            floor = price[0]
-            winning = with_probe(small, agent, Declaration(set_mask, floor + 1))
-            companions = self._small_welfare(winning) - (floor + 1)
-            takeover = top_bid - companions
-            return (takeover, CLOSED) if takeover > floor else price
+            if set_mask != self.grand:
+                return small_price(set_mask)
+            if coin.ignore_grand:
+                return None
+            welfare = self._small_welfare(with_probe(small, agent, EMPTY))
+            return (max(others_grand, welfare), OPEN)
 
         return price_of

@@ -757,6 +757,17 @@ def test_relative_source_without_its_suffix_is_read_from_the_working_directory(
     assert json.loads((tmp_path / "out" / "summary.json").read_text())["experiment"] == "x"
 
 
+@pytest.mark.parametrize("source", ["mine", "mine.experiment.json", "./mine"])
+def test_default_out_dir_is_named_after_the_experiment(tmp_path, monkeypatch, source):
+    """However the source is typed, one experiment lands in one directory."""
+    _copy_scenario_as(tmp_path, "mine")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", source]) == 0
+    assert [p.name for p in (tmp_path / "runs").iterdir()] == ["mine"]
+    assert json.loads((tmp_path / "runs" / "mine" / "summary.json").read_text())[
+        "experiment"] == "mine"
+
+
 @pytest.mark.parametrize("suffix", ["", ".experiment.json"])
 def test_source_reads_its_instance_beside_it(tmp_path, capsys, suffix):
     """A local instance named like a built-in one is the one read, and a

@@ -17,9 +17,11 @@ from auctionlab import (
     greedy_allocate,
     greedy_rule,
     optimal_welfare,
+    partition_rule,
     search_critical_price,
     separated_flags,
     single_minded,
+    two_tier_rule,
 )
 from auctionlab.core import declared_welfare, full_mask
 from auctionlab.dynamics import seeded_rng
@@ -236,6 +238,97 @@ class TestGrandBundle:
         out = mech.outcome(profile)
         assert out.allocation == (0, 0b01)
         assert mech.expected_utility(0, profile[0], profile, v) == out.utility(0, v) == 0
+
+
+def two_sided_mechanism(rng, m):
+    """A two-tier mechanism or a partition mechanism on `m` items, with a
+    random side A (empty and full among them) and cap."""
+    if rng.random() < 0.5:
+        return RuleMechanism(two_tier_rule(m), m)
+    full = full_mask(m)
+    side_a = rng.choice([0, full, rng.randrange(full + 1)])
+    return RuleMechanism(partition_rule(m, side_a, rng.choice([None, 1, 2, 3])), m)
+
+
+def two_sided_profile(rng, mech):
+    """A random profile of 2-5 agents, with a grand-bundle bid in half of them."""
+    m = mech.item_count
+    profile = list(random_profile(rng, rng.randint(2, 5), m, max_size=m, max_value=12))
+    if rng.random() < 0.5:
+        profile[rng.randrange(len(profile))] = Declaration(full_mask(m), rng.randint(1, 30))
+    return tuple(profile)
+
+
+class TestTwoSidedRuleThresholds:
+    """The closed forms of the two-tier and partition rules against the
+    generic search, which reads only their allocations."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_set_matches_generic_search(self, seed):
+        rng = seeded_rng(61 + seed, "two-sided-thresholds")
+        for _ in range(100):
+            mech = two_sided_mechanism(rng, rng.randint(2, 7))
+            profile = two_sided_profile(rng, mech)
+            for i in range(len(profile)):
+                price_of = mech.thresholds(profile, i)
+                for mask in range(full_mask(mech.item_count) + 1):
+                    assert price_of(mask) == Mechanism.critical_price(mech, i, mask, profile)
+
+    @pytest.mark.parametrize(
+        "mech",
+        [
+            RuleMechanism(two_tier_rule(3), 3),
+            RuleMechanism(partition_rule(3, 0b001), 3),
+            RuleMechanism(partition_rule(3, 0b011, 1), 3),
+        ],
+        ids=["two-tier", "partition-a", "partition-ab-cap-1"],
+    )
+    def test_every_small_profile_matches_generic_search(self, mech):
+        decls = [EMPTY] + [Declaration(s, b) for s in range(1, 8) for b in (1, 2, 3)]
+        for others in itertools.product(decls, repeat=2):
+            for agent in range(3):
+                profile = (*others[:agent], EMPTY, *others[agent:])
+                price_of = mech.thresholds(profile, agent)
+                for mask in range(1, 8):
+                    assert price_of(mask) == Mechanism.critical_price(mech, agent, mask, profile)
+
+    def test_boundary_semantics(self):
+        rng = seeded_rng(67, "two-sided-payments")
+        for _ in range(600):
+            mech = two_sided_mechanism(rng, rng.randint(2, 7))
+            profile = two_sided_profile(rng, mech)
+            out = mech.outcome(profile)
+            for i, mask in enumerate(out.allocation):
+                if not mask:
+                    continue
+                theta, boundary = mech.critical_price(i, mask, profile)
+                assert out.payments[i] == theta
+                losing = theta if boundary == OPEN else theta - 1
+                if losing >= 1:
+                    assert not mech.wins(i, mask, losing, profile)
+                assert mech.wins(i, mask, theta + 1, profile)
+
+    def test_prices_never_search(self, monkeypatch):
+        rng = seeded_rng(71, "two-sided-no-search")
+        cases = []
+        for _ in range(60):
+            mech = two_sided_mechanism(rng, rng.randint(2, 7))
+            cases.append((mech, two_sided_profile(rng, mech)))
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("priced by the generic search")
+
+        monkeypatch.setattr(Mechanism, "wins", no_search)
+        for mech, profile in cases:
+            out = mech.outcome(profile)
+            decls = [EMPTY, *profile]
+            for i, d in enumerate(profile):
+                price_of = mech.thresholds(profile, i)
+                for mask in range(full_mask(mech.item_count) + 1):
+                    price_of(mask)
+                v = Valuation([(d.set_mask, d.bid)] if d.set_mask else [])
+                utilities = mech.counterfactual_utilities(i, decls, profile, v)
+                assert utilities[1 + i] == out.utility(i, v)
 
 
 class TestSeparation:
