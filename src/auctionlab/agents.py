@@ -178,7 +178,12 @@ class WeightedLearnerState:
 
     def choose(self, rng) -> int:
         weights = self.weights
-        pick = rng.random() * sum(weights)
+        # Added left to right, as `sum()` adds floats before Python 3.12;
+        # 3.12's compensated `sum()` can round the total differently.
+        total = 0.0
+        for w in weights:
+            total += w
+        pick = rng.random() * total
         acc = 0.0
         for k, w in enumerate(weights):
             acc += w

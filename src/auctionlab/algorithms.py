@@ -63,11 +63,13 @@ def greedy_allocate(profile: Sequence[Declaration], cap: int | None = None) -> t
 
     Bids for sets larger than `cap` never participate.
     """
-    order = sorted(
-        (-bid, i, s)
-        for i, (s, bid) in enumerate(profile)
-        if bid > 0 and (cap is None or s.bit_count() <= cap)
-    )
+    if cap is None:
+        order = [(-bid, i, s) for i, (s, bid) in enumerate(profile) if bid > 0]
+    else:
+        order = [
+            (-bid, i, s) for i, (s, bid) in enumerate(profile) if bid > 0 and s.bit_count() <= cap
+        ]
+    order.sort()
     used = 0
     alloc = [0] * len(profile)
     for _, i, s in order:
@@ -79,17 +81,21 @@ def greedy_allocate(profile: Sequence[Declaration], cap: int | None = None) -> t
 
 def opposing_total(profile: Sequence[Declaration], agent: int, set_mask: int) -> int:
     """Sum of the other agents' bids on sets that meet `set_mask`."""
-    return sum(bid for j, (s, bid) in enumerate(profile) if j != agent and s & set_mask)
+    total = 0
+    for j, (s, bid) in enumerate(profile):
+        if s & set_mask and j != agent:
+            total += bid
+    return total
 
 
 def filtered_allocate(profile: Sequence[Declaration], cap: int) -> tuple[int, ...]:
     """Each agent wins its set iff it is non-empty, fits `cap`, and the bid
     strictly exceeds the opposing total.  Equals greedy, then that filter:
     such a bid beats every intersecting bid, so greedy accepts it first."""
-    return tuple(
+    return tuple([
         s if s and s.bit_count() <= cap and bid > opposing_total(profile, i, s) else 0
         for i, (s, bid) in enumerate(profile)
-    )
+    ])
 
 
 def greedy_acceptances(
@@ -98,9 +104,9 @@ def greedy_acceptances(
     """Accepted bids of the greedy run without agent `skip`, in processing
     order, as (bid, agent, set_mask) triples."""
     alloc = greedy_allocate([EMPTY if i == skip else d for i, d in enumerate(profile)], cap)
-    return sorted(
-        ((profile[i][1], i, s) for i, s in enumerate(alloc) if s), key=lambda a: (-a[0], a[1])
-    )
+    order = [(-profile[i][1], i, s) for i, s in enumerate(alloc) if s]
+    order.sort()
+    return [(-neg_bid, i, s) for neg_bid, i, s in order]
 
 
 def greedy_thresholds(profile: Profile, agent: int, cap: int | None) -> PriceFn:
@@ -182,16 +188,20 @@ def two_tier_allocate(profile: Sequence[Declaration], item_count: int) -> tuple[
     """Greedy over sets of at most `small_cap(m)` items versus the single best
     grand-bundle bid; the side with higher declared welfare wins, ties favor
     the greedy side.  Bids for mid-size sets are ignored by both sides."""
-    grand = full_mask(item_count)
-    galloc = greedy_allocate(profile, small_cap(item_count))
-    gwelfare = declared_welfare(galloc, profile)
-    bigs = [(bid, -i) for i, (s, bid) in enumerate(profile) if s == grand and bid > 0]
-    if bigs:
-        bid, neg_i = max(bigs)
-        if bid > gwelfare:
-            alloc = [0] * len(profile)
-            alloc[-neg_i] = grand
-            return tuple(alloc)
+    return _two_tier(profile, small_cap(item_count), full_mask(item_count))
+
+
+def _two_tier(profile: Sequence[Declaration], cap: int, grand: int) -> tuple[int, ...]:
+    """`two_tier_allocate` with its small-set cap and grand bundle given."""
+    galloc = greedy_allocate(profile, cap)
+    top_bid, top_agent = 0, -1
+    for i, (s, bid) in enumerate(profile):
+        if s == grand and bid > top_bid:
+            top_bid, top_agent = bid, i
+    if top_bid > declared_welfare(galloc, profile):
+        alloc = [0] * len(profile)
+        alloc[top_agent] = grand
+        return tuple(alloc)
     return galloc
 
 
@@ -227,16 +237,17 @@ def two_tier_thresholds(profile: Profile, agent: int, item_count: int) -> PriceF
 def two_tier_rule(item_count: int) -> AllocationRule:
     if item_count < 2:
         raise ValidationError("two-tier rule needs at least 2 items")
+    cap, grand = small_cap(item_count), full_mask(item_count)
     return AllocationRule(
         name=f"two-tier(m={item_count})",
-        allocate=lambda profile: two_tier_allocate(profile, item_count),
+        allocate=lambda profile: _two_tier(profile, cap, grand),
         thresholds=lambda p, i: two_tier_thresholds(p, i, item_count),
     )
 
 
 def _inside(profile: Sequence[Declaration], side: int) -> Profile:
     """`profile` with every bid not on a non-empty subset of `side` blanked."""
-    return tuple(d if d.set_mask and d.set_mask & ~side == 0 else EMPTY for d in profile)
+    return tuple([d if d.set_mask and d.set_mask & ~side == 0 else EMPTY for d in profile])
 
 
 def partition_max_allocate(

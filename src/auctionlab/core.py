@@ -207,7 +207,11 @@ def social_welfare(allocation: Sequence[int], types: Sequence[Valuation]) -> int
 
 def declared_welfare(allocation: Sequence[int], profile: Sequence[Declaration]) -> int:
     """Total declared value: each bid counts iff its agent's bundle covers its set."""
-    return sum(bid for mask, (s, bid) in zip(allocation, profile) if s and s & ~mask == 0)
+    total = 0
+    for mask, (s, bid) in zip(allocation, profile):
+        if s and s & ~mask == 0:
+            total += bid
+    return total
 
 
 class Outcome(NamedTuple("OutcomeFields", [("allocation", tuple), ("payments", tuple)])):

@@ -15,6 +15,7 @@ resolves against the probing agent.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 from .algorithms import (
@@ -115,9 +116,11 @@ def wins_threshold(bid: int, price: tuple[int, str] | None) -> bool:
 
 def _pressure(profile: Sequence[Declaration], agent: int, set_mask: int, ceiling: int) -> int:
     """Sum of the other agents' bids below `ceiling` on sets that meet `set_mask`."""
-    return sum(
-        b for j, (s, b) in enumerate(profile) if j != agent and s & set_mask and b < ceiling
-    )
+    total = 0
+    for j, (s, b) in enumerate(profile):
+        if s & set_mask and b < ceiling and j != agent:
+            total += b
+    return total
 
 
 def declared_separated_for(agent: int, decl: Declaration, profile: Profile) -> bool:
@@ -198,7 +201,11 @@ class Mechanism:
         return self.allocate(probe, coin)[agent] == set_mask
 
     def _search_upper(self, agent: int, profile: Profile) -> int:
-        return sum(bid for j, (_, bid) in enumerate(profile) if j != agent) + 1
+        total = 1
+        for j, (_, bid) in enumerate(profile):
+            if j != agent:
+                total += bid
+        return total
 
     def critical_price(
         self, agent: int, set_mask: int, profile: Profile, coin: Coin = COIN_NONE
@@ -267,13 +274,17 @@ class Mechanism:
             for k, d in enumerate(decls):
                 if declared_separated_for(agent, d, profile):
                     totals[k] += share
-        keep = 1 - (self.lottery or 0)
-        for (prob, _), utilities in zip(self.branches, per_branch):
-            weight = keep * prob
+        for weight, utilities in zip(self._branch_weights, per_branch):
             for k, u in enumerate(utilities):
                 if u:
                     totals[k] += weight * u
         return totals
+
+    @cached_property
+    def _branch_weights(self) -> tuple[Fraction, ...]:
+        """Each branch's probability when the lottery does not fire."""
+        keep = 1 - (self.lottery or 0)
+        return tuple(keep * prob for prob, _ in self.branches)
 
     def expected_utility(
         self, agent: int, decl: Declaration, profile: Profile, valuation: Valuation
@@ -381,7 +392,7 @@ class GrandBundleMechanism(FilteredGreedyMechanism):
 
     def _small_profile(self, profile: Profile) -> Profile:
         cap = self.cap
-        return tuple(d if d.set_mask.bit_count() <= cap else EMPTY for d in profile)
+        return tuple([d if d.set_mask.bit_count() <= cap else EMPTY for d in profile])
 
     def _grand_bids(self, profile: Profile, skip: int = -1) -> list[tuple[int, int]]:
         grand = self.grand

@@ -233,6 +233,18 @@ class TestWeightedLearner:
         assert state.weights == [1.0, 1.0, 1.0]
         assert state.rounds == 50
 
+    def test_total_is_added_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16, so the total is 1e16 and the top
+        # draw lands in candidate 0.  A compensated sum (Python 3.12's
+        # `sum()`) reads 1e16 + 2, and that total picks candidate 2.
+        class TopDraw:
+            def random(self):
+                return 1 - 2**-53
+
+        state = WeightedLearnerState(3, u_max=1)
+        state.weights = [1e16, 1.0, 1.0]
+        assert state.choose(TopDraw()) == 0
+
     def test_weights_stay_positive_and_finite(self):
         state = WeightedLearnerState(2, u_max=1)
         for _ in range(5000):

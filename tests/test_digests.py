@@ -48,7 +48,9 @@ DIGESTS = {
 
 # Variants of built-in scenarios that reach paths no scenario reaches: the
 # Appendix B lottery (from an empty and from a random start), FPL learners,
-# and the generic threshold search on the two-tier rule.  Each is
+# and the two-tier rule with its closed-form prices.  No row reaches the
+# generic threshold search any more: only a rule without `thresholds` does,
+# and tests/test_mechanisms.py covers that.  Each is
 # (scenario, edits of its experiment file, run flags); an edit maps
 # "object.key" to a new value, or to None to drop the key.  An edited
 # scenario runs from a copy named after the variant.
