@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -132,9 +131,9 @@ def _greedy_price(acceptances: list[tuple[int, int, int]], agent: int, cap: int 
     return price_of
 
 
-def _greedy_welfare(profile: Profile, cap: int | None = None) -> int:
+def _greedy_welfare(profile: Profile) -> int:
     """Declared welfare of the greedy run over `profile`."""
-    return declared_welfare(greedy_allocate(profile, cap), profile)
+    return declared_welfare(greedy_allocate(profile), profile)
 
 
 def with_probe(profile: Profile, agent: int, probe: Declaration) -> Profile:
@@ -184,6 +183,54 @@ def greedy_rule(cap: int | None = None) -> AllocationRule:
     )
 
 
+# One side of a two-sided rule, (within, low, high): the subsets of the item
+# mask `within` whose size lies in [low, high].  `within = -1` tests size alone.
+Side = tuple[int, int, int]
+
+
+def _holds(side: Side, set_mask: int) -> bool:
+    within, low, high = side
+    return not set_mask & ~within and low <= set_mask.bit_count() <= high
+
+
+def restrict(profile: Sequence[Declaration], side: Side) -> Profile:
+    """`profile` with every bid on a set outside `side` blanked."""
+    within, low, high = side
+    outside = ~within
+    return tuple([
+        d if not d.set_mask & outside and low <= d.set_mask.bit_count() <= high else EMPTY
+        for d in profile
+    ])
+
+
+def two_sided_thresholds(profile: Profile, agent: int, side_a: Side, side_b: Side) -> PriceFn:
+    """The bid thresholds for `agent` of greedy within side A versus greedy
+    within side B, two disjoint sides, where the side of higher declared
+    welfare takes everything and side A wins ties.  A set must win its
+    side's greedy run and lift that side's welfare over the other's.  A set
+    in neither side never wins."""
+
+    def priced(side: Side) -> tuple[Profile, PriceFn, int]:
+        inside = restrict(profile, side)
+        if len(inside) - inside.count(EMPTY) - (inside[agent] != EMPTY) == 0:
+            return inside, _greedy_price([], agent, None), 0  # no other bid: nothing accepted
+        accepted = greedy_acceptances(inside, agent)
+        return inside, _greedy_price(accepted, agent, None), sum([b for b, _, _ in accepted])
+
+    (a_profile, a_price, a_welfare), (b_profile, b_price, b_welfare) = priced(side_a), priced(side_b)
+    a_wins = takeover_price(a_price, _greedy_welfare, a_profile, agent, b_welfare, wins_ties=True)
+    b_wins = takeover_price(b_price, _greedy_welfare, b_profile, agent, a_welfare, wins_ties=False)
+
+    def price_of(set_mask: int) -> tuple[int, str] | None:
+        if _holds(side_a, set_mask):
+            return a_wins(set_mask)
+        if _holds(side_b, set_mask):
+            return b_wins(set_mask)
+        return None
+
+    return price_of
+
+
 def two_tier_allocate(profile: Sequence[Declaration], item_count: int) -> tuple[int, ...]:
     """Greedy over sets of at most `small_cap(m)` items versus the single best
     grand-bundle bid; the side with higher declared welfare wins, ties favor
@@ -194,10 +241,7 @@ def two_tier_allocate(profile: Sequence[Declaration], item_count: int) -> tuple[
 def _two_tier(profile: Sequence[Declaration], cap: int, grand: int) -> tuple[int, ...]:
     """`two_tier_allocate` with its small-set cap and grand bundle given."""
     galloc = greedy_allocate(profile, cap)
-    top_bid, top_agent = 0, -1
-    for i, (s, bid) in enumerate(profile):
-        if s == grand and bid > top_bid:
-            top_bid, top_agent = bid, i
+    top_bid, top_agent, _ = grand_bids(profile, grand)
     if top_bid > declared_welfare(galloc, profile):
         alloc = [0] * len(profile)
         alloc[top_agent] = grand
@@ -205,49 +249,28 @@ def _two_tier(profile: Sequence[Declaration], cap: int, grand: int) -> tuple[int
     return galloc
 
 
-def two_tier_thresholds(profile: Profile, agent: int, item_count: int) -> PriceFn:
-    """The bid thresholds of `two_tier_allocate` for `agent`.  A small set
-    must win the greedy run and keep the greedy side level with the top
-    other grand bid.  The grand bundle must beat the others' greedy welfare
-    and the top other grand bid, a tie with that bid going to the lower
-    index.  A mid-size set never wins."""
-    cap, grand = small_cap(item_count), full_mask(item_count)
-    accepted = greedy_acceptances(profile, agent, cap)
-    others_welfare = sum(bid for bid, _, _ in accepted)
-    top_bid, top_agent = max(
-        ((bid, j) for j, (s, bid) in enumerate(profile) if j != agent and s == grand and bid > 0),
-        key=lambda b: (b[0], -b[1]),
-        default=(0, -1),
-    )
-    small_price = takeover_price(
-        _greedy_price(accepted, agent, cap), partial(_greedy_welfare, cap=cap),
-        profile, agent, top_bid, wins_ties=True,
-    )
-
-    def price_of(set_mask: int) -> tuple[int, str] | None:
-        if set_mask != grand:
-            return small_price(set_mask)
-        if top_bid > others_welfare:
-            return (top_bid, CLOSED if agent < top_agent else OPEN)
-        return (others_welfare, OPEN)
-
-    return price_of
+def grand_bids(profile: Sequence[Declaration], grand: int, skip: int = -1) -> tuple[int, int, int]:
+    """(top bid, its agent, total) of the bids on exactly `grand`, agent
+    `skip` left out; the lower index wins a tie, and (0, -1, 0) means none."""
+    top_bid, top_agent, total = 0, -1, 0
+    for i, (s, bid) in enumerate(profile):
+        if s == grand and i != skip:
+            total += bid
+            if bid > top_bid:
+                top_bid, top_agent = bid, i
+    return top_bid, top_agent, total
 
 
 def two_tier_rule(item_count: int) -> AllocationRule:
     if item_count < 2:
         raise ValidationError("two-tier rule needs at least 2 items")
     cap, grand = small_cap(item_count), full_mask(item_count)
+    small, whole = (-1, 1, cap), (grand, item_count, item_count)
     return AllocationRule(
         name=f"two-tier(m={item_count})",
         allocate=lambda profile: _two_tier(profile, cap, grand),
-        thresholds=lambda p, i: two_tier_thresholds(p, i, item_count),
+        thresholds=lambda p, i: two_sided_thresholds(p, i, small, whole),
     )
-
-
-def _inside(profile: Sequence[Declaration], side: int) -> Profile:
-    """`profile` with every bid not on a non-empty subset of `side` blanked."""
-    return tuple([d if d.set_mask and d.set_mask & ~side == 0 else EMPTY for d in profile])
 
 
 def partition_max_allocate(
@@ -257,47 +280,22 @@ def partition_max_allocate(
     side B; the side with higher declared welfare wins, ties favor side A."""
     if side_a & side_b:
         raise ValidationError("partition sides must be disjoint")
-    alloc_a = greedy_allocate(_inside(profile, side_a), cap)
-    alloc_b = greedy_allocate(_inside(profile, side_b), cap)
+    high = (side_a | side_b).bit_count() if cap is None else cap
+    alloc_a = greedy_allocate(restrict(profile, (side_a, 1, high)))
+    alloc_b = greedy_allocate(restrict(profile, (side_b, 1, high)))
     if declared_welfare(alloc_a, profile) >= declared_welfare(alloc_b, profile):
         return alloc_a
     return alloc_b
 
 
-def partition_thresholds(
-    profile: Profile, agent: int, side_a: int, side_b: int, cap: int | None
-) -> PriceFn:
-    """The bid thresholds of `partition_max_allocate` for `agent`.  A set
-    inside one side must win that side's greedy run and lift the side's
-    welfare over the other's, side A winning ties.  A set that straddles
-    the sides never wins."""
-
-    def side(mask: int) -> tuple[Profile, PriceFn, int]:
-        inside = _inside(profile, mask)
-        accepted = greedy_acceptances(inside, agent, cap)
-        return inside, _greedy_price(accepted, agent, cap), sum(b for b, _, _ in accepted)
-
-    (a_profile, a_price, a_welfare), (b_profile, b_price, b_welfare) = side(side_a), side(side_b)
-    welfare_of = partial(_greedy_welfare, cap=cap)
-    a_side = takeover_price(a_price, welfare_of, a_profile, agent, b_welfare, wins_ties=True)
-    b_side = takeover_price(b_price, welfare_of, b_profile, agent, a_welfare, wins_ties=False)
-
-    def price_of(set_mask: int) -> tuple[int, str] | None:
-        if set_mask & ~side_a == 0:
-            return a_side(set_mask)
-        if set_mask & ~side_b == 0:
-            return b_side(set_mask)
-        return None
-
-    return price_of
-
-
 def partition_rule(item_count: int, side_a: int, cap: int | None = None) -> AllocationRule:
     side_b = full_mask(item_count) & ~side_a
+    high = (side_a | side_b).bit_count() if cap is None else cap
+    a, b = (side_a, 1, high), (side_b, 1, high)
     return AllocationRule(
         name=f"partition(m={item_count}, a={side_a:#x}, cap={cap})",
         allocate=lambda profile: partition_max_allocate(profile, side_a, side_b, cap),
-        thresholds=lambda p, i: partition_thresholds(p, i, side_a, side_b, cap),
+        thresholds=lambda p, i: two_sided_thresholds(p, i, a, b),
     )
 
 

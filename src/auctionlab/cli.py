@@ -230,8 +230,17 @@ def _read_json(path: Path) -> dict:
         text = path.read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ValidationError(f"{path}: {exc}") from None
+
+    def unique_keys(pairs: list) -> dict:
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise ValidationError(f"{path}: duplicate key {key!r}")
+            data[key] = value
+        return data
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:  # an over-long integer, or too deep a nesting
@@ -366,9 +375,10 @@ def parse_experiment(
     if default not in BEHAVIOR_KINDS:
         raise ValidationError(f"{aw}.default: unknown behavior {default!r}")
     behaviors = [default] * n
+    ids = {str(aid): aid for aid in range(1, n + 1)}  # canonical decimal ids only
     for key, value in _object(agent_spec.get("overrides", {}), f"{aw}.overrides").items():
-        aid = int(key) if key.isascii() and key.isdigit() else 0  # plain decimal ids only
-        if not 1 <= aid <= n:
+        aid = ids.get(key)
+        if aid is None:
             raise ValidationError(f"{aw}.overrides: unknown agent id {key!r}")
         if value not in BEHAVIOR_KINDS:
             raise ValidationError(f"{aw}.overrides: unknown behavior {value!r}")

@@ -24,8 +24,10 @@ from .algorithms import (
     AllocationRule,
     PriceFn,
     filtered_allocate,
+    grand_bids,
     greedy_allocate,  # not called here: perfbench/tracer.py patches this name in this module
     opposing_total,
+    restrict,
     small_cap,
     takeover_price,
     with_probe,
@@ -73,7 +75,7 @@ COIN_IGNORE_GRAND = Coin(ignore_grand=True)
 def tie_loss_probe(profile: Profile, agent: int, set_mask: int, bid: int) -> Profile:
     """Profile in which the probing agent's bid sits strictly between its own
     tick and the one below on a doubled scale, so it loses every exact tie."""
-    doubled = tuple(Declaration(s, 2 * bid) if bid else EMPTY for s, bid in profile)
+    doubled = tuple([Declaration(s, 2 * b) if b else EMPTY for s, b in profile])
     return with_probe(doubled, agent, Declaration(set_mask, 2 * bid - 1))
 
 
@@ -155,10 +157,6 @@ class Mechanism:
     name: str = "mechanism"
     item_count: int
     lottery: Fraction | None = None  # grand-bundle lottery probability, if enabled
-    # the lottery's and the trembling draw's chances as the floats the coin
-    # stream compares against, or None when they never fire (no draw is made)
-    _lottery_chance: float | None = None
-    _ignore_chance: float | None = None
     # (probability, coin) of each resolution of the mechanism's own coin
     branches: tuple[tuple[Fraction, Coin], ...] = ((Fraction(1), COIN_NONE),)
 
@@ -299,8 +297,10 @@ class Mechanism:
     def draw_coins(self, rng, n_agents: int, rounds: int) -> list[Coin]:
         """The coin of each of `rounds` rounds, drawn round by round: the
         lottery draw first (then, if it fires, the lottery agent), then the
-        trembling draw.  A mechanism without randomness draws nothing."""
-        lottery, ignore = self._lottery_chance, self._ignore_chance
+        trembling draw.  A chance that is absent or 0 is never drawn, so a
+        mechanism without randomness draws nothing."""
+        lottery = float(self.lottery) if self.lottery else None
+        ignore = {coin: float(p) for p, coin in self.branches}.get(COIN_IGNORE_GRAND)
         if lottery is None and ignore is None:
             return [COIN_NONE] * rounds
         random, coins = rng.random, []
@@ -348,7 +348,6 @@ class FilteredGreedyMechanism(Mechanism):
         if lottery is not None:
             check_chance(lottery, "appendix_b_lottery")
         self.lottery = lottery
-        self._lottery_chance = float(lottery) if lottery else None
         self.item_count = item_count
         self.cap = cap
         self.name = f"filtered-greedy(m={item_count}, cap={cap})"
@@ -386,42 +385,28 @@ class GrandBundleMechanism(FilteredGreedyMechanism):
         self.gamma = gamma
         self.grand = full_mask(item_count)
         self.name = f"grand-bundle(m={item_count}, gamma={gamma})"
-        self._ignore_chance = float(gamma) if gamma else None
+        self.small = (-1, 0, self.cap)  # a `Side`: the small sets, by size alone
         if gamma:
             self.branches = ((gamma, COIN_IGNORE_GRAND), (1 - gamma, COIN_NONE))
-
-    def _small_profile(self, profile: Profile) -> Profile:
-        cap = self.cap
-        return tuple([d if d.set_mask.bit_count() <= cap else EMPTY for d in profile])
-
-    def _grand_bids(self, profile: Profile, skip: int = -1) -> list[tuple[int, int]]:
-        grand = self.grand
-        return [
-            (bid, i)
-            for i, (s, bid) in enumerate(profile)
-            if i != skip and s == grand and bid > 0
-        ]
 
     def _small_welfare(self, profile: Profile) -> int:
         """Declared welfare of the filtered greedy run over small sets."""
         return declared_welfare(filtered_allocate(profile, self.cap), profile)
 
     def _allocate(self, profile: Profile, coin: Coin) -> tuple[int, ...]:
-        alloc = filtered_allocate(self._small_profile(profile), self.cap)
-        bigs = [] if coin.ignore_grand else self._grand_bids(profile)
-        if bigs:
-            top_bid, top_agent = max(bigs, key=lambda b: (b[0], -b[1]))
-            rest = sum(b for b, _ in bigs) - top_bid
-            if top_bid > rest and top_bid > declared_welfare(alloc, profile):
+        alloc = filtered_allocate(restrict(profile, self.small), self.cap)
+        if not coin.ignore_grand:
+            top_bid, top_agent, total = grand_bids(profile, self.grand)
+            if top_bid > total - top_bid and top_bid > declared_welfare(alloc, profile):
                 alloc = [0] * len(profile)
                 alloc[top_agent] = self.grand
         return tuple(alloc)
 
     def thresholds(self, profile, agent, coin=COIN_NONE):
-        small = self._small_profile(profile)
-        bigs = [] if coin.ignore_grand else [b for b, _ in self._grand_bids(profile, skip=agent)]
-        others_grand = sum(bigs)
-        top_bid = max(bigs, default=0)
+        small = restrict(profile, self.small)
+        top_bid, _, others_grand = (
+            (0, -1, 0) if coin.ignore_grand else grand_bids(profile, self.grand, agent)
+        )
         # The grand branch can only fire when the top opposing grand bid
         # strictly exceeds the rest of them; the small side wins ties.
         rival = top_bid if top_bid > others_grand - top_bid else 0

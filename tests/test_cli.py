@@ -635,6 +635,7 @@ def _oversize_instance(experiment, instance):
         ("appendix-c-cycle", _one_item({"kind": "grand-bundle", "gamma": "1/10"})),
         ("appendix-c-cycle", _one_item({"kind": "two-tier"})),
         ("appendix-c-cycle", _duplicate_atom),
+        ("byzantine-mix", _override_id("04")),
     ],
     ids=["override-key", "agents-list", "agent-entry", "partition-side", "gamma",
          "gamma-exponent",
@@ -651,7 +652,7 @@ def _oversize_instance(experiment, instance):
          "duplicate-initial-id", "oversize-instance", "best-response-mw", "best-response-fpl",
          "initial-random-start", "item-index", "pass-fraction-range", "g-fraction-range",
          "zero-lottery-random-start", "epsilon-range", "one-item-grand-bundle",
-         "one-item-two-tier", "duplicate-atom"],
+         "one-item-two-tier", "duplicate-atom", "overrides-leading-zero"],
 )
 def test_malformed_experiment_is_invalid_in_validate_and_run(
     tmp_path, capsys, monkeypatch, command, name, edit
@@ -688,15 +689,38 @@ def test_malformed_experiment_is_invalid_in_validate_and_run(
          "appendix-c-cycle.mechanism: two-tier rule needs at least 2 items"),
         ("appendix-c-cycle", _duplicate_atom,
          "{dir}/appendix_c.instance.json.agents[0]: duplicate atom bundle 0x3"),
+        ("byzantine-mix", _override_id("04"),
+         "byzantine-mix.agents.overrides: unknown agent id '04'"),
     ],
     ids=["best-response-mw", "best-response-fpl", "initial-random-start", "item-index",
          "pass-fraction-range", "g-fraction-range", "zero-lottery-random-start",
-         "epsilon-range", "one-item-grand-bundle", "one-item-two-tier", "duplicate-atom"],
+         "epsilon-range", "one-item-grand-bundle", "one-item-two-tier", "duplicate-atom",
+         "overrides-leading-zero"],
 )
 def test_rejected_experiment_names_the_key(tmp_path, capsys, name, edit, where):
     path = _copy_scenario(tmp_path, name, edit)
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err.startswith("INVALID: " + where.format(dir=tmp_path))
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "document, key", [("experiment", "rounds"), ("instance", "m")], ids=["experiment", "instance"]
+)
+def test_duplicate_json_key_is_invalid(tmp_path, capsys, monkeypatch, command, document, key):
+    """A key repeated in one object is rejected, not read last-wins."""
+    path = _copy_scenario(tmp_path, "byzantine-mix", lambda experiment, instance: None)
+    target = path if document == "experiment" else tmp_path / "appendix_c.instance.json"
+    field = f'"{key}": '
+    target.write_text(target.read_text().replace(field, f"{field}1, {field}", 1))
+    argv = [command, str(path)]
+    if command == "run":
+        argv += ["--replicas", "1", "--out-dir", str(tmp_path / "out")]
+    for engine in ("run_best_response_dynamics", "run_regret_dynamics"):
+        monkeypatch.setattr(cli, engine, _no_rounds)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"INVALID: {target}: duplicate key {key!r}") and "Traceback" not in err
 
 
 def test_agentless_regret_run_with_lottery(tmp_path):

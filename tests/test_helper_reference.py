@@ -13,11 +13,12 @@ from types import SimpleNamespace
 import pytest
 
 from auctionlab.algorithms import (
-    _inside,
     filtered_allocate,
+    grand_bids,
     greedy_acceptances,
     greedy_allocate,
     opposing_total,
+    restrict,
     small_cap,
     two_tier_allocate,
     two_tier_rule,
@@ -93,6 +94,14 @@ def ref_search_upper(self, agent, profile):
 def ref_small_profile(self, profile):
     cap = self.cap
     return tuple(d if d.set_mask.bit_count() <= cap else EMPTY for d in profile)
+
+
+def ref_grand_bids(profile, grand, skip):
+    # the earlier `GrandBundleMechanism._grand_bids` list, then the `max` and
+    # `sum` that its callers took of it
+    bigs = [(bid, i) for i, (s, bid) in enumerate(profile) if i != skip and s == grand and bid > 0]
+    top_bid, top_agent = max(bigs, key=lambda b: (b[0], -b[1]), default=(0, -1))
+    return top_bid, top_agent, sum(b for b, _ in bigs)
 
 
 def ref_two_tier_allocate(profile, item_count):
@@ -201,10 +210,7 @@ def test_greedy_helpers_match_their_generator_forms(cap):
         if cap is not None:
             same(filtered_allocate(profile, cap), ref_filtered_allocate(profile, cap))
             stub = SimpleNamespace(cap=cap)
-            same(
-                GrandBundleMechanism._small_profile(stub, profile),
-                ref_small_profile(stub, profile),
-            )
+            same(restrict(profile, (-1, 0, cap)), ref_small_profile(stub, profile))
 
 
 def test_sums_and_projections_match_their_generator_forms():
@@ -212,7 +218,7 @@ def test_sums_and_projections_match_their_generator_forms():
     for rng, m, profile in random_profiles(PROFILES, seed=29):
         grand = full_mask(m)
         side = rng.randint(0, grand)
-        same(_inside(profile, side), ref_inside(profile, side))
+        same(restrict(profile, (side, 1, side.bit_count())), ref_inside(profile, side))
         alloc = tuple(rng.choice((0, rng.randint(0, grand))) for _ in profile)
         same(declared_welfare(alloc, profile), ref_declared_welfare(alloc, profile))
         for agent in range(-1, len(profile) + 1):
@@ -227,6 +233,7 @@ def test_sums_and_projections_match_their_generator_forms():
                 ref_pressure(profile, agent, set_mask, ceiling),
             )
             same(base._search_upper(agent, profile), ref_search_upper(base, agent, profile))
+            same(grand_bids(profile, grand, agent), ref_grand_bids(profile, grand, agent))
 
 
 def test_two_tier_allocation_matches_its_generator_form():

@@ -280,16 +280,18 @@ class TestTwoSidedRuleThresholds:
             RuleMechanism(two_tier_rule(3), 3),
             RuleMechanism(partition_rule(3, 0b001), 3),
             RuleMechanism(partition_rule(3, 0b011, 1), 3),
+            RuleMechanism(two_tier_rule(4), 4),  # cap 2: the size-3 sets never win
         ],
-        ids=["two-tier", "partition-a", "partition-ab-cap-1"],
+        ids=["two-tier", "partition-a", "partition-ab-cap-1", "two-tier-mid-size"],
     )
     def test_every_small_profile_matches_generic_search(self, mech):
-        decls = [EMPTY] + [Declaration(s, b) for s in range(1, 8) for b in (1, 2, 3)]
+        sets = range(1, full_mask(mech.item_count) + 1)
+        decls = [EMPTY] + [Declaration(s, b) for s in sets for b in (1, 2, 3)]
         for others in itertools.product(decls, repeat=2):
             for agent in range(3):
                 profile = (*others[:agent], EMPTY, *others[agent:])
                 price_of = mech.thresholds(profile, agent)
-                for mask in range(1, 8):
+                for mask in sets:
                     assert price_of(mask) == Mechanism.critical_price(mech, agent, mask, profile)
 
     def test_boundary_semantics(self):
