@@ -169,6 +169,9 @@ def _starting_profile(config: RunConfig) -> Profile:
 # of its key, so caching them leaves traces unchanged.  Each cache is a plain
 # dict kept for the whole run; only a miss appends a state to the trace, so a
 # trace's states are distinct by construction and the cache grows with them.
+# A best response reads only the other agents' bids, so a mover's new bid is
+# stored as its response at the profile it moved to, and a profile at which
+# every agent's stored response is its own bid is never left.
 
 
 def _round_result(
@@ -216,10 +219,11 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
     else:
         updaters = draws_below(seeded_rng(config.seed, "order"), n, rounds)
     coins = mechanism.draw_coins(seeded_rng(config.seed, "coin"), n, rounds)
-    agent_rngs = [seeded_rng(config.seed, "agent", i) for i in range(n)]
+    byzantine = [isinstance(model.behavior, ByzantineBidder) for model in agents]
+    # only byzantine bidders draw from their streams here
+    agent_rngs = {i: seeded_rng(config.seed, "agent", i) for i in range(n) if byzantine[i]}
 
     profile = _starting_profile(config)
-    byzantine = [isinstance(model.behavior, ByzantineBidder) for model in agents]
     keep_on_tie = config.keep_on_tie
     # per profile: best responses by updater, state indices by coin
     cache = {profile: ({}, {})}
@@ -227,6 +231,7 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
     states, plays = [], []
     play = plays.append
     for updater, coin in zip(updaters, coins):
+        stored = False
         if byzantine[updater]:
             new_decl = byzantine_bid(agents[updater], agent_rngs[updater])
         else:
@@ -235,12 +240,27 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
                 new_decl = responses[updater] = best_response(
                     agents[updater], profile, mechanism, keep_on_tie
                 )
+                stored = True
         if new_decl != profile[updater]:
             profile = profile[:updater] + (new_decl,) + profile[updater + 1 :]
             entry = cache.get(profile)
             if entry is None:
                 entry = cache[profile] = ({}, {})
             responses, by_coin = entry
+            if not byzantine[updater]:
+                responses.setdefault(updater, new_decl)
+                stored = True
+        if stored and responses == dict(enumerate(profile)):
+            # settled, which a run with a byzantine bidder never is, since it
+            # stores no response: the rest of the run replays this profile
+            rest = coins[len(plays) :]
+            for coin in dict.fromkeys(rest):
+                if coin not in by_coin:
+                    by_coin[coin] = len(states)
+                    result = _round_result(mechanism, profile, coin, agents)
+                    states.append(Step(profile, coin, *result))
+            plays.extend(map(by_coin.__getitem__, rest))
+            break
         k = by_coin.get(coin)
         if k is None:
             k = by_coin[coin] = len(states)
