@@ -58,6 +58,7 @@ MECHANISM_KINDS = ("greedy", "filtered-greedy", "grand-bundle", "partition", "tw
 BEHAVIORS = {"best-response": BestResponder(), "mw": WeightedLearner(),
              "fpl": PerturbedLearner(), "byzantine": ByzantineBidder()}
 BEHAVIOR_KINDS = tuple(BEHAVIORS)
+MAX_REPLICAS = 10**4  # `run` holds every replica's CSV text until it writes them
 
 
 # The only string form of a rational: `Fraction` alone would also take
@@ -167,9 +168,11 @@ def _whole(value: Any, where: str) -> int:
     return value
 
 
-def _positive(value: Any, where: str) -> int:
+def _positive(value: Any, where: str, maximum: Optional[int] = None) -> int:
     if not _integer(value) or value < 1:
         raise ValidationError(f"{where}: must be a positive integer")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{where}: must be at most {maximum}")
     return value
 
 
@@ -362,7 +365,7 @@ def parse_experiment(
             decls[aid] = single_minded(mask, bid)
         initial = tuple(decls.get(aid, EMPTY) for aid in range(1, n + 1))
     rounds = _positive(_require(dyn, "rounds", dw), f"{dw}.rounds")
-    replicas = _positive(dyn.get("replicas", 1), f"{dw}.replicas")
+    replicas = _positive(dyn.get("replicas", 1), f"{dw}.replicas", MAX_REPLICAS)
     seed = _whole(dyn.get("seed", 0), f"{dw}.seed")
     keep_on_tie = _flag(dyn.get("keep_on_tie", True), f"{dw}.keep_on_tie")
     engine = dict(rounds=rounds, empty_start=empty_start, keep_on_tie=keep_on_tie,
@@ -696,7 +699,8 @@ def run_experiment(
     if out_dir is None:
         out_dir = Path("runs") / experiment.name
     base_seed = experiment.seed if seed is None else _whole(seed, "--seed")
-    count = experiment.replicas if replicas is None else _positive(replicas, "--replicas")
+    count = (experiment.replicas if replicas is None
+             else _positive(replicas, "--replicas", MAX_REPLICAS))
     workers = _positive(workers, "--workers")
 
     targets = welfare_targets(experiment)

@@ -570,6 +570,12 @@ def _duplicate_atom(experiment, instance):
     instance["agents"][0]["atoms"][1]["items"] = ["b", "a"]
 
 
+def _dynamics_count(key, value):
+    def edit(experiment, instance):
+        experiment["dynamics"][key] = value
+    return edit
+
+
 def _oversize_instance(experiment, instance):
     # valid, but spanning more items than the oracle solves
     instance["items"] += [f"x{k}" for k in range(instance["m"], 24)]
@@ -636,6 +642,9 @@ def _oversize_instance(experiment, instance):
         ("appendix-c-cycle", _one_item({"kind": "two-tier"})),
         ("appendix-c-cycle", _duplicate_atom),
         ("byzantine-mix", _override_id("04")),
+        ("appendix-c-cycle", _dynamics_count("rounds", 2**63)),
+        ("regret-theorem-3", _dynamics_count("rounds", 2**63)),
+        ("appendix-c-cycle", _dynamics_count("replicas", 2**63)),
     ],
     ids=["override-key", "agents-list", "agent-entry", "partition-side", "gamma",
          "gamma-exponent",
@@ -652,7 +661,8 @@ def _oversize_instance(experiment, instance):
          "duplicate-initial-id", "oversize-instance", "best-response-mw", "best-response-fpl",
          "initial-random-start", "item-index", "pass-fraction-range", "g-fraction-range",
          "zero-lottery-random-start", "epsilon-range", "one-item-grand-bundle",
-         "one-item-two-tier", "duplicate-atom", "overrides-leading-zero"],
+         "one-item-two-tier", "duplicate-atom", "overrides-leading-zero",
+         "rounds-2**63-scripted", "rounds-2**63-regret", "replicas-2**63"],
 )
 def test_malformed_experiment_is_invalid_in_validate_and_run(
     tmp_path, capsys, monkeypatch, command, name, edit
@@ -691,11 +701,18 @@ def test_malformed_experiment_is_invalid_in_validate_and_run(
          "{dir}/appendix_c.instance.json.agents[0]: duplicate atom bundle 0x3"),
         ("byzantine-mix", _override_id("04"),
          "byzantine-mix.agents.overrides: unknown agent id '04'"),
+        ("appendix-c-cycle", _dynamics_count("rounds", 2**63),
+         "appendix-c-cycle.dynamics.rounds: "),
+        ("regret-theorem-3", _dynamics_count("rounds", 2**63),
+         "regret-theorem-3.dynamics.rounds: "),
+        ("appendix-c-cycle", _dynamics_count("replicas", 2**63),
+         "appendix-c-cycle.dynamics.replicas: "),
     ],
     ids=["best-response-mw", "best-response-fpl", "initial-random-start", "item-index",
          "pass-fraction-range", "g-fraction-range", "zero-lottery-random-start",
          "epsilon-range", "one-item-grand-bundle", "one-item-two-tier", "duplicate-atom",
-         "overrides-leading-zero"],
+         "overrides-leading-zero", "rounds-2**63-scripted", "rounds-2**63-regret",
+         "replicas-2**63"],
 )
 def test_rejected_experiment_names_the_key(tmp_path, capsys, name, edit, where):
     path = _copy_scenario(tmp_path, name, edit)
@@ -865,6 +882,16 @@ def test_two_tier_experiment_validates_and_runs(tmp_path):
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("key, maximum", [("rounds", dynamics.MAX_ROUNDS),
+                                          ("replicas", cli.MAX_REPLICAS)])
+def test_counts_that_size_a_run_validate_up_to_their_maximum(tmp_path, capsys, key, maximum):
+    for value, status in ((maximum, 0), (maximum + 1, 2)):
+        path = _copy_scenario(tmp_path, "appendix-c-cycle", _dynamics_count(key, value))
+        assert main(["validate", str(path)]) == status
+        err = capsys.readouterr().err
+        assert err.startswith(f"INVALID: appendix-c-cycle.dynamics.{key}: ") == (status == 2)
+
+
 def test_malformed_scripted_order_flag_is_invalid(tmp_path, capsys):
     argv = ["run", "appendix-c-cycle", "--scripted-order", "1,b", "--out-dir", str(tmp_path)]
     assert main(argv) == 2
@@ -886,6 +913,8 @@ def test_malformed_scripted_order_flag_is_invalid(tmp_path, capsys):
         (["ca-theorem-11", "--appendix-b-lottery", "3/2"], "--appendix-b-lottery"),
         (["ca-theorem-11", "--gamma", "1e-100000"], "--gamma"),
         (["best-response-theorem-10", "--epsilon", "1"], "--epsilon"),
+        (["appendix-c-cycle", "--replicas", str(2**63), "--workers", "2"], "--replicas"),
+        (["appendix-c-cycle", "--replicas", str(cli.MAX_REPLICAS + 1)], "--replicas"),
     ],
 )
 def test_run_flags_obey_the_rules_of_their_keys(tmp_path, capsys, monkeypatch, argv, where):

@@ -183,6 +183,14 @@ class TestBestResponseEngine:
         with pytest.raises(ValidationError):
             RunConfig(mechanism=cycle_mechanism, agents=agents, rounds=0)
 
+    def test_rounds_above_the_maximum_rejected_at_rounds(self, cycle_types, cycle_mechanism):
+        agents = best_response_agents(cycle_types, cycle_mechanism)
+        RunConfig(mechanism=cycle_mechanism, agents=agents, rounds=dynamics.MAX_ROUNDS)
+        for rounds in (dynamics.MAX_ROUNDS + 1, 2**63):
+            with pytest.raises(ValidationError, match="at most") as info:
+                RunConfig(mechanism=cycle_mechanism, agents=agents, rounds=rounds)
+            assert info.value.arg == "rounds"
+
     def test_no_agents_degenerate_run(self, cycle_mechanism):
         cfg = RunConfig(mechanism=cycle_mechanism, agents=[], rounds=3, seed=1)
         trace = run_best_response_dynamics(cfg)
