@@ -39,6 +39,7 @@ from .core import (
 from .dynamics import (
     ALL_AGENTS,
     DRIVES,
+    MAX_ROUNDS,
     RunConfig,
     Trace,
     constant_tail_start,
@@ -58,7 +59,7 @@ MECHANISM_KINDS = ("greedy", "filtered-greedy", "grand-bundle", "partition", "tw
 BEHAVIORS = {"best-response": BestResponder(), "mw": WeightedLearner(),
              "fpl": PerturbedLearner(), "byzantine": ByzantineBidder()}
 BEHAVIOR_KINDS = tuple(BEHAVIORS)
-MAX_REPLICAS = 10**4  # `run` holds every replica's CSV text until it writes them
+MAX_REPLICAS = 10**4  # each replica writes a CSV file and a summary entry
 
 
 # The only string form of a rational: `Fraction` alone would also take
@@ -166,6 +167,16 @@ def _whole(value: Any, where: str) -> int:
     if not _integer(value):
         raise ValidationError(f"{where}: must be an integer")
     return value
+
+
+def _replicas(value: Any, where: str, rounds: int) -> int:
+    # `run` holds every replica's CSV text until it writes them, so the
+    # replicas of one run play at most MAX_ROUNDS rounds in all
+    count = _positive(value, where, MAX_REPLICAS)
+    if rounds * count > MAX_ROUNDS:
+        raise ValidationError(f"{where}: {count} replicas of {rounds} rounds exceed "
+                              f"the {MAX_ROUNDS} rounds one run may play in all")
+    return count
 
 
 def _positive(value: Any, where: str, maximum: Optional[int] = None) -> int:
@@ -364,8 +375,8 @@ def parse_experiment(
                 raise ValidationError(f"{ew}.bid: must be a non-negative integer")
             decls[aid] = single_minded(mask, bid)
         initial = tuple(decls.get(aid, EMPTY) for aid in range(1, n + 1))
-    rounds = _positive(_require(dyn, "rounds", dw), f"{dw}.rounds")
-    replicas = _positive(dyn.get("replicas", 1), f"{dw}.replicas", MAX_REPLICAS)
+    rounds = _positive(_require(dyn, "rounds", dw), f"{dw}.rounds", MAX_ROUNDS)
+    replicas = _replicas(dyn.get("replicas", 1), f"{dw}.replicas", rounds)
     seed = _whole(dyn.get("seed", 0), f"{dw}.seed")
     keep_on_tie = _flag(dyn.get("keep_on_tie", True), f"{dw}.keep_on_tie")
     engine = dict(rounds=rounds, empty_start=empty_start, keep_on_tie=keep_on_tie,
@@ -700,7 +711,7 @@ def run_experiment(
         out_dir = Path("runs") / experiment.name
     base_seed = experiment.seed if seed is None else _whole(seed, "--seed")
     count = (experiment.replicas if replicas is None
-             else _positive(replicas, "--replicas", MAX_REPLICAS))
+             else _replicas(replicas, "--replicas", experiment.engine["rounds"]))
     workers = _positive(workers, "--workers")
 
     targets = welfare_targets(experiment)

@@ -6,14 +6,11 @@ Randomness is split into fixed streams derived from the run seed: one for
 the updater order, one for mechanism coins, one per agent (learner
 sampling and byzantine policies), and one for non-empty starts.  Identical
 configs therefore produce bit-identical traces.  The order and coin streams
-feed nothing else, so a run draws its coins in full before its first round
-(`Mechanism.draw_coins`), and the best-response engine draws a seeded order
-(`core.draws_below`) in chunks as its rounds read it, leaving the rounds
-after a settled profile to `Trace.updaters`, which draws them on first read.
-Either way the same values come in the same order as drawing them round by
-round.  Every uniform int goes through the one `core.randbelow` rule, which
-tests/test_core.py (`TestDrawIdentity`) pins draw for draw to the
-interpreter's `randrange`.
+feed nothing else, so a run draws both in full before its first round
+(`core.draws_below`, `Mechanism.draw_coins`); that consumes the same values
+in the same order as drawing them round by round.  Every uniform int goes
+through the one `core.randbelow` rule, which tests/test_core.py
+(`TestDrawIdentity`) pins draw for draw to the interpreter's `randrange`.
 """
 from __future__ import annotations
 
@@ -21,8 +18,8 @@ import hashlib
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, cycle, islice
-from typing import Iterable, NamedTuple, Optional, Sequence
+from itertools import cycle, islice
+from typing import NamedTuple, Optional, Sequence
 
 from .agents import (
     AgentModel,
@@ -41,7 +38,6 @@ from .mechanisms import COIN_NONE, Coin, FilteredGreedyMechanism, Mechanism
 
 ALL_AGENTS = -1  # updater marker for concurrent (regret) rounds
 MAX_ROUNDS = 10**7  # the engines hold a few per-round lists, tens of bytes a round
-FIRST_ORDER_CHUNK = 4  # rounds per agent in the first chunk of a seeded order
 
 
 def _derived_seed(seed: int, *tags) -> int:
@@ -85,21 +81,13 @@ class Trace:
     after `updaters[t - 1]` moved.  `steps`, `profiles()`, `history_for()`
     and `records` are per-round views of these.  The engines append a step
     only when its profile and coin first play, so their states are distinct,
-    in order of first play, for any number of rounds.  `updaters` may be any
-    iterable; its first read consumes it, so an engine can hand over an
-    order it has not drawn in full."""
+    in order of first play, for any number of rounds."""
 
     def __init__(self, mechanism: Mechanism, agents: Sequence[AgentModel],
                  states: Sequence[Step], plays: Sequence[int],
-                 updaters: Iterable[int]) -> None:
+                 updaters: Sequence[int]) -> None:
         self.mechanism, self.agents = mechanism, tuple(agents)
-        self.states, self.plays, self._updaters = tuple(states), tuple(plays), updaters
-
-    @cached_property
-    def updaters(self) -> tuple[int, ...]:
-        """The updater of each round, built on first read."""
-        updaters, self._updaters = tuple(self._updaters), None
-        return updaters
+        self.states, self.plays, self.updaters = tuple(states), tuple(plays), tuple(updaters)
 
     @property
     def steps(self) -> tuple[Step, ...]:
@@ -218,32 +206,10 @@ def _agentless_trace(config: RunConfig) -> Trace:
     return Trace(config.mechanism, (), (step,), (0,) * rounds, (ALL_AGENTS,) * rounds)
 
 
-class _SeededOrder:
-    """`rounds` seeded draws below `n`, of which `drawn` holds those made so
-    far; iterating draws the rest.  Plain data, so a trace holding it pickles."""
-
-    def __init__(self, rng: random.Random, n: int, rounds: int) -> None:
-        self.rng, self.n, self.rounds, self.drawn = rng, n, rounds, []
-
-    def chunks(self):
-        """Each round's updater, drawn in chunks that double as they are read,
-        so a run that settles early draws little of an order it never reads."""
-        size = FIRST_ORDER_CHUNK * self.n
-        while len(self.drawn) < self.rounds:
-            chunk = draws_below(self.rng, self.n, min(size, self.rounds - len(self.drawn)))
-            self.drawn += chunk
-            yield from chunk
-            size *= 2
-
-    def __iter__(self):
-        return chain(self.drawn, draws_below(self.rng, self.n, self.rounds - len(self.drawn)))
-
-
 def run_best_response_dynamics(config: RunConfig) -> Trace:
     """One uniformly random agent per round switches to a best response
     (scripted orders override the draw) and the round plays the mechanism's
-    coin; the coins are drawn before the first round, and a seeded order as
-    the rounds read it."""
+    coin; each round's updater and coin are drawn before the first round."""
     mechanism = config.mechanism
     agents = config.agents
     n = len(agents)
@@ -252,10 +218,9 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
         return _agentless_trace(config)
     rounds = config.rounds
     if config.scripted_order is not None:
-        updaters = order = list(islice(cycle(config.scripted_order), rounds))
+        updaters = list(islice(cycle(config.scripted_order), rounds))
     else:
-        updaters = _SeededOrder(seeded_rng(config.seed, "order"), n, rounds)
-        order = updaters.chunks()
+        updaters = draws_below(seeded_rng(config.seed, "order"), n, rounds)
     coins = mechanism.draw_coins(seeded_rng(config.seed, "coin"), n, rounds)
     byzantine = [isinstance(model.behavior, ByzantineBidder) for model in agents]
     # only byzantine bidders draw from their streams here
@@ -268,7 +233,7 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
     responses, by_coin = cache[profile]
     states, plays = [], []
     play = plays.append
-    for updater, coin in zip(order, coins):
+    for updater, coin in zip(updaters, coins):
         stored = False
         if byzantine[updater]:
             new_decl = byzantine_bid(agents[updater], agent_rngs[updater])

@@ -892,6 +892,23 @@ def test_counts_that_size_a_run_validate_up_to_their_maximum(tmp_path, capsys, k
         assert err.startswith(f"INVALID: appendix-c-cycle.dynamics.{key}: ") == (status == 2)
 
 
+def test_replicas_of_a_run_play_at_most_the_round_maximum_in_all(tmp_path, capsys, monkeypatch):
+    for engine in ("run_best_response_dynamics", "run_regret_dynamics"):
+        monkeypatch.setattr(cli, engine, _no_rounds)
+    rounds = dynamics.MAX_ROUNDS // 4
+    for replicas, status in ((4, 0), (5, 2)):
+        path = _copy_scenario(tmp_path, "appendix-c-cycle",
+                              lambda experiment, instance: experiment["dynamics"].update(
+                                  rounds=rounds, replicas=replicas))
+        assert main(["validate", str(path)]) == status
+        err = capsys.readouterr().err
+        assert err.startswith("INVALID: appendix-c-cycle.dynamics.replicas: ") == (status == 2)
+    path = _copy_scenario(tmp_path, "appendix-c-cycle", _dynamics_count("rounds", rounds))
+    assert main(["run", str(path), "--replicas", "5", "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("INVALID: --replicas: ") and "Traceback" not in err
+
+
 def test_malformed_scripted_order_flag_is_invalid(tmp_path, capsys):
     argv = ["run", "appendix-c-cycle", "--scripted-order", "1,b", "--out-dir", str(tmp_path)]
     assert main(argv) == 2

@@ -5,11 +5,9 @@ the invariant that lets it reuse a mover's response.
 verbatim; only its name carries the `ref_` prefix.  The engine now stops
 its round loop once the profile has settled, stores a mover's new bid as
 its best response at the profile it moved to, builds agent streams for
-byzantine bidders only, draws a seeded order in chunks as its rounds read
-it, leaving a settled run's rest to `Trace.updaters`, and replays a tail of
-one coin in one step; none of that may change a trace.
+byzantine bidders only, and replays a settled tail of one coin in one step;
+none of that may change a trace.
 """
-import pickle
 import random
 import sys
 from fractions import Fraction
@@ -121,11 +119,10 @@ def random_mechanism(rng, kind, m):
     return GrandBundleMechanism(m, gamma, lottery), small_cap(m)
 
 
-def random_config(rng, k, max_rounds=400):
+def random_config(rng, k):
     """Config `k` of a cycle over every kind, both tie rules, drawn and
-    scripted orders and 0-2 byzantine bidders: 1-5 agents and 1 to
-    `max_rounds` rounds, with random starts wherever the mechanism admits
-    them."""
+    scripted orders and 0-2 byzantine bidders: 1-5 agents and 1-400
+    rounds, with random starts wherever the mechanism admits them."""
     kind = KINDS[k % len(KINDS)]
     k //= len(KINDS)
     m = rng.randint(3, 7)
@@ -141,7 +138,7 @@ def random_config(rng, k, max_rounds=400):
     if k // 2 % 2:
         order = [rng.randrange(n) for _ in range(rng.randint(1, 2 * n))]
     return RunConfig(
-        mechanism=mechanism, agents=agents, rounds=rng.randint(1, max_rounds),
+        mechanism=mechanism, agents=agents, rounds=rng.randint(1, 400),
         seed=rng.randrange(1 << 32), empty_start=not random_start or rng.random() < 0.5,
         keep_on_tie=bool(k % 2), scripted_order=order,
     )
@@ -175,76 +172,17 @@ def test_engine_matches_round_by_round_reference(seed, monkeypatch):
     assert calls["engine"] < calls["reference"]
 
 
-# -- the order drawn in chunks ----------------------------------------------
+# -- the settled tail -------------------------------------------------------
 
 
-def counted_order(monkeypatch):
-    """Wrap the engine's order draws: the updaters its round loop reads from
-    a seeded order, and the size of each `draws_below` call it makes."""
-    reads, draws = [], []
-    chunks = dynamics._SeededOrder.chunks
-
-    def read_chunks(order):
-        for updater in chunks(order):
-            reads.append(updater)
-            yield updater
-
-    def counted_draws(rng, n, count):
-        draws.append(count)
-        return draws_below(rng, n, count)
-
-    monkeypatch.setattr(dynamics._SeededOrder, "chunks", read_chunks)
-    monkeypatch.setattr(dynamics, "draws_below", counted_draws)
-    return reads, draws
-
-
-def test_chunked_order_matches_reference_at_chunk_boundaries(monkeypatch):
-    """Runs of up to 3,000 rounds under several first-chunk sizes settle
-    inside the first chunk, on the last updater of a chunk, after several
-    chunks, or never; every one equals the round-by-round reference."""
-    rng = random.Random("chunk-boundaries")
-    configs = [random_config(rng, k, max_rounds=3000) for k in range(36)]
-    expected = [ref_run_best_response_dynamics(config) for config in configs]
-    reads, draws = counted_order(monkeypatch)
+def test_settled_tail_of_one_coin_or_many_matches_reference():
+    """Long runs that settle replay their tail in one step when every coin
+    left is the one object of a mechanism without chance, and coin by coin
+    when coins vary (a trembling or lottery grand bundle); both equal the
+    round-by-round reference."""
+    rng = random.Random("settled-tail")
     seen = set()
-    for first_chunk in (1, 2, dynamics.FIRST_ORDER_CHUNK):
-        monkeypatch.setattr(dynamics, "FIRST_ORDER_CHUNK", first_chunk)
-        for config, ref in zip(configs, expected):
-            reads.clear()
-            draws.clear()
-            trace = run_best_response_dynamics(config)
-            read, drawn, chunks = len(reads), sum(draws), len(draws)
-            where = (first_chunk, config.mechanism.name, config.seed)
-            assert trace.states == ref.states, where
-            assert trace.plays == ref.plays, where
-            assert trace.updaters == ref.updaters, where
-            assert trace.records == ref.records, where
-            if config.scripted_order is not None:
-                assert draws == [], where
-                continue
-            if read == config.rounds:  # never settled, or on its last round
-                seen.add("never")
-                assert drawn == config.rounds, where
-                continue
-            assert read <= drawn < config.rounds, where
-            if chunks == 1 and read < drawn:
-                seen.add("inside the first chunk")
-            if read == drawn:
-                seen.add("at a chunk boundary")
-            if chunks >= 3:
-                seen.add("after several chunks")
-    assert seen == {"inside the first chunk", "at a chunk boundary", "after several chunks",
-                    "never"}
-
-
-@pytest.mark.parametrize("kind", ["filtered", "grand", "grand-lottery"])
-def test_a_settled_run_draws_its_order_tail_on_first_read(kind, monkeypatch):
-    """A settled run leaves the rest of its seeded order undrawn until
-    `Trace.updaters` is first read; the pending rest is plain data, so the
-    trace pickles before that read."""
-    _, draws = counted_order(monkeypatch)
-    rng = random.Random(f"undrawn-tail:{kind}")
-    for _ in range(5):
+    for kind in ("filtered", "grand", "grand-lottery") * 4:
         m = rng.randint(4, 7)
         mechanism, max_size = random_mechanism(rng, kind, m)
         n = rng.randint(2, 5)
@@ -253,14 +191,18 @@ def test_a_settled_run_draws_its_order_tail_on_first_read(kind, monkeypatch):
         agents = [make_agent(i, t, BestResponder(), mechanism) for i, t in enumerate(types)]
         config = RunConfig(mechanism=mechanism, agents=agents, rounds=2000,
                            seed=rng.randrange(1 << 32))
-        draws.clear()
         trace = run_best_response_dynamics(config)
-        assert sum(draws) < config.rounds
-        order = tuple(draws_below(seeded_rng(config.seed, "order"), n, config.rounds))
-        assert pickle.loads(pickle.dumps(trace)).updaters == order
-        assert trace.updaters == order
-        drawn = sum(draws)
-        assert trace.updaters == order and sum(draws) == drawn
+        expected = ref_run_best_response_dynamics(config)
+        where = (kind, config.seed)
+        assert trace.states == expected.states, where
+        assert trace.plays == expected.plays, where
+        assert trace.updaters == expected.updaters, where
+        last = trace.states[trace.plays[-1]].profile
+        if all(best_response(agent, last, mechanism, config.keep_on_tie) == last[i]
+               for i, agent in enumerate(agents)):
+            coins = mechanism.draw_coins(seeded_rng(config.seed, "coin"), n, config.rounds)
+            seen.add("one coin" if len(set(coins)) == 1 else "many coins")
+    assert seen == {"one coin", "many coins"}
 
 
 # -- the mover's response ---------------------------------------------------
