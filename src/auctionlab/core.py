@@ -50,14 +50,31 @@ def randbelow(rng, n: int) -> int:
     return r
 
 
+# Byte `b` of a word maps to `b >> (8 - bits)`, for `bits` from 0 to 8.
+_TOP_BITS = [bytes(b >> (8 - bits) for b in range(256)) for bits in range(9)]
+_FEW_DRAWS = 64  # below this many missing draws, one call per draw is cheaper
+
+
 def draws_below(rng, n: int, count: int) -> list[int]:
-    """`count` successive `randbelow(rng, n)` draws."""
+    """`count` successive `randbelow(rng, n)` draws from a `random.Random`.
+
+    Its `getrandbits(bits)`, for up to 32 bits, is the top `bits` of the
+    generator's next 32-bit word, and `getrandbits(32 * k)` holds its next
+    k words, lowest first.  So for n below 256 a draw is the top byte of
+    one word, shifted and kept if below n, and one call reads as many
+    words as draws are missing, which never reads past the last draw."""
     if n < 1:
         raise ValueError(f"empty range: no int below {n}")
     getrandbits, bits = rng.getrandbits, n.bit_length()
     out = []
+    if bits <= 8 and count >= _FEW_DRAWS:
+        top, rejected = _TOP_BITS[bits], bytes(range(n << (8 - bits), 256))
+        while count - len(out) >= _FEW_DRAWS:
+            words = count - len(out)
+            raw = getrandbits(32 * words).to_bytes(4 * words, "little")
+            out += raw[3::4].translate(top, rejected)
     append = out.append
-    for _ in range(count):
+    for _ in range(count - len(out)):
         r = getrandbits(bits)
         while r >= n:
             r = getrandbits(bits)

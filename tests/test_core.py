@@ -49,6 +49,15 @@ class TestDrawIdentity:
                 assert singles == [ref.randrange(n) for _ in range(8)]
                 assert rule.getstate() == ref.getstate()
 
+    def test_draws_below_matches_randrange_on_both_sides_of_one_byte(self):
+        # n below 256 reads whole words at once; 256 and up draws one by one
+        for seed in range(3):
+            for n in (127, 128, 129, 254, 255, 256, 257, 1000):
+                for count in (0, 1, 1000):
+                    rule, ref = random.Random(seed), random.Random(seed)
+                    assert draws_below(rule, n, count) == [ref.randrange(n) for _ in range(count)]
+                    assert rule.getstate() == ref.getstate()
+
     def test_shifted_randbelow_matches_randint(self):
         for seed in range(6):
             rule, ref = random.Random(seed), random.Random(seed)
