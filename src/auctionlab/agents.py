@@ -97,19 +97,18 @@ def best_response(
 ) -> Declaration:
     """Utility-maximizing undominated declaration; keeps the current one when
     nothing strictly improves (ties among improvements go to the smaller
-    bundle)."""
+    bundle).  Compares the exact integer numerators of the expected
+    utilities, which share one denominator."""
     i = model.index
-    *utilities, current_utility = mechanism.counterfactual_utilities(
+    _, utilities = mechanism.scaled_utilities(
         i, model.candidate_bids + (profile[i],), profile, model.valuation
     )
-    best_k = max(range(len(utilities)), key=lambda k: (utilities[k], -k))
-    if keep_on_tie:
-        if utilities[best_k] > current_utility:
-            return model.candidate_bids[best_k]
-        return profile[i]
-    if current_utility > utilities[best_k]:
-        return profile[i]
-    return model.candidate_bids[best_k]
+    current_utility = utilities.pop()
+    best = max(utilities)
+    if best > current_utility or (best == current_utility and not keep_on_tie):
+        # the first maximum: the smaller bundle on a tie, as candidates are in bundle order
+        return model.candidate_bids[utilities.index(best)]
+    return profile[i]
 
 
 def byzantine_bid(model: AgentModel, rng) -> Declaration:

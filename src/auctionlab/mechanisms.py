@@ -14,6 +14,7 @@ resolves against the probing agent.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -239,17 +240,18 @@ class Mechanism:
                 payments[i] = price[0]
         return Outcome(alloc, tuple(payments))
 
-    def counterfactual_utilities(
+    def scaled_utilities(
         self,
         agent: int,
         decls: Sequence[Declaration],
         profile: Profile,
         valuation: Valuation,
-    ) -> list:
-        """Exact expected utility of each candidate declaration against the
-        same opponents, over the mechanism's own randomization; this is the
-        full-information feedback fed to learners.  Plain ints when the
-        mechanism is deterministic."""
+    ) -> tuple[int, list[int]]:
+        """`(D, numerators)`: the exact expected utility of each candidate
+        declaration against the same opponents, over the mechanism's own
+        randomization, is `numerators[k] / D`.  D is a common denominator
+        of the branch weights and of the lottery share for `len(profile)`
+        agents, and 1 when the mechanism is deterministic."""
         per_branch = []
         for _, coin in self.branches:
             price_of = self.thresholds(profile, agent, coin)
@@ -265,24 +267,52 @@ class Mechanism:
                     utilities.append(0)
             per_branch.append(utilities)
         if not self.lottery and len(per_branch) == 1:
-            return per_branch[0]
-        totals = [Fraction(0)] * len(decls)
-        if self.lottery:
-            share = self.lottery / len(profile) * valuation.value_of(full_mask(self.item_count))
-            for k, d in enumerate(decls):
-                if declared_separated_for(agent, d, profile):
-                    totals[k] += share
-        for weight, utilities in zip(self._branch_weights, per_branch):
+            return 1, per_branch[0]
+        denominator, weights, lottery = self._scaled_weights
+        totals = [0] * len(decls)
+        for weight, utilities in zip(weights, per_branch):
             for k, u in enumerate(utilities):
                 if u:
                     totals[k] += weight * u
-        return totals
+        if lottery:
+            # each agent's share is lottery / n of the grand bundle's value
+            n = len(profile)
+            share = lottery * valuation.value_of(full_mask(self.item_count))
+            for k, d in enumerate(decls):
+                totals[k] *= n
+                if declared_separated_for(agent, d, profile):
+                    totals[k] += share
+            denominator *= n
+        return denominator, totals
 
     @cached_property
-    def _branch_weights(self) -> tuple[Fraction, ...]:
-        """Each branch's probability when the lottery does not fire."""
-        keep = 1 - (self.lottery or 0)
-        return tuple(keep * prob for prob, _ in self.branches)
+    def _scaled_weights(self) -> tuple[int, tuple[int, ...], int]:
+        """`(D, branch numerators, lottery numerator)` over one common
+        denominator D of the lottery chance and of each branch's chance
+        when the lottery does not fire (`keep * prob`)."""
+        lottery = self.lottery or 0
+        scale = math.lcm(*(prob.denominator for prob, _ in self.branches))
+        keep = lottery.denominator - lottery.numerator
+        return (lottery.denominator * scale,
+                tuple(keep * prob.numerator * (scale // prob.denominator)
+                      for prob, _ in self.branches),
+                lottery.numerator * scale)
+
+    def counterfactual_utilities(
+        self,
+        agent: int,
+        decls: Sequence[Declaration],
+        profile: Profile,
+        valuation: Valuation,
+    ) -> list:
+        """Exact expected utility of each candidate declaration, as
+        `scaled_utilities` gives it; this is the full-information feedback
+        fed to learners.  Plain ints when the mechanism is deterministic,
+        Fractions otherwise."""
+        denominator, totals = self.scaled_utilities(agent, decls, profile, valuation)
+        if not self.lottery and len(self.branches) == 1:
+            return totals
+        return [Fraction(t, denominator) for t in totals]
 
     def expected_utility(
         self, agent: int, decl: Declaration, profile: Profile, valuation: Valuation

@@ -1202,3 +1202,38 @@ def test_mutated_scenario_files_validate_without_traceback(tmp_path, capsys):
                         problems.append(f"{name} {kind} {change}, validate {target.name}: "
                                         f"exit {code}, stderr {err!r}")
     assert not problems, "\n".join(problems[:20])
+
+
+def test_mutated_scenario_files_run_as_they_validate(tmp_path, capsys):
+    """`run` on damaged copies of every built-in scenario, with at most 40
+    rounds, exits 0, 1 or 2 and never raises; `INVALID: ` appears exactly
+    on exit 2, and `validate` exits 0 exactly when `run` exits 0 or 1."""
+    rng = random.Random(6)
+    problems, seen = [], set()
+    for name in list_scenarios():
+        experiment, instance = _scenario_documents(name)
+        experiment["dynamics"]["rounds"] = min(experiment["dynamics"]["rounds"], 40)
+        documents = {"experiment": experiment, "instance": instance}
+        positions = {kind: list(_positions(doc)) for kind, doc in documents.items()}
+        paths = {"experiment": tmp_path / f"{name}.experiment.json",
+                 "instance": tmp_path / experiment["instance"]}
+        for _ in range(28):
+            for kind, doc in documents.items():
+                mutated, change = _mutated(doc, positions[kind], rng)
+                for other, path in paths.items():
+                    path.write_text(json.dumps(mutated if other == kind else documents[other]))
+                codes = {}
+                for command in (["validate"], ["run", "--out-dir", str(tmp_path / "out")]):
+                    try:
+                        code = main(command[:1] + [str(paths["experiment"])] + command[1:])
+                    except Exception as exc:  # noqa: BLE001 - any escape is the failure
+                        code = f"{type(exc).__name__}: {exc}"
+                    codes[command[0]] = code, capsys.readouterr().err
+                (run, err), (validate, _) = codes["run"], codes["validate"]
+                seen.add(run)
+                if (run not in (0, 1, 2) or (run == 2) != ("INVALID: " in err)
+                        or (validate == 0) != (run in (0, 1))):
+                    problems.append(f"{name} {kind} {change}: validate exit {validate}, "
+                                    f"run exit {run}, stderr {err!r}")
+    assert not problems, "\n".join(problems[:20])
+    assert seen == {0, 1, 2}

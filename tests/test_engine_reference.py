@@ -1,8 +1,13 @@
-"""The best-response engine against its earlier round-by-round form, and
-the invariant that lets it reuse a mover's response.
+"""The best-response engine against its earlier round-by-round form, the
+best response against its earlier Fraction form, and the invariant that
+lets the engine reuse a mover's response.
 
-`ref_run_best_response_dynamics` is the engine's earlier body copied
-verbatim; only its name carries the `ref_` prefix.  The engine now stops
+`ref_run_best_response_dynamics` is the engine's earlier body and
+`ref_best_response` is `agents.best_response`'s, copied verbatim; only
+their names carry the `ref_` prefix, and the reference engine calls
+`ref_best_response`.  `best_response` now compares the integer numerators
+of `Mechanism.scaled_utilities` where `ref_best_response` compares the
+Fractions of `counterfactual_utilities`.  The engine now stops
 its round loop once the profile has settled, stores a mover's new bid as
 its best response at the profile it moved to, builds agent streams for
 byzantine bidders only, and replays a settled tail of one coin in one step;
@@ -45,7 +50,22 @@ from auctionlab.dynamics import (
 from auctionlab.generate import random_profile, random_types
 
 
-# -- the earlier form, verbatim -------------------------------------------
+# -- the earlier forms, verbatim ------------------------------------------
+
+
+def ref_best_response(model, profile, mechanism, keep_on_tie=True):
+    i = model.index
+    *utilities, current_utility = mechanism.counterfactual_utilities(
+        i, model.candidate_bids + (profile[i],), profile, model.valuation
+    )
+    best_k = max(range(len(utilities)), key=lambda k: (utilities[k], -k))
+    if keep_on_tie:
+        if utilities[best_k] > current_utility:
+            return model.candidate_bids[best_k]
+        return profile[i]
+    if current_utility > utilities[best_k]:
+        return profile[i]
+    return model.candidate_bids[best_k]
 
 
 def ref_run_best_response_dynamics(config: RunConfig) -> Trace:
@@ -80,7 +100,7 @@ def ref_run_best_response_dynamics(config: RunConfig) -> Trace:
         else:
             new_decl = responses.get(updater)
             if new_decl is None:
-                new_decl = responses[updater] = best_response(
+                new_decl = responses[updater] = ref_best_response(
                     agents[updater], profile, mechanism, keep_on_tie
                 )
         if new_decl != profile[updater]:
@@ -157,7 +177,8 @@ def test_engine_matches_round_by_round_reference(seed, monkeypatch):
     rng = random.Random(f"engine-reference:{seed}")
     calls = {"engine": 0, "reference": 0}
     monkeypatch.setattr(dynamics, "best_response", counted(calls, "engine"))
-    monkeypatch.setattr(sys.modules[__name__], "best_response", counted(calls, "reference"))
+    monkeypatch.setattr(sys.modules[__name__], "ref_best_response",
+                        counted(calls, "reference", ref_best_response))
     for k in range(100):
         config = random_config(rng, k)
         kind = config.mechanism.name
@@ -235,3 +256,55 @@ def test_a_movers_new_bid_is_its_best_response_where_it_moved(kind):
                 assert best_response(model, moved, mechanism, keep_on_tie) == new
                 moves += new != profile[model.index]
     assert moves > 0
+
+
+# -- the best response against its Fraction form ------------------------------
+
+GAMMAS = (Fraction(0), Fraction(1, 100), Fraction(1, 3))
+LOTTERIES = (None, Fraction(1, 20), Fraction(1, 7))
+
+
+def every_mechanism(rng, m):
+    """One mechanism of each built-in kind on `m` items, the filtered kinds
+    under every lottery and the grand bundle under every gamma too, each
+    with the largest set its bidders want."""
+    yield RuleMechanism(greedy_rule(rng.choice([None, 1, 2, 3])), m), 3
+    side_a = rng.randrange(full_mask(m) + 1)
+    yield RuleMechanism(partition_rule(m, side_a, rng.choice([None, 1, 2, 3])), m), m
+    yield RuleMechanism(two_tier_rule(m), m), small_cap(m)
+    yield RuleMechanism(SEARCH_ONLY, m), 2
+    for lottery in LOTTERIES:
+        yield FilteredGreedyMechanism(m, rng.randint(1, 3), lottery), 3
+        for gamma in GAMMAS:
+            yield GrandBundleMechanism(m, gamma, lottery), small_cap(m)
+
+
+def test_best_response_matches_its_fraction_form():
+    """Equal declarations from the integer comparison and from the `(u, -k)`
+    key over Fractions, for 1-6 agents and both tie rules; the tie rule
+    decides some of the cases."""
+    rng = random.Random("best-response-reference")
+    sizes, moves, tie_decided = set(), 0, 0
+    for _ in range(12):
+        m = rng.randint(3, 6)
+        for mechanism, max_size in every_mechanism(rng, m):
+            for _ in range(4):
+                n = rng.randint(1, 6)
+                sizes.add(n)
+                types = random_types(rng, n, m, max_atoms=3, max_value=12,
+                                     max_size=max_size, grand_prob=0.3)
+                agents = [make_agent(i, t, BestResponder(), mechanism)
+                          for i, t in enumerate(types)]
+                profile = random_profile(rng, n, m, max_size=m, max_value=14)
+                for model in agents:
+                    kept, moved = (
+                        ref_best_response(model, profile, mechanism, keep_on_tie)
+                        for keep_on_tie in (True, False)
+                    )
+                    where = (mechanism.name, mechanism.lottery, profile, model.index)
+                    assert best_response(model, profile, mechanism, True) == kept, where
+                    assert best_response(model, profile, mechanism, False) == moved, where
+                    moves += kept != profile[model.index]
+                    tie_decided += kept != moved
+    assert sizes == set(range(1, 7))
+    assert moves > 0 and tie_decided > 0

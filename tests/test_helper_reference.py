@@ -246,6 +246,9 @@ def test_two_tier_allocation_matches_its_generator_form():
 
 
 def test_counterfactual_utilities_match_per_call_branch_weights():
+    """Both the Fraction form and the integer form, `(D, numerators)` of
+    `scaled_utilities`.  Gamma 1/3 with lottery 1/20 makes the denominators
+    coprime, and each profile is also priced for its agent alone."""
     lottery, gamma = Fraction(1, 20), Fraction(1, 4)
     for rng, m, profile in random_profiles(PROFILES // 4, seed=37):
         if m < 2 or not profile:
@@ -254,12 +257,21 @@ def test_counterfactual_utilities_match_per_call_branch_weights():
             FilteredGreedyMechanism(m, rng.randint(1, 3), lottery),
             GrandBundleMechanism(m, gamma),
             GrandBundleMechanism(m, gamma, lottery),
+            GrandBundleMechanism(m, Fraction(1, 3), lottery),
         ]
         agent = rng.randrange(len(profile))
         decls = [EMPTY] + [random_declaration(rng, m) for _ in range(4)]
         valuation = Valuation([(rng.randint(1, full_mask(m)), rng.randint(1, 8))])
         for mechanism in mechanisms:
-            same(
-                mechanism.counterfactual_utilities(agent, decls, profile, valuation),
-                ref_counterfactual_utilities(mechanism, agent, decls, profile, valuation),
-            )
+            for bidder, bids in ((agent, profile), (0, (profile[agent],))):
+                expected = ref_counterfactual_utilities(mechanism, bidder, decls, bids, valuation)
+                same(
+                    mechanism.counterfactual_utilities(bidder, decls, bids, valuation),
+                    expected,
+                )
+                denominator, numerators = mechanism.scaled_utilities(
+                    bidder, decls, bids, valuation
+                )
+                assert type(denominator) is int and denominator > 0
+                assert [type(t) for t in numerators] == [int] * len(decls)
+                assert [Fraction(t, denominator) for t in numerators] == expected

@@ -23,6 +23,7 @@ from auctionlab import (
     single_minded,
     two_tier_rule,
 )
+from auctionlab.agents import BestResponder, best_response, make_agent
 from auctionlab.core import declared_welfare, full_mask
 from auctionlab.dynamics import seeded_rng
 from auctionlab.mechanisms import COIN_IGNORE_GRAND, COIN_NONE, Coin, Mechanism
@@ -478,6 +479,37 @@ class TestPaymentExactness:
         ):
             utilities = mech.counterfactual_utilities(0, [profile[0], EMPTY], profile, v)
             assert [type(u) for u in utilities] == [kind, kind]
+
+    def test_best_response_builds_no_fraction(self, monkeypatch):
+        # best responses compare the integer numerators of `scaled_utilities`;
+        # only a mechanism's first call builds its cached weights
+        rng = seeded_rng(63, "integer-best-response")
+        mechs = [GrandBundleMechanism(6, Fraction(1, 100)),
+                 GrandBundleMechanism(6, Fraction(0), Fraction(1, 20)),
+                 GrandBundleMechanism(6, Fraction(1, 3), Fraction(1, 7))]
+        cases = []
+        for mech in mechs:
+            types = random_types(rng, 4, 6, max_atoms=3, max_value=16, max_size=3, grand_prob=0.3)
+            agents = [make_agent(i, t, BestResponder(), mech) for i, t in enumerate(types)]
+            profiles = [random_profile(rng, 4, 6, max_size=6, max_value=20) for _ in range(20)]
+            best_response(agents[0], profiles[0], mech)
+            cases.append((mech, agents, profiles))
+        built = []
+        fraction_new = Fraction.__new__
+
+        def counted_new(cls, *args, **kwargs):
+            built.append(args)
+            return fraction_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted_new)
+        for mech, agents, profiles in cases:
+            for profile in profiles:
+                for model in agents:
+                    for keep_on_tie in (True, False):
+                        best_response(model, profile, mech, keep_on_tie)
+        assert built == []
+        Fraction(1, 2)
+        assert built == [(1, 2)]  # the patch sees a construction
 
     def test_truthful_play_is_individually_rational(self):
         rng = seeded_rng(59, "ir")
