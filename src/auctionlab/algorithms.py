@@ -7,6 +7,7 @@ fixed and documented on the function.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -97,15 +98,43 @@ def filtered_allocate(profile: Sequence[Declaration], cap: int) -> tuple[int, ..
     ])
 
 
+# One side of a two-sided rule, (within, low, high): the subsets of the item
+# mask `within` whose size lies in [low, high].  `within = -1` tests size alone.
+Side = tuple[int, int, int]
+
+
+def greedy_accepted(
+    profile: Sequence[Declaration], side: Side, skip: int = -1
+) -> list[tuple[int, int, int]]:
+    """Accepted bids of greedy over the bids on sets in `side`, agent `skip`
+    left out, in processing order, as (bid, agent, set_mask) triples."""
+    within, low, high = side
+    outside = ~within
+    order = [
+        (-bid, i, s)
+        for i, (s, bid) in enumerate(profile)
+        if bid > 0 and not s & outside and low <= s.bit_count() <= high and i != skip
+    ]
+    order.sort()
+    used = 0
+    accepted = []
+    for neg_bid, i, s in order:
+        if not s & used:
+            accepted.append((-neg_bid, i, s))
+            used |= s
+    return accepted
+
+
+def _welfare(accepted: list[tuple[int, int, int]]) -> int:
+    return sum([bid for bid, _, _ in accepted])
+
+
 def greedy_acceptances(
     profile: Sequence[Declaration], skip: int, cap: int | None = None
 ) -> list[tuple[int, int, int]]:
     """Accepted bids of the greedy run without agent `skip`, in processing
     order, as (bid, agent, set_mask) triples."""
-    alloc = greedy_allocate([EMPTY if i == skip else d for i, d in enumerate(profile)], cap)
-    order = [(-profile[i][1], i, s) for i, s in enumerate(alloc) if s]
-    order.sort()
-    return [(-neg_bid, i, s) for neg_bid, i, s in order]
+    return greedy_accepted(profile, (-1, 1, sys.maxsize if cap is None else cap), skip)
 
 
 def greedy_thresholds(profile: Profile, agent: int, cap: int | None) -> PriceFn:
@@ -129,11 +158,6 @@ def _greedy_price(acceptances: list[tuple[int, int, int]], agent: int, cap: int 
         return (0, OPEN)
 
     return price_of
-
-
-def _greedy_welfare(profile: Profile) -> int:
-    """Declared welfare of the greedy run over `profile`."""
-    return declared_welfare(greedy_allocate(profile), profile)
 
 
 def with_probe(profile: Profile, agent: int, probe: Declaration) -> Profile:
@@ -183,11 +207,6 @@ def greedy_rule(cap: int | None = None) -> AllocationRule:
     )
 
 
-# One side of a two-sided rule, (within, low, high): the subsets of the item
-# mask `within` whose size lies in [low, high].  `within = -1` tests size alone.
-Side = tuple[int, int, int]
-
-
 def _holds(side: Side, set_mask: int) -> bool:
     within, low, high = side
     return not set_mask & ~within and low <= set_mask.bit_count() <= high
@@ -204,22 +223,19 @@ def restrict(profile: Sequence[Declaration], side: Side) -> Profile:
 
 
 def two_sided_thresholds(profile: Profile, agent: int, side_a: Side, side_b: Side) -> PriceFn:
-    """The bid thresholds for `agent` of greedy within side A versus greedy
-    within side B, two disjoint sides, where the side of higher declared
-    welfare takes everything and side A wins ties.  A set must win its
-    side's greedy run and lift that side's welfare over the other's.  A set
-    in neither side never wins."""
-
-    def priced(side: Side) -> tuple[Profile, PriceFn, int]:
-        inside = restrict(profile, side)
-        if len(inside) - inside.count(EMPTY) - (inside[agent] != EMPTY) == 0:
-            return inside, _greedy_price([], agent, None), 0  # no other bid: nothing accepted
-        accepted = greedy_acceptances(inside, agent)
-        return inside, _greedy_price(accepted, agent, None), sum([b for b, _, _ in accepted])
-
-    (a_profile, a_price, a_welfare), (b_profile, b_price, b_welfare) = priced(side_a), priced(side_b)
-    a_wins = takeover_price(a_price, _greedy_welfare, a_profile, agent, b_welfare, wins_ties=True)
-    b_wins = takeover_price(b_price, _greedy_welfare, b_profile, agent, a_welfare, wins_ties=False)
+    """The bid thresholds for `agent` of `two_sided_allocate`.  A set must
+    win its side's greedy run and lift that side's welfare over the other's.
+    A set in neither side never wins."""
+    accepted_a = greedy_accepted(profile, side_a, agent)
+    accepted_b = greedy_accepted(profile, side_b, agent)
+    a_wins = takeover_price(
+        _greedy_price(accepted_a, agent, None), lambda p: _welfare(greedy_accepted(p, side_a)),
+        profile, agent, _welfare(accepted_b), wins_ties=True,
+    )
+    b_wins = takeover_price(
+        _greedy_price(accepted_b, agent, None), lambda p: _welfare(greedy_accepted(p, side_b)),
+        profile, agent, _welfare(accepted_a), wins_ties=False,
+    )
 
     def price_of(set_mask: int) -> tuple[int, str] | None:
         if _holds(side_a, set_mask):
@@ -229,6 +245,17 @@ def two_sided_thresholds(profile: Profile, agent: int, side_a: Side, side_b: Sid
         return None
 
     return price_of
+
+
+def two_sided_allocate(profile: Profile, side_a: Side, side_b: Side) -> tuple[int, ...]:
+    """Greedy within side A versus greedy within side B, two disjoint sides:
+    the side of higher declared welfare takes everything, side A wins ties."""
+    accepted_a = greedy_accepted(profile, side_a)
+    accepted_b = greedy_accepted(profile, side_b)
+    alloc = [0] * len(profile)
+    for _, i, s in accepted_a if _welfare(accepted_a) >= _welfare(accepted_b) else accepted_b:
+        alloc[i] = s
+    return tuple(alloc)
 
 
 def two_tier_allocate(profile: Sequence[Declaration], item_count: int) -> tuple[int, ...]:
@@ -281,11 +308,7 @@ def partition_max_allocate(
     if side_a & side_b:
         raise ValidationError("partition sides must be disjoint")
     high = (side_a | side_b).bit_count() if cap is None else cap
-    alloc_a = greedy_allocate(restrict(profile, (side_a, 1, high)))
-    alloc_b = greedy_allocate(restrict(profile, (side_b, 1, high)))
-    if declared_welfare(alloc_a, profile) >= declared_welfare(alloc_b, profile):
-        return alloc_a
-    return alloc_b
+    return two_sided_allocate(profile, (side_a, 1, high), (side_b, 1, high))
 
 
 def partition_rule(item_count: int, side_a: int, cap: int | None = None) -> AllocationRule:
@@ -294,7 +317,7 @@ def partition_rule(item_count: int, side_a: int, cap: int | None = None) -> Allo
     a, b = (side_a, 1, high), (side_b, 1, high)
     return AllocationRule(
         name=f"partition(m={item_count}, a={side_a:#x}, cap={cap})",
-        allocate=lambda profile: partition_max_allocate(profile, side_a, side_b, cap),
+        allocate=lambda profile: two_sided_allocate(profile, a, b),
         thresholds=lambda p, i: two_sided_thresholds(p, i, a, b),
     )
 

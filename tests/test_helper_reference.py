@@ -4,7 +4,8 @@ random single-minded profiles.
 
 Each `ref_*` function below is the helper's earlier body copied verbatim;
 only its name carries the `ref_` prefix (and `self` became a parameter
-where the helper is a method).
+where the helper is a method).  A reference body calls the `ref_` form of
+each earlier helper it called that has since changed.
 """
 import random
 from fractions import Fraction
@@ -13,17 +14,32 @@ from types import SimpleNamespace
 import pytest
 
 from auctionlab.algorithms import (
+    CLOSED,
+    OPEN,
+    _greedy_price,
+    _holds,
     filtered_allocate,
     grand_bids,
     greedy_acceptances,
     greedy_allocate,
     opposing_total,
+    partition_max_allocate,
+    partition_rule,
     restrict,
     small_cap,
+    takeover_price,
+    two_sided_thresholds,
     two_tier_allocate,
     two_tier_rule,
 )
-from auctionlab.core import EMPTY, Declaration, Valuation, declared_welfare, full_mask
+from auctionlab.core import (
+    EMPTY,
+    Declaration,
+    ValidationError,
+    Valuation,
+    declared_welfare,
+    full_mask,
+)
 from auctionlab.mechanisms import (
     FilteredGreedyMechanism,
     GrandBundleMechanism,
@@ -118,6 +134,61 @@ def ref_two_tier_allocate(profile, item_count):
     return galloc
 
 
+def ref_restrict(profile, side):
+    within, low, high = side
+    outside = ~within
+    return tuple([
+        d if not d.set_mask & outside and low <= d.set_mask.bit_count() <= high else EMPTY
+        for d in profile
+    ])
+
+
+def ref_resorted_greedy_acceptances(profile, skip, cap=None):
+    # the later `greedy_acceptances`, which sorted greedy's winners again
+    alloc = greedy_allocate([EMPTY if i == skip else d for i, d in enumerate(profile)], cap)
+    order = [(-profile[i][1], i, s) for i, s in enumerate(alloc) if s]
+    order.sort()
+    return [(-neg_bid, i, s) for neg_bid, i, s in order]
+
+
+def ref_greedy_welfare(profile):
+    """Declared welfare of the greedy run over `profile`."""
+    return declared_welfare(greedy_allocate(profile), profile)
+
+
+def ref_two_sided_thresholds(profile, agent, side_a, side_b):
+    def priced(side):
+        inside = ref_restrict(profile, side)
+        if len(inside) - inside.count(EMPTY) - (inside[agent] != EMPTY) == 0:
+            return inside, _greedy_price([], agent, None), 0  # no other bid: nothing accepted
+        accepted = ref_resorted_greedy_acceptances(inside, agent)
+        return inside, _greedy_price(accepted, agent, None), sum([b for b, _, _ in accepted])
+
+    (a_profile, a_price, a_welfare), (b_profile, b_price, b_welfare) = priced(side_a), priced(side_b)
+    a_wins = takeover_price(a_price, ref_greedy_welfare, a_profile, agent, b_welfare, wins_ties=True)
+    b_wins = takeover_price(b_price, ref_greedy_welfare, b_profile, agent, a_welfare, wins_ties=False)
+
+    def price_of(set_mask):
+        if _holds(side_a, set_mask):
+            return a_wins(set_mask)
+        if _holds(side_b, set_mask):
+            return b_wins(set_mask)
+        return None
+
+    return price_of
+
+
+def ref_partition_max_allocate(profile, side_a, side_b, cap=None):
+    if side_a & side_b:
+        raise ValidationError("partition sides must be disjoint")
+    high = (side_a | side_b).bit_count() if cap is None else cap
+    alloc_a = greedy_allocate(ref_restrict(profile, (side_a, 1, high)))
+    alloc_b = greedy_allocate(ref_restrict(profile, (side_b, 1, high)))
+    if declared_welfare(alloc_a, profile) >= declared_welfare(alloc_b, profile):
+        return alloc_a
+    return alloc_b
+
+
 def ref_counterfactual_utilities(self, agent, decls, profile, valuation):
     per_branch = []
     for _, coin in self.branches:
@@ -207,6 +278,10 @@ def test_greedy_helpers_match_their_generator_forms(cap):
         same(declared_welfare(alloc, profile), ref_declared_welfare(alloc, profile))
         for skip in range(-1, len(profile)):
             same(greedy_acceptances(profile, skip, cap), ref_greedy_acceptances(profile, skip, cap))
+            same(
+                greedy_acceptances(profile, skip, cap),
+                ref_resorted_greedy_acceptances(profile, skip, cap),
+            )
         if cap is not None:
             same(filtered_allocate(profile, cap), ref_filtered_allocate(profile, cap))
             stub = SimpleNamespace(cap=cap)
@@ -243,6 +318,61 @@ def test_two_tier_allocation_matches_its_generator_form():
         expected = ref_two_tier_allocate(profile, m)
         same(two_tier_allocate(profile, m), expected)
         same(two_tier_rule(m).allocate(profile), expected)
+
+
+def random_subset(rng, mask):
+    """A random subset of `mask`, each of its items kept with odds 1/2."""
+    return mask & rng.getrandbits(mask.bit_length())
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_two_sided_rules_match_their_projected_forms(cap):
+    """Partition allocation and the two-sided prices against the forms that
+    projected each side with `restrict`: every agent, priced on the empty
+    set, on sets in each side, on sets in neither and on its own set.  Each
+    profile is also checked with every set cut down to one side, where the
+    two sides' welfares often tie.  The two-tier rule, which has no cap, is
+    priced under the first cap only."""
+    seen = {"empty": 0, "side a": 0, "side b": 0, "neither": 0, "tie": 0}
+    kinds = set()
+    for rng, m, drawn in random_profiles(PROFILES // 2, seed=43):
+        if m < 2:
+            continue
+        full = full_mask(m)
+        side_a = rng.choice((0, full)) if rng.random() < 0.2 else rng.randint(1, full - 1)
+        side_b = full & ~side_a
+        high = m if cap is None else cap
+        a, b = (side_a, 1, high), (side_b, 1, high)
+        cut = tuple(
+            Declaration(s if s.bit_count() <= high else s & -s, d.bid)
+            if (s := d.set_mask & rng.choice((side_a, side_b))) else EMPTY
+            for d in drawn
+        )
+        for profile in (drawn, cut):
+            expected = ref_partition_max_allocate(profile, side_a, side_b, cap)
+            same(partition_max_allocate(profile, side_a, side_b, cap), expected)
+            same(partition_rule(m, side_a, cap).allocate(profile), expected)
+            welfares = {declared_welfare(greedy_allocate(ref_restrict(profile, s)), profile)
+                        for s in (a, b)}
+            seen["tie"] += len(welfares) == 1 and 0 not in welfares
+            rules = [(a, b)]
+            if cap is None:
+                rules.append(((-1, 1, small_cap(m)), (full, m, m)))
+            for sides in rules:
+                for agent in range(len(profile)):
+                    new = two_sided_thresholds(profile, agent, *sides)
+                    old = ref_two_sided_thresholds(profile, agent, *sides)
+                    masks = [0, profile[agent].set_mask, rng.randint(1, full)]
+                    masks += [random_subset(rng, s[0] & full) for s in sides for _ in range(2)]
+                    for mask in masks:
+                        price = old(mask)
+                        same(new(mask), price)
+                        kinds.add(None if price is None else price[1])
+                        in_a, in_b = _holds(sides[0], mask), _holds(sides[1], mask)
+                        where = "empty" if not mask else "side a" if in_a else "side b" if in_b else "neither"
+                        seen[where] += 1
+    assert kinds == {None, OPEN, CLOSED}
+    assert min(seen.values()) > 40, seen  # welfare ties are the rarest
 
 
 def test_counterfactual_utilities_match_per_call_branch_weights():

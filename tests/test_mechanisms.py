@@ -23,6 +23,7 @@ from auctionlab import (
     single_minded,
     two_tier_rule,
 )
+from auctionlab import algorithms
 from auctionlab.agents import BestResponder, best_response, make_agent
 from auctionlab.core import declared_welfare, full_mask
 from auctionlab.dynamics import seeded_rng
@@ -332,6 +333,29 @@ class TestTwoSidedRuleThresholds:
                 v = Valuation([(d.set_mask, d.bid)] if d.set_mask else [])
                 utilities = mech.counterfactual_utilities(i, decls, profile, v)
                 assert utilities[1 + i] == out.utility(i, v)
+
+    def test_rules_never_project_a_side(self, monkeypatch):
+        # both rules test each side inline in one greedy loop; `restrict`
+        # serves only the grand-bundle mechanism's small side
+        rng = seeded_rng(73, "two-sided-no-restrict")
+        cases = []
+        for _ in range(60):
+            mech = two_sided_mechanism(rng, rng.randint(2, 7))
+            profile = two_sided_profile(rng, mech)
+            masks = range(full_mask(mech.item_count) + 1)
+            prices = [list(map(mech.thresholds(profile, i), masks)) for i in range(len(profile))]
+            cases.append((mech, profile, mech.outcome(profile), prices))
+        assert {mech.rule.name.split("(")[0] for mech, *_ in cases} == {"two-tier", "partition"}
+
+        def no_restrict(*args):
+            raise AssertionError("projected a side with restrict")
+
+        monkeypatch.setattr(algorithms, "restrict", no_restrict)
+        for mech, profile, out, prices in cases:
+            assert mech.outcome(profile) == out
+            masks = range(full_mask(mech.item_count) + 1)
+            for i in range(len(profile)):
+                assert list(map(mech.thresholds(profile, i), masks)) == prices[i]
 
 
 class TestSeparation:
