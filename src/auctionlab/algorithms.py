@@ -88,14 +88,26 @@ def opposing_total(profile: Sequence[Declaration], agent: int, set_mask: int) ->
     return total
 
 
+def filtered_pass(profile: Sequence[Declaration], cap: int) -> tuple[list[int], list[int]]:
+    """`(allocation, charges)` of `filtered_allocate`: each winner's opposing
+    total, which is its critical price there, and 0 for each loser."""
+    alloc, charges = [0] * len(profile), [0] * len(profile)
+    for i, (s, bid) in enumerate(profile):
+        if s and s.bit_count() <= cap:
+            total = -bid  # the agent's own set meets itself
+            for t, b in profile:
+                if t & s:
+                    total += b
+            if bid > total:
+                alloc[i], charges[i] = s, total
+    return alloc, charges
+
+
 def filtered_allocate(profile: Sequence[Declaration], cap: int) -> tuple[int, ...]:
     """Each agent wins its set iff it is non-empty, fits `cap`, and the bid
     strictly exceeds the opposing total.  Equals greedy, then that filter:
     such a bid beats every intersecting bid, so greedy accepts it first."""
-    return tuple([
-        s if s and s.bit_count() <= cap and bid > opposing_total(profile, i, s) else 0
-        for i, (s, bid) in enumerate(profile)
-    ])
+    return tuple(filtered_pass(profile, cap)[0])
 
 
 # One side of a two-sided rule, (within, low, high): the subsets of the item

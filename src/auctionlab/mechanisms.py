@@ -24,13 +24,12 @@ from .algorithms import (
     OPEN,
     AllocationRule,
     PriceFn,
-    filtered_allocate,
+    filtered_pass,
     grand_bids,
     greedy_allocate,  # not called here: perfbench/tracer.py patches this name in this module
     opposing_total,
     restrict,
     small_cap,
-    takeover_price,
     with_probe,
 )
 from .core import (
@@ -152,8 +151,11 @@ class Mechanism:
     override `thresholds` with closed forms, tested against the generic
     threshold search that is the default.  Every built-in mechanism does,
     and `RuleMechanism` takes its rule's closed forms, so the search prices
-    only a user-supplied rule without them.  `draw_coins` draws the coins
-    of a run's rounds, one of `branches` or a lottery coin each."""
+    only a user-supplied rule without them.  `outcome` charges through
+    `_settle`, by default `critical_price`; filtered greedy and the
+    grand-bundle mechanism charge from their allocation pass, tested
+    against the generic search.  `draw_coins` draws the coins of a run's
+    rounds, one of `branches` or a lottery coin each."""
 
     name: str = "mechanism"
     item_count: int
@@ -229,16 +231,22 @@ class Mechanism:
     # -- outcomes and utilities ----------------------------------------------
 
     def outcome(self, profile: Profile, coin: Coin = COIN_NONE) -> Outcome:
-        alloc = self.allocate(profile, coin)
-        payments = [0] * len(alloc)
         if coin.lottery_agent is not None:  # the lottery is free
-            return Outcome(alloc, payments)
+            alloc = self._lottery_allocation(profile, coin.lottery_agent)
+            return Outcome(alloc, [0] * len(alloc))
+        return Outcome(*self._settle(profile, coin))
+
+    def _settle(self, profile: Profile, coin: Coin) -> tuple[Sequence[int], Sequence[int]]:
+        """`(allocation, payments)` of a round without the lottery: allocate,
+        then charge each winner its critical price."""
+        alloc = self._allocate(profile, coin)
+        payments = [0] * len(alloc)
         for i, mask in enumerate(alloc):
             if mask:
                 price = self.critical_price(i, mask, profile, coin)
                 assert price is not None, "winner must have a finite threshold"
                 payments[i] = price[0]
-        return Outcome(alloc, tuple(payments))
+        return alloc, payments
 
     def scaled_utilities(
         self,
@@ -369,7 +377,8 @@ class FilteredGreedyMechanism(Mechanism):
     declared bid; winners pay that sum (the threshold is always open).
 
     Allocates by the equivalent characterization, `filtered_allocate`, which
-    is property-tested against the greedy-then-filter pipeline.
+    is property-tested against the greedy-then-filter pipeline, in the one
+    pass that also charges the winners.
     """
 
     def __init__(self, item_count: int, cap: int, lottery: Fraction | None = None):
@@ -383,7 +392,10 @@ class FilteredGreedyMechanism(Mechanism):
         self.name = f"filtered-greedy(m={item_count}, cap={cap})"
 
     def _allocate(self, profile: Profile, coin: Coin) -> tuple[int, ...]:
-        return filtered_allocate(profile, self.cap)
+        return tuple(self._settle(profile, coin)[0])
+
+    def _settle(self, profile, coin):
+        return filtered_pass(profile, self.cap)
 
     def critical_price(self, agent, set_mask, profile, coin=COIN_NONE):
         return self.thresholds(profile, agent, coin)(set_mask)
@@ -419,38 +431,55 @@ class GrandBundleMechanism(FilteredGreedyMechanism):
         if gamma:
             self.branches = ((gamma, COIN_IGNORE_GRAND), (1 - gamma, COIN_NONE))
 
-    def _small_welfare(self, profile: Profile) -> int:
-        """Declared welfare of the filtered greedy run over small sets."""
-        return declared_welfare(filtered_allocate(profile, self.cap), profile)
-
-    def _allocate(self, profile: Profile, coin: Coin) -> tuple[int, ...]:
-        alloc = filtered_allocate(restrict(profile, self.small), self.cap)
-        if not coin.ignore_grand:
-            top_bid, top_agent, total = grand_bids(profile, self.grand)
-            if top_bid > total - top_bid and top_bid > declared_welfare(alloc, profile):
-                alloc = [0] * len(profile)
-                alloc[top_agent] = self.grand
-        return tuple(alloc)
+    def _settle(self, profile, coin):
+        small = restrict(profile, self.small)
+        alloc, payments = filtered_pass(small, self.cap)
+        top_bid, top_agent, total = (
+            (0, -1, 0) if coin.ignore_grand else grand_bids(profile, self.grand)
+        )
+        if top_bid <= total - top_bid:  # no grand bid can fire
+            return alloc, payments
+        welfare = declared_welfare(alloc, small)
+        if top_bid > welfare:
+            alloc, payments = [0] * len(profile), [0] * len(profile)
+            alloc[top_agent], payments[top_agent] = self.grand, max(total - top_bid, welfare)
+            return alloc, payments
+        # the small winners are pairwise disjoint: each keeps all the others
+        for i, mask in enumerate(alloc):
+            if mask:
+                payments[i] = max(payments[i], top_bid - (welfare - small[i].bid))
+        return alloc, payments
 
     def thresholds(self, profile, agent, coin=COIN_NONE):
         small = restrict(profile, self.small)
+        floor_of = super().thresholds(small, agent, coin)
         top_bid, _, others_grand = (
             (0, -1, 0) if coin.ignore_grand else grand_bids(profile, self.grand, agent)
         )
         # The grand branch can only fire when the top opposing grand bid
         # strictly exceeds the rest of them; the small side wins ties.
         rival = top_bid if top_bid > others_grand - top_bid else 0
-        small_price = takeover_price(
-            super().thresholds(small, agent, coin), self._small_welfare,
-            small, agent, rival, wins_ties=True,
-        )
+        winners = None  # (set, bid) of each small winner without the agent
+
+        def companions(set_mask):
+            """Bid sum of the others' small winners whose sets miss `set_mask`."""
+            nonlocal winners
+            if winners is None:
+                alloc = filtered_pass(with_probe(small, agent, EMPTY), self.cap)[0]
+                winners = [(s, small[j].bid) for j, s in enumerate(alloc) if s]
+            return sum([b for s, b in winners if not s & set_mask])
 
         def price_of(set_mask):
-            if set_mask != self.grand:
-                return small_price(set_mask)
-            if coin.ignore_grand:
-                return None
-            welfare = self._small_welfare(with_probe(small, agent, EMPTY))
-            return (max(others_grand, welfare), OPEN)
+            if set_mask == self.grand:
+                if coin.ignore_grand:
+                    return None
+                return (max(others_grand, companions(0)), OPEN)  # every set misses 0
+            floor = floor_of(set_mask)
+            if floor is None or not rival:
+                return floor
+            # Once the agent wins its set, the small welfare grows one for one
+            # with its bid over the companions, so the takeover stops there.
+            takeover = rival - companions(set_mask)
+            return (takeover, CLOSED) if takeover > floor[0] else floor
 
         return price_of

@@ -23,7 +23,7 @@ from auctionlab import (
     single_minded,
     two_tier_rule,
 )
-from auctionlab import algorithms
+from auctionlab import algorithms, mechanisms
 from auctionlab.agents import BestResponder, best_response, make_agent
 from auctionlab.core import declared_welfare, full_mask
 from auctionlab.dynamics import seeded_rng
@@ -240,6 +240,92 @@ class TestGrandBundle:
         out = mech.outcome(profile)
         assert out.allocation == (0, 0b01)
         assert mech.expected_utility(0, profile[0], profile, v) == out.utility(0, v) == 0
+
+
+def reference_grand_allocate(mech, profile, coin):
+    """The grand-bundle allocation built step by step: filtered greedy over
+    the small sets, then the grand branch when its top bid strictly beats
+    the other grand bids and the small side's declared welfare."""
+    alloc = algorithms.filtered_allocate(algorithms.restrict(profile, mech.small), mech.cap)
+    if not coin.ignore_grand:
+        top_bid, top_agent, total = algorithms.grand_bids(profile, mech.grand)
+        if top_bid > total - top_bid and top_bid > declared_welfare(alloc, profile):
+            return tuple(mech.grand if i == top_agent else 0 for i in range(len(profile)))
+    return alloc
+
+
+def settled_cases(rng, count):
+    """`count` seeded (mechanism, profile, coins) cases of filtered greedy
+    (caps 1-3) and the grand-bundle mechanism on m = 2..10 items, 1-7
+    agents with 0-3 grand bids, and value ranges small enough for exact ties.
+    The coins are the mechanism's branches and a lottery coin."""
+    cases = []
+    for k in range(count):
+        m = rng.randint(2, 10)
+        if k % 2:
+            mech = GrandBundleMechanism(m, Fraction(1, 10))
+        else:
+            mech = FilteredGreedyMechanism(m, rng.randint(1, 3))
+        n = rng.randint(1, 7)
+        top = rng.choice([2, 3, 6, 24])
+        profile = list(random_profile(rng, n, m, max_size=3, max_value=top))
+        for _ in range(rng.randint(0, 3)):
+            profile[rng.randrange(n)] = Declaration(full_mask(m), rng.randint(1, 3 * top))
+        coins = [coin for _, coin in mech.branches] + [Coin(lottery_agent=rng.randrange(n))]
+        cases.append((mech, tuple(profile), coins))
+    return cases
+
+
+class TestSettledOutcomes:
+    """Filtered greedy and the grand-bundle mechanism charge their winners
+    from one allocation pass and price from one pass without the agent;
+    both against the generic search over the step-by-step allocation."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_outcomes_and_prices_match_generic_search(self, monkeypatch, seed):
+        monkeypatch.setattr(GrandBundleMechanism, "_allocate", reference_grand_allocate)
+        for mech, profile, coins in settled_cases(seeded_rng(79 + seed, "settled"), 150):
+            grand = full_mask(mech.item_count)
+            masks = {d.set_mask for d in profile} | {grand, 1, 3}
+            for coin in coins:
+                alloc = mech.allocate(profile, coin)
+                payments = [
+                    Mechanism.critical_price(mech, i, mask, profile, coin)[0]
+                    if mask and coin.lottery_agent is None else 0
+                    for i, mask in enumerate(alloc)
+                ]
+                assert mech.outcome(profile, coin) == (alloc, tuple(payments))
+                if coin.lottery_agent is not None:
+                    continue  # a lottery round has no price
+                for i in range(len(profile)):
+                    price_of = mech.thresholds(profile, i, coin)
+                    for mask in masks:
+                        assert price_of(mask) == Mechanism.critical_price(
+                            mech, i, mask, profile, coin
+                        )
+
+    def test_one_allocation_pass_per_outcome_and_thresholds(self, monkeypatch):
+        # the mechanisms allocate only through `filtered_pass`
+        passes = []
+
+        def counted(*args):
+            passes.append(args)
+            return algorithms.filtered_pass(*args)
+
+        monkeypatch.setattr(mechanisms, "filtered_pass", counted)
+        priced_with_pass = 0
+        for mech, profile, _ in settled_cases(seeded_rng(83, "one-pass"), 300):
+            masks = range(1, full_mask(mech.item_count) + 1)
+            for _, coin in mech.branches:
+                del passes[:]
+                mech.outcome(profile, coin)
+                assert len(passes) == 1
+                for i in range(len(profile)):
+                    del passes[:]
+                    list(map(mech.thresholds(profile, i, coin), masks))
+                    assert len(passes) <= 1
+                    priced_with_pass += len(passes)
+        assert priced_with_pass > 100
 
 
 def two_sided_mechanism(rng, m):
