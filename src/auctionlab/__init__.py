@@ -28,9 +28,7 @@ from .algorithms import (
     greedy_rule,
     optimal_allocation,
     optimal_welfare,
-    partition_max_allocate,
     partition_rule,
-    two_tier_allocate,
     two_tier_rule,
 )
 from .mechanisms import (

@@ -126,20 +126,19 @@ def byzantine_bid(model: AgentModel, rng) -> Declaration:
 
 
 def hindsight_totals(
-    history: Sequence[tuple[Declaration, Profile]],
+    history: Counter[tuple[Declaration, Profile]],
     model: AgentModel,
     mechanism: Mechanism,
 ) -> tuple[Fraction, list[Fraction]]:
-    """Total realized utility over `history` and the total each fixed
-    candidate would have earned against the same opponents; exact."""
-    if not history:
+    """Total realized utility over `history`, a Counter of rounds per (own
+    declaration, profile), and the total each fixed candidate would have
+    earned against the same opponents; exact."""
+    if not history.total():
         raise ValidationError("regret needs at least one round of history")
     i, valuation = model.index, model.valuation
-    # each distinct pair is priced once and weighted by its number of rounds
-    seen = Counter((own, tuple(profile)) for own, profile in history)
     realized = Fraction(0)
     fixed = [Fraction(0)] * len(model.candidate_bids)
-    for (own, profile), rounds in seen.items():
+    for (own, profile), rounds in history.items():
         *utilities, own_utility = mechanism.counterfactual_utilities(
             i, model.candidate_bids + (own,), profile, valuation
         )
@@ -150,14 +149,14 @@ def hindsight_totals(
 
 
 def external_regret(
-    history: Sequence[tuple[Declaration, Profile]],
+    history: Counter[tuple[Declaration, Profile]],
     model: AgentModel,
     mechanism: Mechanism,
 ) -> Fraction:
     """Per-round average shortfall against the best fixed candidate in
     hindsight; exact, may be negative."""
     realized, fixed = hindsight_totals(history, model, mechanism)
-    return Fraction(max(fixed) - realized, len(history))
+    return Fraction(max(fixed) - realized, history.total())
 
 
 class WeightedLearnerState:

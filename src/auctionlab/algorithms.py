@@ -80,17 +80,22 @@ def greedy_allocate(profile: Sequence[Declaration], cap: int | None = None) -> t
 
 
 def opposing_total(profile: Sequence[Declaration], agent: int, set_mask: int) -> int:
-    """Sum of the other agents' bids on sets that meet `set_mask`."""
-    total = 0
-    for j, (s, bid) in enumerate(profile):
-        if s & set_mask and j != agent:
+    """Sum of the other agents' bids on sets that meet `set_mask`: every such
+    bid, less the agent's own when its set meets `set_mask`."""
+    own_set, own_bid = profile[agent] if 0 <= agent < len(profile) else EMPTY
+    total = -own_bid if own_set & set_mask else 0
+    for s, bid in profile:
+        if s & set_mask:
             total += bid
     return total
 
 
 def filtered_pass(profile: Sequence[Declaration], cap: int) -> tuple[list[int], list[int]]:
-    """`(allocation, charges)` of `filtered_allocate`: each winner's opposing
-    total, which is its critical price there, and 0 for each loser."""
+    """`(allocation, charges)` of filtered greedy: each agent wins its set iff
+    it is non-empty, fits `cap`, and the bid strictly exceeds the opposing
+    total.  That equals greedy, then that filter: such a bid beats every
+    intersecting bid, so greedy accepts it first.  A winner is charged its
+    opposing total, which is its critical price there, and a loser 0."""
     alloc, charges = [0] * len(profile), [0] * len(profile)
     for i, (s, bid) in enumerate(profile):
         if s and s.bit_count() <= cap:
@@ -101,13 +106,6 @@ def filtered_pass(profile: Sequence[Declaration], cap: int) -> tuple[list[int], 
             if bid > total:
                 alloc[i], charges[i] = s, total
     return alloc, charges
-
-
-def filtered_allocate(profile: Sequence[Declaration], cap: int) -> tuple[int, ...]:
-    """Each agent wins its set iff it is non-empty, fits `cap`, and the bid
-    strictly exceeds the opposing total.  Equals greedy, then that filter:
-    such a bid beats every intersecting bid, so greedy accepts it first."""
-    return tuple(filtered_pass(profile, cap)[0])
 
 
 # One side of a two-sided rule, (within, low, high): the subsets of the item
@@ -147,11 +145,6 @@ def greedy_acceptances(
     """Accepted bids of the greedy run without agent `skip`, in processing
     order, as (bid, agent, set_mask) triples."""
     return greedy_accepted(profile, (-1, 1, sys.maxsize if cap is None else cap), skip)
-
-
-def greedy_thresholds(profile: Profile, agent: int, cap: int | None) -> PriceFn:
-    """The bid thresholds for `agent` against the greedy run without the agent."""
-    return _greedy_price(greedy_acceptances(profile, agent, cap), agent, cap)
 
 
 def _greedy_price(acceptances: list[tuple[int, int, int]], agent: int, cap: int | None) -> PriceFn:
@@ -215,7 +208,8 @@ def greedy_rule(cap: int | None = None) -> AllocationRule:
     return AllocationRule(
         name=f"greedy(cap={cap})",
         allocate=lambda profile: greedy_allocate(profile, cap),
-        thresholds=lambda p, i: greedy_thresholds(p, i, cap),
+        # priced against the greedy run without the agent
+        thresholds=lambda p, i: _greedy_price(greedy_acceptances(p, i, cap), i, cap),
     )
 
 
@@ -270,15 +264,10 @@ def two_sided_allocate(profile: Profile, side_a: Side, side_b: Side) -> tuple[in
     return tuple(alloc)
 
 
-def two_tier_allocate(profile: Sequence[Declaration], item_count: int) -> tuple[int, ...]:
-    """Greedy over sets of at most `small_cap(m)` items versus the single best
-    grand-bundle bid; the side with higher declared welfare wins, ties favor
-    the greedy side.  Bids for mid-size sets are ignored by both sides."""
-    return _two_tier(profile, small_cap(item_count), full_mask(item_count))
-
-
 def _two_tier(profile: Sequence[Declaration], cap: int, grand: int) -> tuple[int, ...]:
-    """`two_tier_allocate` with its small-set cap and grand bundle given."""
+    """Greedy over sets of at most `cap` items versus the single best bid on
+    `grand`; the side with higher declared welfare wins, ties favor the
+    greedy side.  Bids for mid-size sets are ignored by both sides."""
     galloc = greedy_allocate(profile, cap)
     top_bid, top_agent, _ = grand_bids(profile, grand)
     if top_bid > declared_welfare(galloc, profile):
@@ -312,18 +301,10 @@ def two_tier_rule(item_count: int) -> AllocationRule:
     )
 
 
-def partition_max_allocate(
-    profile: Sequence[Declaration], side_a: int, side_b: int, cap: int | None = None
-) -> tuple[int, ...]:
-    """Greedy restricted to bids inside side A versus greedy restricted to
-    side B; the side with higher declared welfare wins, ties favor side A."""
-    if side_a & side_b:
-        raise ValidationError("partition sides must be disjoint")
-    high = (side_a | side_b).bit_count() if cap is None else cap
-    return two_sided_allocate(profile, (side_a, 1, high), (side_b, 1, high))
-
-
 def partition_rule(item_count: int, side_a: int, cap: int | None = None) -> AllocationRule:
+    """Greedy restricted to bids inside `side_a` versus greedy restricted to
+    the other items; the side with higher declared welfare wins, ties favor
+    side A."""
     side_b = full_mask(item_count) & ~side_a
     high = (side_a | side_b).bit_count() if cap is None else cap
     a, b = (side_a, 1, high), (side_b, 1, high)

@@ -558,7 +558,7 @@ def _coverage(want: Fraction | str, run: _Replica):
     if want == "auto":
         want = Fraction(1, 2) - run.experiment.epsilon
     types = run.experiment.instance.types
-    _, fractions = coverage_report(run.trace, types, run.target_alloc)
+    fractions = coverage_report(run.trace, types, run.target_alloc)
     worst = min(fractions, default=Fraction(1))
     detail = f"min fraction {format_fraction(worst)} >= {format_fraction(want)}"
     return worst >= want, detail, {"g_fractions": _by_agent(fractions)}

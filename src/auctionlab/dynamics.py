@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import cycle, islice
@@ -78,10 +79,12 @@ class RoundRecord:
 
 class Trace:
     """The rounds of one run: round t (1-based) played `states[plays[t - 1]]`
-    after `updaters[t - 1]` moved.  `steps`, `profiles()`, `history_for()`
-    and `records` are per-round views of these.  The engines append a step
-    only when its profile and coin first play, so their states are distinct,
-    in order of first play, for any number of rounds."""
+    after `updaters[t - 1]` moved.  `steps`, `profiles()` and `records` are
+    per-round views of these, for the stages that read round order; every
+    other stage weighs each state by `uses`, its number of rounds.  The
+    engines append a step only when its profile and coin first play, so
+    their states are distinct, in order of first play, for any number of
+    rounds."""
 
     def __init__(self, mechanism: Mechanism, agents: Sequence[AgentModel],
                  states: Sequence[Step], plays: Sequence[int],
@@ -102,6 +105,12 @@ class Trace:
             for t, (updater, k) in enumerate(zip(self.updaters, self.plays), 1)
         )
 
+    @cached_property
+    def uses(self) -> tuple[int, ...]:
+        """The number of rounds that played each state, counted on first read."""
+        counts = Counter(self.plays)
+        return tuple(counts[k] for k in range(len(self.states)))
+
     @property
     def n_agents(self) -> int:
         return len(self.agents)
@@ -114,9 +123,12 @@ class Trace:
         profiles = [step.profile for step in self.states]
         return [profiles[k] for k in self.plays]
 
-    def history_for(self, agent: int) -> list[tuple[Declaration, Profile]]:
-        pairs = [(step.profile[agent], step.profile) for step in self.states]
-        return [pairs[k] for k in self.plays]
+    def history_for(self, agent: int) -> Counter[tuple[Declaration, Profile]]:
+        """Rounds played per (the agent's own declaration, profile)."""
+        history = Counter()
+        for step, rounds in zip(self.states, self.uses):
+            history[step.profile[agent], step.profile] += rounds
+        return history
 
 
 @dataclass

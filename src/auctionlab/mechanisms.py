@@ -376,9 +376,9 @@ class FilteredGreedyMechanism(Mechanism):
     """Greedy winners must also strictly exceed the sum of every intersecting
     declared bid; winners pay that sum (the threshold is always open).
 
-    Allocates by the equivalent characterization, `filtered_allocate`, which
-    is property-tested against the greedy-then-filter pipeline, in the one
-    pass that also charges the winners.
+    Allocates by the equivalent characterization, in `filtered_pass`, the one
+    pass that also charges the winners; tests check it against the
+    greedy-then-filter pipeline.
     """
 
     def __init__(self, item_count: int, cap: int, lottery: Fraction | None = None):

@@ -5,7 +5,6 @@ report is rendered for display.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -25,7 +24,6 @@ class WelfareReport:
     average: Fraction          # mean per-round true welfare
     optimum: int               # oracle optimum for the same instance
     ratio: Fraction            # average / optimum (1 when the optimum is 0)
-    series: tuple[int, ...]    # per-round true welfare
 
 
 @dataclass(frozen=True)
@@ -45,15 +43,15 @@ def _build_report(
 ) -> WelfareReport:
     if len(types) != trace.n_agents:
         raise InstanceMismatchError("type profile length differs from the trace")
-    welfare = [step.true_welfare for step in trace.states]
-    series = tuple(welfare[k] for k in trace.plays)
-    if series and not allow_excess and max(series) > optimum:
+    played = [(step.true_welfare, rounds)
+              for step, rounds in zip(trace.states, trace.uses) if rounds]
+    if not allow_excess and any(welfare > optimum for welfare, _ in played):
         raise InstanceMismatchError("trace welfare exceeds the claimed optimum")
-    if not series:
-        return WelfareReport(Fraction(0), optimum, Fraction(1), series)
-    average = Fraction(sum(series), len(series))
+    if not played:
+        return WelfareReport(Fraction(0), optimum, Fraction(1))
+    average = Fraction(sum([welfare * rounds for welfare, rounds in played]), trace.rounds)
     ratio = Fraction(1) if optimum == 0 else average / optimum
-    return WelfareReport(average, optimum, ratio, series)
+    return WelfareReport(average, optimum, ratio)
 
 
 def welfare_report(trace: Trace, types: Sequence[Valuation], optimum: int) -> WelfareReport:
@@ -71,30 +69,22 @@ def coverage_report(
     trace: Trace,
     types: Sequence[Valuation],
     target_alloc: Sequence[int],
-) -> tuple[list[tuple[bool, ...]], tuple[Fraction, ...]]:
-    """Per-round, per-agent flag: the opposing bids on the agent's target
-    bundle already add up to at least half his value for it, or his own
-    standing bid reaches half that value.
-
-    Returns the round-major matrix and the per-agent fraction of rounds.
-    """
+) -> tuple[Fraction, ...]:
+    """Per agent, the fraction of rounds in which the opposing bids on the
+    agent's target bundle already add up to at least half its value for it,
+    or its own standing bid reaches half that value."""
     if len(types) != trace.n_agents or len(target_alloc) != trace.n_agents:
         raise InstanceMismatchError("instance data differs from the trace")
     n = trace.n_agents
     targets = [types[i].value_of(target_alloc[i]) for i in range(n)]
-
-    def row_of(profile) -> tuple[bool, ...]:
-        return tuple(
-            2 * profile[i].bid >= goal or 2 * opposing_total(profile, i, target_alloc[i]) >= goal
-            for i, goal in enumerate(targets)
-        )
-
-    rows = [row_of(step.profile) for step in trace.states]
-    matrix = [rows[k] for k in trace.plays]
-    uses = Counter(trace.plays)
-    counts = [sum(m for k, m in uses.items() if rows[k][i]) for i in range(n)]
+    counts = [0] * n
+    for step, rounds in zip(trace.states, trace.uses):
+        profile = step.profile
+        for i, goal in enumerate(targets):
+            if 2 * profile[i].bid >= goal or 2 * opposing_total(profile, i, target_alloc[i]) >= goal:
+                counts[i] += rounds
     rounds = max(1, trace.rounds)
-    return matrix, tuple(Fraction(c, rounds) for c in counts)
+    return tuple(Fraction(c, rounds) for c in counts)
 
 
 def resilience_report(

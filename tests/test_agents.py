@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -370,7 +371,7 @@ class TestExternalRegret:
         model = make_agent(0, cycle_types[0], BestResponder(), cycle_mechanism)
         others = (EMPTY, EMPTY, EMPTY, Declaration(D, 9))
         own = Declaration(A | B, 4)  # utility 4, the best available here
-        history = [(own, (own,) + others[1:])] * 5
+        history = Counter({(own, (own,) + others[1:]): 5})
         assert external_regret(history, model, cycle_mechanism) == 0
 
     def test_single_round_worst_pick(self, cycle_mechanism):
@@ -378,7 +379,7 @@ class TestExternalRegret:
         model = make_agent(0, v, BestResponder(), cycle_mechanism)
         blockers = (EMPTY, Declaration(A, 9), EMPTY, EMPTY)
         own = Declaration(A, 5)  # blocked: utility 0; bidding C would earn 5
-        history = [(own, (own,) + blockers[1:])]
+        history = Counter([(own, (own,) + blockers[1:])])
         assert external_regret(history, model, cycle_mechanism) == 5
 
     def test_regret_can_be_negative(self, cycle_mechanism):
@@ -388,7 +389,7 @@ class TestExternalRegret:
         model = make_agent(0, v, BestResponder(), cycle_mechanism)
         round1 = (Declaration(A, 5), Declaration(C, 9), EMPTY, EMPTY)
         round2 = (Declaration(C, 5), Declaration(A, 9), EMPTY, EMPTY)
-        history = [(round1[0], round1), (round2[0], round2)]
+        history = Counter([(round1[0], round1), (round2[0], round2)])
         assert external_regret(history, model, cycle_mechanism) < 0
 
     def test_mw_regret_shrinks_with_horizon(self, cycle_types, cycle_mechanism):

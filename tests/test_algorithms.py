@@ -8,14 +8,12 @@ from auctionlab import (
     AllocationRule,
     Declaration,
     SizeError,
-    ValidationError,
     greedy_allocate,
     greedy_rule,
     optimal_allocation,
     optimal_welfare,
-    partition_max_allocate,
     partition_rule,
-    two_tier_allocate,
+    two_tier_rule,
 )
 from auctionlab.core import Profile, declared_welfare, single_minded
 from auctionlab.dynamics import seeded_rng
@@ -77,50 +75,47 @@ class TestGreedy:
 class TestTwoTier:
     def test_grand_bid_beats_small_side(self):
         profile = (Declaration(0b1111, 10), Declaration(A, 3), Declaration(B, 3))
-        assert two_tier_allocate(profile, 4) == (0b1111, 0, 0)
+        assert two_tier_rule(4).allocate(profile) == (0b1111, 0, 0)
 
     def test_small_side_beats_grand_bid(self):
         profile = (Declaration(0b1111, 5), Declaration(A, 3), Declaration(B, 3))
-        assert two_tier_allocate(profile, 4) == (0, A, B)
+        assert two_tier_rule(4).allocate(profile) == (0, A, B)
 
     def test_mid_size_bids_ignored_by_both_sides(self):
         profile = (Declaration(A | B | C, 9),)  # size 3 on m=4: above sqrt, below m
-        assert two_tier_allocate(profile, 4) == (0,)
+        assert two_tier_rule(4).allocate(profile) == (0,)
 
     def test_welfare_tie_favors_small_side(self):
         profile = (Declaration(0b1111, 6), Declaration(A, 3), Declaration(B, 3))
-        assert two_tier_allocate(profile, 4) == (0, A, B)
+        assert two_tier_rule(4).allocate(profile) == (0, A, B)
 
     def test_grand_bundle_is_never_a_small_set(self):
         # on 2 items ceil(sqrt(2)) = 2, yet the small side holds the singletons only
         profile = (Declaration(A | B, 5), Declaration(A, 3), Declaration(B, 3))
-        assert two_tier_allocate(profile, 2) == (0, A, B)
+        assert two_tier_rule(2).allocate(profile) == (0, A, B)
 
 
 class TestPartitionMax:
     def test_single_grand_side_bid_wins_over_silence(self):
         # one bidder wants the whole B side; the A-side agents stay out
         side_a, side_b = 0b00001111, 0b11110000
+        assert side_b == 0b11111111 & ~side_a
         profile = (Declaration(side_b, 1), EMPTY, EMPTY, EMPTY, EMPTY)
-        alloc = partition_max_allocate(profile, side_a, side_b, cap=4)
+        alloc = partition_rule(8, side_a, cap=4).allocate(profile)
         assert alloc == (side_b, 0, 0, 0, 0)
         assert declared_welfare(alloc, profile) == 1
 
     def test_all_empty(self):
-        assert partition_max_allocate((EMPTY, EMPTY), 0b0011, 0b1100) == (0, 0)
+        assert partition_rule(4, 0b0011).allocate((EMPTY, EMPTY)) == (0, 0)
 
     def test_higher_welfare_side_wins(self):
         profile = (Declaration(A, 3), Declaration(C, 2), Declaration(D, 2))
-        alloc = partition_max_allocate(profile, A | B, C | D)
+        alloc = partition_rule(4, A | B).allocate(profile)
         assert alloc == (0, C, D)
 
     def test_tie_favors_first_side(self):
         profile = (Declaration(A, 3), Declaration(C, 3))
-        assert partition_max_allocate(profile, A | B, C | D) == (A, 0)
-
-    def test_overlapping_partition_rejected(self):
-        with pytest.raises(ValidationError):
-            partition_max_allocate((EMPTY,), 0b0011, 0b0010)
+        assert partition_rule(4, A | B).allocate(profile) == (A, 0)
 
 
 class TestOracle:
@@ -192,7 +187,7 @@ class TestApproximation:
                 and (d.set_mask.bit_count() <= ceil_sqrt(m) or d.set_mask == (1 << m) - 1)
             ]
             _, opt = optimal_allocation(bids, n)
-            got = declared_welfare(two_tier_allocate(profile, m), profile)
+            got = declared_welfare(two_tier_rule(m).allocate(profile), profile)
             assert (2 * ceil_sqrt(m) + 2) * got >= opt
 
 

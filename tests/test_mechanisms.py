@@ -246,7 +246,7 @@ def reference_grand_allocate(mech, profile, coin):
     """The grand-bundle allocation built step by step: filtered greedy over
     the small sets, then the grand branch when its top bid strictly beats
     the other grand bids and the small side's declared welfare."""
-    alloc = algorithms.filtered_allocate(algorithms.restrict(profile, mech.small), mech.cap)
+    alloc = tuple(algorithms.filtered_pass(algorithms.restrict(profile, mech.small), mech.cap)[0])
     if not coin.ignore_grand:
         top_bid, top_agent, total = algorithms.grand_bids(profile, mech.grand)
         if top_bid > total - top_bid and top_bid > declared_welfare(alloc, profile):

@@ -78,9 +78,9 @@ class TestWelfareReport:
         cfg = RunConfig(mechanism=cycle_mechanism, agents=cycle_agents, rounds=77, seed=5)
         trace = run_best_response_dynamics(cfg)
         report = welfare_report(trace, cycle_types, 13)
-        assert report.average == Fraction(sum(report.series), len(report.series))
-        recomputed = [r.true_welfare for r in trace.records]
-        assert list(report.series) == recomputed
+        series = [r.true_welfare for r in trace.records]
+        assert len(set(series)) > 1  # the average weighs states of differing welfare
+        assert report.average == Fraction(sum(series), len(series))
 
     def test_mismatched_types_rejected(self, cycle_types, cycle_mechanism, cycle_agents):
         trace = fixed_trace([(EMPTY,) * 4], cycle_mechanism, cycle_agents, cycle_types)
@@ -98,7 +98,7 @@ class TestCoverageReport:
     def test_worthless_target_always_covered(self, cycle_types, cycle_mechanism, cycle_agents):
         trace = fixed_trace([(EMPTY,) * 4] * 3, cycle_mechanism, cycle_agents, cycle_types)
         target = (0, 0, C, D)  # first two agents get nothing in the target
-        _, fractions = coverage_report(trace, cycle_types, target)
+        fractions = coverage_report(trace, cycle_types, target)
         assert fractions[0] == 1
         assert fractions[1] == 1
 
@@ -106,8 +106,8 @@ class TestCoverageReport:
         profile = (Declaration(A | B, 4), EMPTY, EMPTY, EMPTY)
         trace = fixed_trace([profile], cycle_mechanism, cycle_agents, cycle_types)
         target = (A | B, 0, C, D)
-        matrix, fractions = coverage_report(trace, cycle_types, target)
-        assert matrix[0][0] is True
+        fractions = coverage_report(trace, cycle_types, target)
+        assert trace.rounds == 1
         assert fractions[0] == 1
 
     def test_target_of_the_wrong_length_rejected(self, cycle_types, cycle_mechanism, cycle_agents):
@@ -120,8 +120,9 @@ class TestCoverageReport:
         cfg = RunConfig(mechanism=cycle_mechanism, agents=cycle_agents, rounds=60, seed=9)
         trace = run_best_response_dynamics(cfg)
         target, _ = optimal_welfare(cycle_types, 2)
-        matrix, fractions = coverage_report(trace, cycle_types, target)
-        for t, record in enumerate(trace.records):
+        fractions = coverage_report(trace, cycle_types, target)
+        counts = [0] * 4
+        for record in trace.records:
             for i in range(4):
                 goal = cycle_types[i].value_of(target[i])
                 pressure = sum(
@@ -130,7 +131,9 @@ class TestCoverageReport:
                     if j != i and d.set_mask & target[i]
                 )
                 own = 2 * record.profile[i].bid >= goal
-                assert matrix[t][i] == (own or 2 * pressure >= goal)
+                counts[i] += own or 2 * pressure >= goal
+        assert any(0 < c < trace.rounds for c in counts)  # coverage varies by round
+        assert fractions == tuple(Fraction(c, trace.rounds) for c in counts)
 
 
 class TestResilience:

@@ -1,10 +1,13 @@
-"""The post-run stages of `auctionlab run` (CSV export, separation check,
-coverage report) work once per state of the trace, and the hindsight totals
-once per distinct profile value.  A hand-built trace may hold one state
-per round, so its states can repeat a value.  Each stage must give exactly
-what a plain per-row computation gives: on every built-in scenario, on a
-zero-agent trace, and on hand-built traces whose objects are shared in ways
-the engines never produce."""
+"""The post-run stages of `auctionlab run` work once per state of the trace:
+the CSV export and the separation check, and the welfare, coverage and
+regret reports, which weigh each state by `Trace.uses`, its number of
+rounds.  `Trace.history_for` counts the rounds per (own declaration,
+profile) value, so the hindsight totals work once per distinct value.  A
+hand-built trace may hold one state per round, so its states can repeat a
+value.  Each stage must give exactly what a plain per-row computation
+gives: on every built-in scenario, on a zero-agent trace, and on
+hand-built traces whose objects are shared in ways the engines never
+produce.  Together the reports count a trace's plays once."""
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -21,7 +24,7 @@ from auctionlab.cli import (
     trace_csv,
     welfare_targets,
 )
-from auctionlab.core import EMPTY, Declaration, Outcome, Valuation
+from auctionlab.core import EMPTY, Declaration, Outcome, Valuation, declared_welfare, social_welfare
 from auctionlab.dynamics import (
     ALL_AGENTS,
     RunConfig,
@@ -31,7 +34,7 @@ from auctionlab.dynamics import (
     run_regret_dynamics,
 )
 from auctionlab.mechanisms import COIN_IGNORE_GRAND, COIN_NONE, RuleMechanism, separated_flags
-from auctionlab.metrics import coverage_report
+from auctionlab.metrics import coverage_report, regret_report, resilience_report, welfare_report
 
 
 def reference_csv(trace):
@@ -95,12 +98,14 @@ def assert_matches_reference(trace, types, target_alloc):
     assert separated_throughout(trace, types) == reference_separated(trace, types)
     assert coverage_report(trace, types, target_alloc) == reference_coverage(
         trace, types, target_alloc
-    )
+    )[1]
     if trace.rounds:
         for model in trace.agents:
+            rows = [(r.profile[model.index], r.profile) for r in trace.records]
             history = trace.history_for(model.index)
+            assert history == Counter(rows)
             assert hindsight_totals(history, model, trace.mechanism) == reference_totals(
-                history, model, trace.mechanism
+                rows, model, trace.mechanism
             )
 
 
@@ -155,7 +160,7 @@ def test_shared_objects_that_engines_never_produce():
     trace = Trace(mechanism, agents, steps, range(len(steps)), updaters)
     assert_matches_reference(trace, types, [0b011, 0b010])
     assert not separated_throughout(trace, types)
-    matrix, _ = coverage_report(trace, types, [0b011, 0b010])
+    matrix, _ = reference_coverage(trace, types, [0b011, 0b010])
     assert matrix[3] != matrix[0]
 
 
@@ -226,3 +231,43 @@ def test_equal_but_distinct_objects_are_worked_once(monkeypatch):
         hindsight_totals(fresh_trace.history_for(model.index), model, mechanism)
     assert len(utility_calls) == len(agents) * len(states)
     assert set(utility_calls.values()) == {1}
+
+
+class CountedPlays(tuple):
+    """A trace's `plays` that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_reports_iterate_the_plays_once():
+    """The welfare, resilience, coverage and regret reports read the rounds
+    through `Trace.uses`, which iterates the plays once for all of them."""
+    types = [Valuation([(0b011, 6)]), Valuation([(0b010, 5)]), Valuation([(0b100, 3)])]
+    mechanism = RuleMechanism(greedy_rule(2), 3)
+    agents = tuple(make_agent(i, t, BestResponder(), mechanism) for i, t in enumerate(types))
+    steps = []
+    for pairs in (((0b011, 6), (0, 0), (0b100, 3)), ((0b011, 6), (0b010, 5), (0, 0)),
+                  ((0, 0), (0b010, 5), (0b100, 3))):
+        profile = tuple(Declaration(*p) for p in pairs)
+        outcome = mechanism.outcome(profile)
+        steps.append(Step(profile, COIN_NONE, outcome, declared_welfare(outcome.allocation, profile),
+                          social_welfare(outcome.allocation, types)))
+    visits = [0, 1, 1, 0, 2, 0, 1, 2, 2, 0]
+    trace = Trace(mechanism, agents, steps, visits, [t % 3 for t in range(1, len(visits) + 1)])
+    trace.plays = CountedPlays(visits)
+    welfare = welfare_report(trace, types, 9)
+    resilience = resilience_report(trace, types, frozenset({0}), 8)
+    fractions = coverage_report(trace, types, [0b011, 0b010, 0b100])
+    regrets = regret_report(trace, agents).per_agent
+    assert trace.plays.iterations == 1
+    series = [r.true_welfare for r in trace.records]
+    assert welfare.average == resilience.average == Fraction(sum(series), len(series))
+    assert fractions == reference_coverage(trace, types, [0b011, 0b010, 0b100])[1]
+    for model, regret in zip(agents, regrets):
+        rows = [(r.profile[model.index], r.profile) for r in trace.records]
+        realized, fixed = reference_totals(rows, model, mechanism)
+        assert regret == (max(fixed) - realized) / len(rows)

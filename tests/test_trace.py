@@ -1,6 +1,9 @@
 """A trace holds each distinct step once, as one of its `states`, and each
 round's index into them in `plays`; `Trace.records` is a view of those: built
-on first read and kept."""
+on first read and kept.  `Trace.uses` weighs each state by its number of
+rounds, and `Trace.history_for` counts the rounds per (own declaration,
+profile)."""
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -68,5 +71,9 @@ def test_engines_build_one_step_per_state_and_coin(kind):
             record.profile, record.coin, record.outcome,
             record.declared_welfare, record.true_welfare,
         )
+    assert sum(trace.uses) == trace.rounds
+    assert trace.uses == tuple(trace.plays.count(k) for k in range(len(trace.states)))
+    for i in range(trace.n_agents):
+        assert trace.history_for(i) == Counter((r.profile[i], r.profile) for r in trace.records)
     if kind == "agentless":
         assert len(trace.states) == 1
