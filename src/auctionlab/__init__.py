@@ -50,7 +50,6 @@ from .agents import (
     WeightedLearner,
     best_response,
     byzantine_bid,
-    counterfactual_utilities,
     external_regret,
     make_agent,
     undominated_bid,

@@ -1,17 +1,17 @@
 """Bidder behavior engines: undominated bidding, exact best response,
 regret-minimizing learners, and byzantine no-overbid bidders.
 
-A bidder's strategy space is the finite candidate list built from his
-valuation: the atom bundles plus staying out (mask 0), plus the grand
-bundle under the grand-bundle mechanism, where bidding on everything is a
-genuinely distinct route.  Every emitted declaration is undominated: the
-bid always equals the true value of the chosen set.
+A bidder's strategy space is `AgentModel.candidate_bids`, in bundle order:
+staying out (EMPTY), the atom bundles, and the grand bundle under the
+grand-bundle mechanism, where bidding on everything is a genuinely distinct
+route.  Every candidate bid is undominated: it bids its set's true value,
+and learners and best responders price the tuple through the mechanism.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -42,16 +42,12 @@ class ByzantineBidder:
     """Arbitrary seeded policy constrained to never bid above true value."""
 
 
-Behavior = object
-
-
 @dataclass(frozen=True)
 class AgentModel:
     index: int
     valuation: Valuation
-    behavior: Behavior
-    candidates: tuple[int, ...]
-    candidate_bids: tuple[Declaration, ...] = field(default=())
+    behavior: object
+    candidate_bids: tuple[Declaration, ...]
 
 
 def undominated_bid(valuation: Valuation, chosen: int) -> Declaration:
@@ -71,22 +67,12 @@ def candidate_bundles(valuation: Valuation, mechanism: Mechanism | None = None) 
 def make_agent(
     index: int,
     valuation: Valuation,
-    behavior: Behavior,
+    behavior: object,
     mechanism: Mechanism | None = None,
 ) -> AgentModel:
     cands = candidate_bundles(valuation, mechanism)
     bids = tuple(undominated_bid(valuation, c) for c in cands)
-    return AgentModel(index, valuation, behavior, cands, bids)
-
-
-def counterfactual_utilities(
-    model: AgentModel, profile: Profile, mechanism: Mechanism
-) -> list:
-    """Per-candidate utility of the truthful bid against the round's
-    opponents (exact expectation under a randomized mechanism)."""
-    return mechanism.counterfactual_utilities(
-        model.index, model.candidate_bids, profile, model.valuation
-    )
+    return AgentModel(index, valuation, behavior, bids)
 
 
 def best_response(
@@ -113,16 +99,16 @@ def best_response(
 
 def byzantine_bid(model: AgentModel, rng) -> Declaration:
     """Uniform non-empty candidate bundle with a uniform bid in [0, true value]."""
-    # candidates[0] is the empty set, and each candidate's undominated bid is
-    # its true value (EMPTY, bid 0, for a worthless set)
-    n = len(model.candidates)
+    # candidate 0 is staying out, and each candidate bid is its set's true
+    # value (EMPTY, bid 0, for a worthless set)
+    n = len(model.candidate_bids)
     if n < 2:
         return EMPTY
-    k = randbelow(rng, n - 1) + 1
-    bid = randbelow(rng, model.candidate_bids[k].bid + 1)
+    set_mask, value = model.candidate_bids[randbelow(rng, n - 1) + 1]
+    bid = randbelow(rng, value + 1)
     if bid == 0:
         return EMPTY
-    return Declaration(model.candidates[k], bid)
+    return Declaration(set_mask, bid)
 
 
 def hindsight_totals(
@@ -240,7 +226,7 @@ class PerturbedLearnerState:
 def learner_state_for(model: AgentModel):
     """A fresh learner state for a learner, None for any other behavior."""
     if isinstance(model.behavior, WeightedLearner):
-        return WeightedLearnerState(len(model.candidates), model.valuation.max_value)
+        return WeightedLearnerState(len(model.candidate_bids), model.valuation.max_value)
     if isinstance(model.behavior, PerturbedLearner):
-        return PerturbedLearnerState(len(model.candidates), model.valuation.max_value)
+        return PerturbedLearnerState(len(model.candidate_bids), model.valuation.max_value)
     return None

@@ -26,6 +26,9 @@ OPEN = "open"
 CLOSED = "closed"
 
 ORACLE_MAX_ITEMS = 20
+# Subproblems the oracle may memoize, about 200 bytes each; the tests, the
+# built-in scenarios and the benchmark memoize at most 856.
+ORACLE_MAX_MEMO = 2**21
 
 PriceFn = Callable[[int], Optional[tuple[int, str]]]
 
@@ -330,7 +333,8 @@ def optimal_allocation(
     `bids` are (agent, set_mask, value) triples; bundles assigned to distinct
     agents must be disjoint and respect `cap`.  Memoized on (agent index,
     items still free); ties prefer staying out, then smaller bundles.
-    Raises SizeError beyond ORACLE_MAX_ITEMS items.
+    Raises SizeError beyond ORACLE_MAX_ITEMS items, or once the memo passes
+    ORACLE_MAX_MEMO subproblems.
     """
     span = 0
     for agent, mask, value in bids:
@@ -352,7 +356,7 @@ def optimal_allocation(
     for opts in options:
         opts.sort(key=lambda o: bundle_key(o[0]))
 
-    free0 = span
+    free0, budget = span, ORACLE_MAX_MEMO
     memo: dict[tuple[int, int], tuple[int, int]] = {}
 
     def solve(i: int, free: int) -> tuple[int, int]:
@@ -369,6 +373,8 @@ def optimal_allocation(
                 if w > best_w:
                     best_w, best_choice = w, mask
         memo[key] = (best_w, best_choice)
+        if len(memo) > budget:
+            raise SizeError(f"oracle gives up past {budget} subproblems")
         return memo[key]
 
     total, _ = solve(0, free0)

@@ -13,6 +13,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, Sequence
@@ -29,6 +30,7 @@ from .algorithms import greedy_rule, optimal_welfare, partition_rule, two_tier_r
 from .core import (
     EMPTY,
     MAX_ITEMS,
+    MAX_TICKS,
     SizeError,
     ValidationError,
     Valuation,
@@ -60,6 +62,7 @@ BEHAVIORS = {"best-response": BestResponder(), "mw": WeightedLearner(),
              "fpl": PerturbedLearner(), "byzantine": ByzantineBidder()}
 BEHAVIOR_KINDS = tuple(BEHAVIORS)
 MAX_REPLICAS = 10**4  # each replica writes a CSV file and a summary entry
+MAX_WORKERS = 64  # `run --workers`: processes one run may start
 
 
 # The only string form of a rational: `Fraction` alone would also take
@@ -170,8 +173,8 @@ def _whole(value: Any, where: str) -> int:
 
 
 def _replicas(value: Any, where: str, rounds: int) -> int:
-    # `run` holds every replica's CSV text until it writes them, so the
-    # replicas of one run play at most MAX_ROUNDS rounds in all
+    # the replicas of one run play at most MAX_ROUNDS rounds in all, which
+    # also bounds the CSV text that one run writes
     count = _positive(value, where, MAX_REPLICAS)
     if rounds * count > MAX_ROUNDS:
         raise ValidationError(f"{where}: {count} replicas of {rounds} rounds exceed "
@@ -371,8 +374,8 @@ def parse_experiment(
                 raise ValidationError(f"{ew}.id: agent {aid} already has an initial entry")
             mask = instance.mask_for(_require(entry, "items", ew), f"{ew}.items")
             bid = _require(entry, "bid", ew)
-            if not _integer(bid) or bid < 0:
-                raise ValidationError(f"{ew}.bid: must be a non-negative integer")
+            if not _integer(bid) or not 0 <= bid <= MAX_TICKS:
+                raise ValidationError(f"{ew}.bid: must be an integer in [0, {MAX_TICKS}]")
             decls[aid] = single_minded(mask, bid)
         initial = tuple(decls.get(aid, EMPTY) for aid in range(1, n + 1))
     rounds = _positive(_require(dyn, "rounds", dw), f"{dw}.rounds", MAX_ROUNDS)
@@ -589,10 +592,10 @@ KEYS["acceptance.checks"] = tuple(_CHECKS)
 # ---------------------------------------------------------------------------
 
 
-def solve_oracle(types: Sequence, cap: Optional[int], where: str) -> tuple[tuple[int, ...], int]:
-    """`optimal_welfare(types, cap)`, with an instance too large for it invalid at `where`."""
+def solve_oracle(where: str, solve: Callable, *args) -> tuple[tuple[int, ...], int]:
+    """`solve(*args)`, an oracle call, with an instance too large for it invalid at `where`."""
     try:
-        return optimal_welfare(types, cap)
+        return solve(*args)
     except SizeError as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
@@ -602,25 +605,26 @@ def welfare_targets(experiment: Experiment) -> tuple[tuple[int, ...], int]:
     against: the full optimum, or under `byzantine_restricted` the optimum
     of the other agents' bids.  Both depend only on the experiment, so a run
     computes them once for all its replicas."""
-    types = experiment.instance.types
+    types, where = experiment.instance.types, f"{experiment.name}.instance"
     cap = experiment.cap if experiment.kind in ("greedy", "filtered-greedy") else None
-    target_alloc, optimum = solve_oracle(types, cap, f"{experiment.name}.instance")
+    target_alloc, optimum = solve_oracle(where, optimal_welfare, types, cap)
     if experiment.checks.get("byzantine_restricted"):
         byzantine = experiment.byzantine_set()
         bids = [b for b in atoms_as_bids(types, cap) if b[0] not in byzantine]
-        _, optimum = optimal_allocation(bids, len(types), cap)
+        _, optimum = solve_oracle(where, optimal_allocation, bids, len(types), cap)
     return target_alloc, optimum
 
 
 def run_replica(
     experiment: Experiment,
-    replica: int,
     base_seed: int,
     targets: tuple[tuple[int, ...], int],
-) -> dict:
-    """Execute one replica and evaluate its checks against the experiment's
-    `welfare_targets`; returns its summary dict, welfare ratio and CSV
-    trace text."""
+    out_dir: Path,
+    replica: int,
+) -> tuple[dict, Fraction]:
+    """Execute one replica, evaluate its checks against the experiment's
+    `welfare_targets` and write its trace to `out_dir`; returns its summary
+    dict and welfare ratio."""
     seed = replica_seed(base_seed, replica)
     config = experiment.run_config(seed)
     trace = (run_regret_dynamics if experiment.regret else run_best_response_dynamics)(config)
@@ -651,7 +655,8 @@ def run_replica(
                 results.append({"name": name, "pass": bool(passed), "detail": detail})
                 summary.update(fields)
     summary["checks"] = results
-    return {"summary": summary, "ratio": report.ratio, "csv": trace_csv(trace, experiment)}
+    _write(out_dir / f"trace-replica{replica}.csv", trace_csv(trace, experiment))
+    return summary, report.ratio
 
 
 def separated_throughout(trace: Trace, types: Sequence[Valuation]) -> bool:
@@ -712,24 +717,22 @@ def run_experiment(
     base_seed = experiment.seed if seed is None else _whole(seed, "--seed")
     count = (experiment.replicas if replicas is None
              else _replicas(replicas, "--replicas", experiment.engine["rounds"]))
-    workers = _positive(workers, "--workers")
+    workers = _positive(workers, "--workers", MAX_WORKERS)
 
     targets = welfare_targets(experiment)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"--out-dir: {exc}") from None
+    # each replica writes its own trace, so a run holds one trace per process
+    replica = partial(run_replica, experiment, base_seed, targets, out_dir)
     if workers > 1 and count > 1:  # a pool may start all its workers at once
         with ProcessPoolExecutor(max_workers=min(workers, count)) as pool:
-            outputs = list(pool.map(run_replica, [experiment] * count, range(count),
-                                    [base_seed] * count, [targets] * count))
+            outputs = list(pool.map(replica, range(count)))
     else:
-        outputs = [run_replica(experiment, r, base_seed, targets) for r in range(count)]
-
-    for r, out in enumerate(outputs):
-        _write(out_dir / f"trace-replica{r}.csv", out["csv"])
-    summaries = [out["summary"] for out in outputs]
-    ratios = [out["ratio"] for out in outputs]
+        outputs = list(map(replica, range(count)))
+    summaries = [summary for summary, _ in outputs]
+    ratios = [ratio for _, ratio in outputs]
 
     checks = experiment.checks
     run_checks = []
@@ -804,7 +807,7 @@ def cmd_scenarios(_args) -> int:
 def cmd_oracle(args) -> int:
     instance = load_instance(Path(args.path))
     cap = instance.cap if args.s is None else _cap(args.s, "--s")
-    alloc, welfare = solve_oracle(instance.types, cap, args.path)
+    alloc, welfare = solve_oracle(args.path, optimal_welfare, instance.types, cap)
     print(f"optimal welfare: {welfare}")
     for i, mask in enumerate(alloc):
         if mask:

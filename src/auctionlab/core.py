@@ -10,6 +10,9 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 MAX_ITEMS = 32
+# The largest value in ticks: every int up to 2**53 is an exact float, which
+# learner feedback takes, and a sum of such values prints in a few digits.
+MAX_TICKS = 2**53
 
 
 class AuctionError(Exception):
@@ -167,8 +170,8 @@ class Valuation:
     def __init__(self, atoms: Iterable[tuple[int, int]] = ()):
         cleaned: dict[int, int] = {}
         for mask, value in atoms:
-            if value < 0:
-                raise ValidationError(f"atom value must be non-negative, got {value}")
+            if not 0 <= value <= MAX_TICKS:
+                raise ValidationError(f"atom value of bundle {mask:#x} must be in [0, {MAX_TICKS}]")
             if mask == 0 and value > 0:
                 raise ValidationError("the empty bundle must have value 0")
             if value == 0:

@@ -30,7 +30,6 @@ from .agents import (
     WeightedLearner,
     best_response,
     byzantine_bid,
-    counterfactual_utilities,
     learner_state_for,
 )
 from .core import (EMPTY, Declaration, Outcome, Profile, ValidationError, declared_welfare,
@@ -174,7 +173,7 @@ def _starting_profile(config: RunConfig) -> Profile:
     rng = seeded_rng(config.seed, "init")
     picks = []
     for model in config.agents:
-        k = randbelow(rng, len(model.candidates))
+        k = randbelow(rng, len(model.candidate_bids))
         picks.append(model.candidate_bids[k])
     return tuple(picks)
 
@@ -318,7 +317,8 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
             for (state, model, _), k in zip(plan, key)
         )
         feedback = [
-            state.feedback(counterfactual_utilities(model, profile, mechanism))
+            state.feedback(mechanism.counterfactual_utilities(
+                model.index, model.candidate_bids, profile, model.valuation))
             for state, model, _ in plan if state is not None
         ]
         return profile, feedback, {}

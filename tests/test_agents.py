@@ -17,7 +17,6 @@ from auctionlab import (
     WeightedLearner,
     best_response,
     byzantine_bid,
-    counterfactual_utilities,
     external_regret,
     full_mask,
     make_agent,
@@ -95,11 +94,22 @@ class TestBestResponse:
                 assert after >= before
 
 
+def candidate_sets(model):
+    return tuple(d.set_mask for d in model.candidate_bids)
+
+
+def utilities_by_set(model, profile, mechanism):
+    """Each candidate set's counterfactual utility against `profile`."""
+    utilities = mechanism.counterfactual_utilities(
+        model.index, model.candidate_bids, profile, model.valuation)
+    return dict(zip(candidate_sets(model), utilities))
+
+
 class TestCounterfactualUtilities:
     def test_cycle_state_vector(self, cycle_types, cycle_mechanism):
         profile = (Declaration(D, 6), Declaration(B | C, 5), Declaration(C, 4), Declaration(D, 5))
         model = make_agent(1, cycle_types[1], BestResponder(), cycle_mechanism)
-        utilities = dict(zip(model.candidates, counterfactual_utilities(model, profile, cycle_mechanism)))
+        utilities = utilities_by_set(model, profile, cycle_mechanism)
         assert utilities[0] == 0
         assert utilities[A] == 2
         assert utilities[B | C] == 1
@@ -107,31 +117,31 @@ class TestCounterfactualUtilities:
     def test_sole_bidder_gets_full_value_everywhere(self, cycle_types, cycle_mechanism):
         profile = (EMPTY, EMPTY, EMPTY, EMPTY)
         model = make_agent(0, cycle_types[0], BestResponder(), cycle_mechanism)
-        utilities = dict(zip(model.candidates, counterfactual_utilities(model, profile, cycle_mechanism)))
+        utilities = utilities_by_set(model, profile, cycle_mechanism)
         assert utilities[A | B] == 4
         assert utilities[D] == 6
 
     def test_priced_out_candidate_is_zero(self, cycle_types, cycle_mechanism):
         profile = (EMPTY, EMPTY, EMPTY, Declaration(D, 9))
         model = make_agent(0, cycle_types[0], BestResponder(), cycle_mechanism)
-        utilities = dict(zip(model.candidates, counterfactual_utilities(model, profile, cycle_mechanism)))
+        utilities = utilities_by_set(model, profile, cycle_mechanism)
         assert utilities[D] == 0
 
 
 class TestCandidates:
     def test_atoms_plus_empty_in_bundle_order(self, cycle_types, cycle_mechanism):
         model = make_agent(0, cycle_types[0], BestResponder(), cycle_mechanism)
-        assert model.candidates == (0, D, A | B)
+        assert candidate_sets(model) == (0, D, A | B)
 
     def test_grand_bundle_added_under_grand_mechanism(self, cycle_types):
         mech = GrandBundleMechanism(4, Fraction(1, 100))
         model = make_agent(0, cycle_types[0], BestResponder(), mech)
-        assert full_mask(4) in model.candidates
+        assert full_mask(4) in candidate_sets(model)
 
     def test_emitted_bids_are_undominated(self, cycle_types):
         mech = GrandBundleMechanism(4, Fraction(1, 100))
         model = make_agent(0, cycle_types[0], BestResponder(), mech)
-        for mask, bid in zip(model.candidates, model.candidate_bids):
+        for mask, bid in zip(candidate_sets(model), model.candidate_bids):
             if mask and cycle_types[0].value_of(mask):
                 assert bid == Declaration(mask, cycle_types[0].value_of(mask))
 
@@ -162,7 +172,7 @@ class TestByzantine:
 
 def reference_byzantine_bid(model, rng):
     """`byzantine_bid` as first written: the draws the faster one must repeat."""
-    masks = [c for c in model.candidates if c]
+    masks = [d.set_mask for d in model.candidate_bids[1:]]
     if not masks:
         return EMPTY
     mask = masks[rng.randrange(len(masks))]
@@ -183,9 +193,8 @@ class TestByzantineMatchesReference:
         yield make_agent(0, Valuation(), ByzantineBidder())
         # a candidate set worth 0, whose undominated bid is EMPTY
         valuation = Valuation([(A, 3)])
-        cands = (0, A, B | C)
-        yield AgentModel(0, valuation, ByzantineBidder(), cands,
-                         tuple(undominated_bid(valuation, c) for c in cands))
+        yield AgentModel(0, valuation, ByzantineBidder(),
+                         tuple(undominated_bid(valuation, c) for c in (0, A, B | C)))
 
     def test_same_declarations_and_draws(self, cycle_types):
         for m, model in enumerate(self.models(cycle_types)):

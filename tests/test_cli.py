@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from auctionlab import ValidationError, cli, dynamics
+from auctionlab import SizeError, ValidationError, algorithms, cli, dynamics
 from auctionlab.cli import (
     list_scenarios,
     load_experiment,
@@ -576,6 +576,26 @@ def _dynamics_count(key, value):
     return edit
 
 
+def _atom_value(value):
+    def edit(experiment, instance):
+        instance["agents"][0]["atoms"][0]["value"] = value
+    return edit
+
+
+def _disjoint_values(value):
+    def edit(experiment, instance):
+        for agent, item in zip(instance["agents"][:2], instance["items"]):
+            agent["atoms"] = [{"items": [item], "value": value}]
+    return edit
+
+
+def _initial_bids(bid):
+    def edit(experiment, instance):
+        experiment["dynamics"]["initial"] = [
+            {"id": aid, "items": [item], "bid": bid} for aid, item in ((1, "a"), (2, "b"))]
+    return edit
+
+
 def _oversize_instance(experiment, instance):
     # valid, but spanning more items than the oracle solves
     instance["items"] += [f"x{k}" for k in range(instance["m"], 24)]
@@ -645,6 +665,9 @@ def _oversize_instance(experiment, instance):
         ("appendix-c-cycle", _dynamics_count("rounds", 2**63)),
         ("regret-theorem-3", _dynamics_count("rounds", 2**63)),
         ("appendix-c-cycle", _dynamics_count("replicas", 2**63)),
+        ("regret-theorem-3", _atom_value(10**400)),
+        ("appendix-c-cycle", _disjoint_values(10**4299)),
+        ("appendix-c-cycle", _initial_bids(10**4299)),
     ],
     ids=["override-key", "agents-list", "agent-entry", "partition-side", "gamma",
          "gamma-exponent",
@@ -662,7 +685,8 @@ def _oversize_instance(experiment, instance):
          "initial-random-start", "item-index", "pass-fraction-range", "g-fraction-range",
          "zero-lottery-random-start", "epsilon-range", "one-item-grand-bundle",
          "one-item-two-tier", "duplicate-atom", "overrides-leading-zero",
-         "rounds-2**63-scripted", "rounds-2**63-regret", "replicas-2**63"],
+         "rounds-2**63-scripted", "rounds-2**63-regret", "replicas-2**63",
+         "atom-value-10**400", "values-4300-digits", "initial-bids-4300-digits"],
 )
 def test_malformed_experiment_is_invalid_in_validate_and_run(
     tmp_path, capsys, monkeypatch, command, name, edit
@@ -707,12 +731,20 @@ def test_malformed_experiment_is_invalid_in_validate_and_run(
          "regret-theorem-3.dynamics.rounds: "),
         ("appendix-c-cycle", _dynamics_count("replicas", 2**63),
          "appendix-c-cycle.dynamics.replicas: "),
+        ("regret-theorem-3", _atom_value(10**400),
+         "{dir}/appendix_c.instance.json.agents[0]: atom value of bundle 0x3 must be in "
+         "[0, 9007199254740992]"),
+        ("appendix-c-cycle", _disjoint_values(10**4299),
+         "{dir}/appendix_c.instance.json.agents[0]: atom value of bundle 0x1 must be in "),
+        ("appendix-c-cycle", _initial_bids(10**4299),
+         "appendix-c-cycle.dynamics.initial[0].bid: must be an integer in [0, 9007199254740992]"),
     ],
     ids=["best-response-mw", "best-response-fpl", "initial-random-start", "item-index",
          "pass-fraction-range", "g-fraction-range", "zero-lottery-random-start",
          "epsilon-range", "one-item-grand-bundle", "one-item-two-tier", "duplicate-atom",
          "overrides-leading-zero", "rounds-2**63-scripted", "rounds-2**63-regret",
-         "replicas-2**63"],
+         "replicas-2**63", "atom-value-10**400", "values-4300-digits",
+         "initial-bids-4300-digits"],
 )
 def test_rejected_experiment_names_the_key(tmp_path, capsys, name, edit, where):
     path = _copy_scenario(tmp_path, name, edit)
@@ -932,6 +964,7 @@ def test_malformed_scripted_order_flag_is_invalid(tmp_path, capsys):
         (["best-response-theorem-10", "--epsilon", "1"], "--epsilon"),
         (["appendix-c-cycle", "--replicas", str(2**63), "--workers", "2"], "--replicas"),
         (["appendix-c-cycle", "--replicas", str(cli.MAX_REPLICAS + 1)], "--replicas"),
+        (["appendix-c-cycle", "--workers", str(cli.MAX_WORKERS + 1)], "--workers"),
     ],
 )
 def test_run_flags_obey_the_rules_of_their_keys(tmp_path, capsys, monkeypatch, argv, where):
@@ -980,12 +1013,53 @@ def test_worker_pool_is_capped_at_the_replica_count(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
     base = ["run", "byzantine-mix", "--replicas", "2"]
-    main([*base, "--workers", "5000", "--out-dir", str(tmp_path / "pool")])
+    main([*base, "--workers", str(cli.MAX_WORKERS), "--out-dir", str(tmp_path / "pool")])
     assert pools == [2]
     main([*base, "--workers", "1", "--out-dir", str(tmp_path / "one")])
     assert pools == [2]
     for name in ("summary.json", "trace-replica0.csv", "trace-replica1.csv"):
         assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_each_replica_writes_its_trace_before_the_next_starts(tmp_path, monkeypatch):
+    """`run` holds one replica's trace at a time: replica k's CSV is on disk
+    when replica k + 1 starts."""
+    engine, written = cli.run_best_response_dynamics, []
+
+    def recording_engine(config):
+        written.append(sorted(p.name for p in tmp_path.glob("trace-replica*.csv")))
+        return engine(config)
+
+    monkeypatch.setattr(cli, "run_best_response_dynamics", recording_engine)
+    assert main(["run", "appendix-c-cycle", "--replicas", "3", "--out-dir", str(tmp_path)]) == 0
+    assert written == [[f"trace-replica{r}.csv" for r in range(k)] for k in range(3)]
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "oracle"])
+def test_oracle_past_its_budget_is_invalid(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(algorithms, "ORACLE_MAX_MEMO", 4)
+    for engine in ("run_best_response_dynamics", "run_regret_dynamics"):
+        monkeypatch.setattr(cli, engine, _no_rounds)
+    where = "random-ca.instance"
+    argv = [command, "random-ca"]
+    if command == "run":
+        argv += ["--out-dir", str(tmp_path)]
+    if command == "oracle":
+        where = str(cli.SCENARIO_DIR / "random_ca.instance.json")
+        argv[1] = where
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"INVALID: {where}: oracle gives up past 4 subproblems")
+    assert "Traceback" not in err
+
+
+def test_byzantine_restricted_solve_is_invalid_past_its_budget(capsys, monkeypatch):
+    def over_budget(bids, n_agents, cap=None):
+        raise SizeError("oracle gives up")
+
+    monkeypatch.setattr(cli, "optimal_allocation", over_budget)
+    assert main(["validate", "byzantine-mix"]) == 2
+    assert capsys.readouterr().err.startswith("INVALID: byzantine-mix.instance: oracle gives up")
 
 
 # Files that `json.loads` or the read before it rejects with an error other

@@ -17,7 +17,7 @@ from auctionlab import (
     separated_flags,
 )
 from auctionlab import dynamics
-from auctionlab.agents import best_response, byzantine_bid, counterfactual_utilities, learner_state_for
+from auctionlab.agents import best_response, byzantine_bid, learner_state_for
 from auctionlab.dynamics import (
     ALL_AGENTS,
     RunConfig,
@@ -429,7 +429,8 @@ class TestStateCache:
             ]
             assert list(record.profile) == expected
             for i, state in learners.items():
-                utilities = counterfactual_utilities(agents[i], record.profile, mech)
+                utilities = mech.counterfactual_utilities(
+                    i, agents[i].candidate_bids, record.profile, agents[i].valuation)
                 seen_fraction = seen_fraction or any(Fraction(u).denominator > 1 for u in utilities)
                 state.update(state.feedback(utilities))
             self.assert_round(cfg, record)
