@@ -64,7 +64,6 @@ from .dynamics import (
     seeded_rng,
 )
 from .metrics import (
-    RegretReport,
     WelfareReport,
     aggregate,
     coverage_report,

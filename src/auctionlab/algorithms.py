@@ -18,7 +18,6 @@ from .core import (
     SizeError,
     ValidationError,
     bundle_key,
-    declared_welfare,
     full_mask,
 )
 
@@ -27,7 +26,7 @@ CLOSED = "closed"
 
 ORACLE_MAX_ITEMS = 20
 # Subproblems the oracle may memoize, about 200 bytes each; the tests, the
-# built-in scenarios and the benchmark memoize at most 856.
+# built-in scenarios and the benchmark memoize at most 350.
 ORACLE_MAX_MEMO = 2**21
 
 PriceFn = Callable[[int], Optional[tuple[int, str]]]
@@ -221,16 +220,6 @@ def _holds(side: Side, set_mask: int) -> bool:
     return not set_mask & ~within and low <= set_mask.bit_count() <= high
 
 
-def restrict(profile: Sequence[Declaration], side: Side) -> Profile:
-    """`profile` with every bid on a set outside `side` blanked."""
-    within, low, high = side
-    outside = ~within
-    return tuple([
-        d if not d.set_mask & outside and low <= d.set_mask.bit_count() <= high else EMPTY
-        for d in profile
-    ])
-
-
 def two_sided_thresholds(profile: Profile, agent: int, side_a: Side, side_b: Side) -> PriceFn:
     """The bid thresholds for `agent` of `two_sided_allocate`.  A set must
     win its side's greedy run and lift that side's welfare over the other's.
@@ -267,19 +256,6 @@ def two_sided_allocate(profile: Profile, side_a: Side, side_b: Side) -> tuple[in
     return tuple(alloc)
 
 
-def _two_tier(profile: Sequence[Declaration], cap: int, grand: int) -> tuple[int, ...]:
-    """Greedy over sets of at most `cap` items versus the single best bid on
-    `grand`; the side with higher declared welfare wins, ties favor the
-    greedy side.  Bids for mid-size sets are ignored by both sides."""
-    galloc = greedy_allocate(profile, cap)
-    top_bid, top_agent, _ = grand_bids(profile, grand)
-    if top_bid > declared_welfare(galloc, profile):
-        alloc = [0] * len(profile)
-        alloc[top_agent] = grand
-        return tuple(alloc)
-    return galloc
-
-
 def grand_bids(profile: Sequence[Declaration], grand: int, skip: int = -1) -> tuple[int, int, int]:
     """(top bid, its agent, total) of the bids on exactly `grand`, agent
     `skip` left out; the lower index wins a tie, and (0, -1, 0) means none."""
@@ -293,13 +269,15 @@ def grand_bids(profile: Sequence[Declaration], grand: int, skip: int = -1) -> tu
 
 
 def two_tier_rule(item_count: int) -> AllocationRule:
+    """Greedy over sets of at most `small_cap(m)` items versus the top bid on
+    the grand bundle, as a two-sided rule; mid-size sets never win."""
     if item_count < 2:
         raise ValidationError("two-tier rule needs at least 2 items")
     cap, grand = small_cap(item_count), full_mask(item_count)
     small, whole = (-1, 1, cap), (grand, item_count, item_count)
     return AllocationRule(
         name=f"two-tier(m={item_count})",
-        allocate=lambda profile: _two_tier(profile, cap, grand),
+        allocate=lambda profile: two_sided_allocate(profile, small, whole),
         thresholds=lambda p, i: two_sided_thresholds(p, i, small, whole),
     )
 
@@ -332,7 +310,8 @@ def optimal_allocation(
 
     `bids` are (agent, set_mask, value) triples; bundles assigned to distinct
     agents must be disjoint and respect `cap`.  Memoized on (agent index,
-    items still free); ties prefer staying out, then smaller bundles.
+    items still free that this agent or a later one can take); ties prefer
+    staying out, then smaller bundles.
     Raises SizeError beyond ORACLE_MAX_ITEMS items, or once the memo passes
     ORACLE_MAX_MEMO subproblems.
     """
@@ -355,6 +334,11 @@ def optimal_allocation(
             options[agent].append((mask, value))
     for opts in options:
         opts.sort(key=lambda o: bundle_key(o[0]))
+    reach = [0] * (n_agents + 1)  # reach[i]: the items agents i.. can take
+    for i in reversed(range(n_agents)):
+        for mask, _ in options[i]:
+            reach[i] |= mask
+        reach[i] |= reach[i + 1]
 
     free0, budget = span, ORACLE_MAX_MEMO
     memo: dict[tuple[int, int], tuple[int, int]] = {}
@@ -362,6 +346,7 @@ def optimal_allocation(
     def solve(i: int, free: int) -> tuple[int, int]:
         if i == n_agents:
             return (0, 0)
+        free &= reach[i]  # the free items nobody from i on can take change nothing
         key = (i, free)
         hit = memo.get(key)
         if hit is not None:

@@ -52,7 +52,7 @@ from .dynamics import (
 )
 from .mechanisms import (
     FilteredGreedyMechanism, GrandBundleMechanism, Mechanism, RuleMechanism, check_chance,
-    separated_flags,
+    pressure, separated_flags,
 )
 from .metrics import aggregate, coverage_report, regret_report, resilience_report, welfare_report
 
@@ -530,10 +530,21 @@ def _min_ratio(want: Fraction, run: _Replica):
 
 
 def _separated(want: bool, run: _Replica):
+    """Names the first unseparated round and agent when the check fails."""
     if not want:
         return None
-    ok = separated_throughout(run.trace, run.experiment.instance.types)
-    return ok, "every round separated" if ok else "separation broken", {}
+    trace, types = run.trace, run.experiment.instance.types
+    if separated_throughout(trace, types):
+        return True, "every round separated", {}
+    # states are kept in order of first play, so the first failing one is
+    # the first unseparated round
+    k, i = next((k, i) for k, step in enumerate(trace.states)
+                for i, ok in enumerate(separated_flags(step.profile, types)) if not ok)
+    profile = trace.states[k].profile
+    set_mask, bid = profile[i]
+    load = pressure(profile, i, set_mask, types[i].value_of(set_mask))
+    return False, (f"round {trace.plays.index(k) + 1}: agent {i + 1} bids {bid} on set "
+                   f"{set_mask} under pressure {load}"), {}
 
 
 def _cycle(want: int, run: _Replica):
@@ -551,7 +562,7 @@ def _convergence(want: bool, run: _Replica):
 
 
 def _regret(want: Fraction, run: _Replica):
-    per_agent = regret_report(run.trace, run.trace.agents).per_agent
+    per_agent = regret_report(run.trace, run.trace.agents)
     worst = max(per_agent, default=Fraction(0))
     detail = f"max regret {format_fraction(worst)} <= {format_fraction(want)}"
     return worst <= want, detail, {"regret": _by_agent(per_agent)}

@@ -78,23 +78,17 @@ class RoundRecord:
 
 class Trace:
     """The rounds of one run: round t (1-based) played `states[plays[t - 1]]`
-    after `updaters[t - 1]` moved.  `steps`, `profiles()` and `records` are
-    per-round views of these, for the stages that read round order; every
-    other stage weighs each state by `uses`, its number of rounds.  The
-    engines append a step only when its profile and coin first play, so
-    their states are distinct, in order of first play, for any number of
-    rounds."""
+    after `updaters[t - 1]` moved.  `profiles()` and `records` are per-round
+    views of these, for the stages that read round order; every other stage
+    weighs each state by `uses`, its number of rounds.  The engines append a
+    step only when its profile and coin first play, so their states are
+    distinct, in order of first play, for any number of rounds."""
 
     def __init__(self, mechanism: Mechanism, agents: Sequence[AgentModel],
                  states: Sequence[Step], plays: Sequence[int],
                  updaters: Sequence[int]) -> None:
         self.mechanism, self.agents = mechanism, tuple(agents)
         self.states, self.plays, self.updaters = tuple(states), tuple(plays), tuple(updaters)
-
-    @property
-    def steps(self) -> tuple[Step, ...]:
-        """The step of each round."""
-        return tuple(map(self.states.__getitem__, self.plays))
 
     @cached_property
     def records(self) -> tuple[RoundRecord, ...]:

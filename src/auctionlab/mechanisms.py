@@ -28,7 +28,6 @@ from .algorithms import (
     grand_bids,
     greedy_allocate,  # not called here: perfbench/tracer.py patches this name in this module
     opposing_total,
-    restrict,
     small_cap,
     with_probe,
 )
@@ -116,7 +115,7 @@ def wins_threshold(bid: int, price: tuple[int, str] | None) -> bool:
     return bid > theta if boundary == OPEN else bid >= theta
 
 
-def _pressure(profile: Sequence[Declaration], agent: int, set_mask: int, ceiling: int) -> int:
+def pressure(profile: Sequence[Declaration], agent: int, set_mask: int, ceiling: int) -> int:
     """Sum of the other agents' bids below `ceiling` on sets that meet `set_mask`."""
     total = 0
     for j, (s, b) in enumerate(profile):
@@ -130,7 +129,7 @@ def declared_separated_for(agent: int, decl: Declaration, profile: Profile) -> b
     lower intersecting declared bids does not exceed the agent's own bid.
     Empty declarations are vacuously separated."""
     set_mask, bid = decl
-    return not set_mask or _pressure(profile, agent, set_mask, bid) <= bid
+    return not set_mask or pressure(profile, agent, set_mask, bid) <= bid
 
 
 def separated_flags(profile: Sequence[Declaration], types: Sequence[Valuation]) -> tuple[bool, ...]:
@@ -139,7 +138,7 @@ def separated_flags(profile: Sequence[Declaration], types: Sequence[Valuation]) 
     must sum to at most his declared bid.  An empty declaration (0, 0) meets
     no set: pressure 0 <= bid 0."""
     return tuple(
-        _pressure(profile, i, set_mask, types[i].value_of(set_mask)) <= bid
+        pressure(profile, i, set_mask, types[i].value_of(set_mask)) <= bid
         for i, (set_mask, bid) in enumerate(profile)
     )
 
@@ -427,12 +426,15 @@ class GrandBundleMechanism(FilteredGreedyMechanism):
         self.gamma = gamma
         self.grand = full_mask(item_count)
         self.name = f"grand-bundle(m={item_count}, gamma={gamma})"
-        self.small = (-1, 0, self.cap)  # a `Side`: the small sets, by size alone
         if gamma:
             self.branches = ((gamma, COIN_IGNORE_GRAND), (1 - gamma, COIN_NONE))
 
+    def _small_profile(self, profile: Profile) -> Profile:
+        """`profile` with every bid on a set of more than `cap` items blanked."""
+        return tuple([d if d.set_mask.bit_count() <= self.cap else EMPTY for d in profile])
+
     def _settle(self, profile, coin):
-        small = restrict(profile, self.small)
+        small = self._small_profile(profile)
         alloc, payments = filtered_pass(small, self.cap)
         top_bid, top_agent, total = (
             (0, -1, 0) if coin.ignore_grand else grand_bids(profile, self.grand)
@@ -451,7 +453,7 @@ class GrandBundleMechanism(FilteredGreedyMechanism):
         return alloc, payments
 
     def thresholds(self, profile, agent, coin=COIN_NONE):
-        small = restrict(profile, self.small)
+        small = self._small_profile(profile)
         floor_of = super().thresholds(small, agent, coin)
         top_bid, _, others_grand = (
             (0, -1, 0) if coin.ignore_grand else grand_bids(profile, self.grand, agent)

@@ -27,11 +27,6 @@ class WelfareReport:
 
 
 @dataclass(frozen=True)
-class RegretReport:
-    per_agent: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class ReplicaStats:
     minimum: Fraction
     median: Fraction
@@ -58,11 +53,12 @@ def welfare_report(trace: Trace, types: Sequence[Valuation], optimum: int) -> We
     return _build_report(trace, types, optimum, allow_excess=False)
 
 
-def regret_report(trace: Trace, models: Sequence[AgentModel]) -> RegretReport:
-    return RegretReport(tuple(
+def regret_report(trace: Trace, models: Sequence[AgentModel]) -> tuple[Fraction, ...]:
+    """Per model, its average external regret over the trace's rounds."""
+    return tuple(
         external_regret(trace.history_for(model.index), model, trace.mechanism)
         for model in models
-    ))
+    )
 
 
 def coverage_report(

@@ -61,7 +61,7 @@ def mw_average_welfare(types, mechanism, rounds, seed, byzantine=()):
     ]
     cfg = RunConfig(mechanism=mechanism, agents=agents, rounds=rounds, seed=seed)
     trace = run_regret_dynamics(cfg)
-    return Fraction(sum(s.true_welfare for s in trace.steps), trace.rounds)
+    return Fraction(sum(r.true_welfare for r in trace.records), trace.rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,7 @@ def capped_fleet():
             runs.append(
                 {
                     "optimum": optimum,
-                    "average": Fraction(sum(s.true_welfare for s in trace.steps), trace.rounds),
+                    "average": Fraction(sum(r.true_welfare for r in trace.records), trace.rounds),
                     "separated": separated,
                     "min_step_fraction": min(
                         (Fraction(h, trace.rounds) for h in hits), default=Fraction(1)
@@ -155,7 +155,7 @@ def grand_fleet():
                 {
                     "m": m,
                     "optimum": optimum,
-                    "average": Fraction(sum(s.true_welfare for s in trace.steps), trace.rounds),
+                    "average": Fraction(sum(r.true_welfare for r in trace.records), trace.rounds),
                     "separated_full": full_ok,
                     "separated_by_scale": scale_ok,
                 }

