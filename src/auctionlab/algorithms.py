@@ -171,39 +171,22 @@ def with_probe(profile: Profile, agent: int, probe: Declaration) -> Profile:
     return (*profile[:agent], probe, *profile[agent + 1 :])
 
 
-def takeover_price(
-    price_of: PriceFn,
-    welfare_of: Callable[[Profile], int],
-    profile: Profile,
-    agent: int,
-    rival: int,
-    wins_ties: bool,
-) -> PriceFn:
-    """Prices for `agent` on one side of a rule that hands everything to the
-    side of higher declared welfare: `price_of` prices a set within the
-    side, `welfare_of` gives the side's declared welfare of a profile, and
-    `rival` is the other side's welfare, which the agent does not move.
-    The side wins exact ties iff `wins_ties`.
+def takeover(
+    price: tuple[int, str], rival: int, companions: int, wins_ties: bool
+) -> tuple[int, str]:
+    """The price of a set on one side of a rule that hands everything to the
+    side of higher declared welfare, given its `price` within the side.
 
-    Once the agent wins its set, the side's welfare grows one for one with
-    the bid, because the others it then admits do not depend on the bid.  So
-    the rival stops winning at a fixed offset, `rival - companions`.  A rival
-    of 0 never binds: a side price of 0 is always open."""
-    if rival <= 0:
-        return price_of
-
-    def price(set_mask: int) -> tuple[int, str] | None:
-        side_price = price_of(set_mask)
-        if side_price is None:
-            return None
-        floor = side_price[0]
-        winning = with_probe(profile, agent, Declaration(set_mask, floor + 1))
-        takeover = rival - (welfare_of(winning) - (floor + 1))
-        if wins_ties:
-            return (takeover, CLOSED) if takeover > floor else side_price
-        return (takeover, OPEN) if takeover >= floor else side_price
-
-    return price
+    Once the agent wins, its side's welfare is its bid plus `companions`,
+    the others the side then keeps, which do not move with the bid.  So the
+    side overtakes the `rival`, the other side's welfare without the agent,
+    at theta = rival - companions.  A side that wins ties pays theta, CLOSED,
+    when theta exceeds its side price; one that loses them pays theta, OPEN,
+    when theta reaches it.  A rival of 0 never binds."""
+    theta = rival - companions
+    if wins_ties:
+        return (theta, CLOSED) if theta > price[0] else price
+    return (theta, OPEN) if theta >= price[0] else price
 
 
 def greedy_rule(cap: int | None = None) -> AllocationRule:
@@ -222,24 +205,23 @@ def _holds(side: Side, set_mask: int) -> bool:
 
 def two_sided_thresholds(profile: Profile, agent: int, side_a: Side, side_b: Side) -> PriceFn:
     """The bid thresholds for `agent` of `two_sided_allocate`.  A set must
-    win its side's greedy run and lift that side's welfare over the other's.
-    A set in neither side never wins."""
-    accepted_a = greedy_accepted(profile, side_a, agent)
-    accepted_b = greedy_accepted(profile, side_b, agent)
-    a_wins = takeover_price(
-        _greedy_price(accepted_a, agent, None), lambda p: _welfare(greedy_accepted(p, side_a)),
-        profile, agent, _welfare(accepted_b), wins_ties=True,
-    )
-    b_wins = takeover_price(
-        _greedy_price(accepted_b, agent, None), lambda p: _welfare(greedy_accepted(p, side_b)),
-        profile, agent, _welfare(accepted_a), wins_ties=False,
-    )
+    win its side's greedy run and lift that side's welfare over the other's,
+    so each side prices a set by `takeover` of its greedy floor, with side A
+    winning ties.  A set in neither side never wins."""
+    sides = (side_a, side_b)
+    accepted = [greedy_accepted(profile, side, agent) for side in sides]
+    floors = [_greedy_price(run, agent, None) for run in accepted]
 
     def price_of(set_mask: int) -> tuple[int, str] | None:
-        if _holds(side_a, set_mask):
-            return a_wins(set_mask)
-        if _holds(side_b, set_mask):
-            return b_wins(set_mask)
+        for k, side in enumerate(sides):
+            if _holds(side, set_mask):
+                floor, rival = floors[k](set_mask), _welfare(accepted[1 - k])
+                if not rival:  # nothing to overtake: spare the probe run
+                    return floor
+                bid = floor[0] + 1  # the agent wins its side's run from here on
+                winning = with_probe(profile, agent, Declaration(set_mask, bid))
+                companions = _welfare(greedy_accepted(winning, side)) - bid
+                return takeover(floor, rival, companions, wins_ties=k == 0)
         return None
 
     return price_of

@@ -29,6 +29,7 @@ from .algorithms import (
     greedy_allocate,  # not called here: perfbench/tracer.py patches this name in this module
     opposing_total,
     small_cap,
+    takeover,
     with_probe,
 )
 from .core import (
@@ -416,7 +417,8 @@ class GrandBundleMechanism(FilteredGreedyMechanism):
     when it strictly exceeds both the other grand bids and the small-side
     declared welfare.  Bids on mid-size sets never win.  With probability
     gamma the round ignores grand bids entirely, which keeps small-set
-    bidding attractive."""
+    bidding attractive.  Both sides are priced and charged by `takeover`,
+    the small side winning ties."""
 
     def __init__(self, item_count: int, gamma: Fraction, lottery: Fraction | None = None):
         if item_count < 2:
@@ -444,12 +446,14 @@ class GrandBundleMechanism(FilteredGreedyMechanism):
         welfare = declared_welfare(alloc, small)
         if top_bid > welfare:
             alloc, payments = [0] * len(profile), [0] * len(profile)
-            alloc[top_agent], payments[top_agent] = self.grand, max(total - top_bid, welfare)
+            payments[top_agent] = takeover((total - top_bid, OPEN), welfare, 0, wins_ties=False)[0]
+            alloc[top_agent] = self.grand
             return alloc, payments
         # the small winners are pairwise disjoint: each keeps all the others
         for i, mask in enumerate(alloc):
             if mask:
-                payments[i] = max(payments[i], top_bid - (welfare - small[i].bid))
+                companions = welfare - small[i].bid
+                payments[i] = takeover((payments[i], OPEN), top_bid, companions, wins_ties=True)[0]
         return alloc, payments
 
     def thresholds(self, profile, agent, coin=COIN_NONE):
@@ -475,13 +479,12 @@ class GrandBundleMechanism(FilteredGreedyMechanism):
             if set_mask == self.grand:
                 if coin.ignore_grand:
                     return None
-                return (max(others_grand, companions(0)), OPEN)  # every set misses 0
+                # the rival is the whole small side, as every set misses 0,
+                # and a grand winner keeps no companions
+                return takeover((others_grand, OPEN), companions(0), 0, wins_ties=False)
             floor = floor_of(set_mask)
             if floor is None or not rival:
                 return floor
-            # Once the agent wins its set, the small welfare grows one for one
-            # with its bid over the companions, so the takeover stops there.
-            takeover = rival - companions(set_mask)
-            return (takeover, CLOSED) if takeover > floor[0] else floor
+            return takeover(floor, rival, companions(set_mask), wins_ties=True)
 
         return price_of

@@ -52,6 +52,12 @@ CYCLE_TYPES = [
 ]
 
 
+def average_true_welfare(trace):
+    """True welfare per round, each state weighed by the rounds that played it."""
+    total = sum(step.true_welfare * rounds for step, rounds in zip(trace.states, trace.uses))
+    return Fraction(total, trace.rounds)
+
+
 def mw_average_welfare(types, mechanism, rounds, seed, byzantine=()):
     agents = [
         make_agent(
@@ -60,8 +66,7 @@ def mw_average_welfare(types, mechanism, rounds, seed, byzantine=()):
         for i, t in enumerate(types)
     ]
     cfg = RunConfig(mechanism=mechanism, agents=agents, rounds=rounds, seed=seed)
-    trace = run_regret_dynamics(cfg)
-    return Fraction(sum(r.true_welfare for r in trace.records), trace.rounds)
+    return average_true_welfare(run_regret_dynamics(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -88,14 +93,16 @@ def capped_fleet():
                 mechanism=mech, agents=agents, rounds=200 * n, seed=seed * 977 + k
             )
             trace = run_best_response_dynamics(cfg)
-            profiles = trace.profiles()
-            separated = all(all(separated_flags(p, types)) for p in dict.fromkeys(profiles))
+            profiles = dict.fromkeys(step.profile for step in trace.states)
+            separated = all(all(separated_flags(p, types)) for p in profiles)
+            # a hit depends on the profile alone: count each state's rounds at once
             hits = [0] * n
-            for profile in profiles:
+            for step, rounds in zip(trace.states, trace.uses):
+                profile = step.profile
                 for i, d in enumerate(profile):
                     goal = goals[i]
                     if 2 * d.bid >= goal:
-                        hits[i] += 1
+                        hits[i] += rounds
                         continue
                     pressure = sum(
                         o.bid
@@ -103,11 +110,11 @@ def capped_fleet():
                         if j != i and o.set_mask & target[i]
                     )
                     if 2 * pressure >= goal:
-                        hits[i] += 1
+                        hits[i] += rounds
             runs.append(
                 {
                     "optimum": optimum,
-                    "average": Fraction(sum(r.true_welfare for r in trace.records), trace.rounds),
+                    "average": average_true_welfare(trace),
                     "separated": separated,
                     "min_step_fraction": min(
                         (Fraction(h, trace.rounds) for h in hits), default=Fraction(1)
@@ -142,7 +149,7 @@ def grand_fleet():
             trace = run_best_response_dynamics(cfg)
             full_ok = True
             scale_ok = True
-            for profile in dict.fromkeys(trace.profiles()):
+            for profile in dict.fromkeys(step.profile for step in trace.states):
                 if not all(separated_flags(profile, types)):
                     full_ok = False
                 small = tuple(d if d.set_mask != grand else EMPTY for d in profile)
@@ -155,7 +162,7 @@ def grand_fleet():
                 {
                     "m": m,
                     "optimum": optimum,
-                    "average": Fraction(sum(r.true_welfare for r in trace.records), trace.rounds),
+                    "average": average_true_welfare(trace),
                     "separated_full": full_ok,
                     "separated_by_scale": scale_ok,
                 }
@@ -349,7 +356,7 @@ def test_c05_best_response_cycle_and_non_convergence():
         random_trace = run_best_response_dynamics(cfg)
         tail = constant_tail_start(random_trace)
         assert random_trace.rounds - tail < 200, f"seed {seed} settled at round {tail}"
-        assert len(set(r.profile for r in random_trace.records)) == 4
+        assert len({step.profile for step in random_trace.states}) == 4
     record_acceptance(5, "cycle-and-non-convergence", "exact 4-cycle, 10 seeds unsettled")
 
 
@@ -519,7 +526,7 @@ def test_c12_partition_equilibrium_regression():
         regret = external_regret(trace.history_for(model.index), model, mech)
         assert regret == 0
 
-    average = Fraction(sum(r.true_welfare for r in trace.records), trace.rounds)
+    average = average_true_welfare(trace)
     _, unrestricted = optimal_welfare(types)
     assert unrestricted == half * unit_value + grand_value
     assert average / unrestricted == Fraction(2 * grand_value, m * unit_value + 2 * grand_value)

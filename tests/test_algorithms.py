@@ -16,6 +16,7 @@ from auctionlab import (
     two_tier_rule,
 )
 from auctionlab import algorithms
+from auctionlab.algorithms import CLOSED, OPEN
 from auctionlab.core import Profile, declared_welfare, single_minded
 from auctionlab.dynamics import seeded_rng
 from auctionlab.generate import random_profile, random_types
@@ -117,6 +118,29 @@ class TestPartitionMax:
     def test_tie_favors_first_side(self):
         profile = (Declaration(A, 3), Declaration(C, 3))
         assert partition_rule(4, A | B).allocate(profile) == (A, 0)
+
+
+# (side price, rival, companions, wins_ties, price): theta = rival - companions
+# is 7 against side prices of 4, 7 and 8, for both tie rules
+TAKEOVER_CASES = [
+    ((4, OPEN), 9, 2, True, (7, CLOSED)),
+    ((7, OPEN), 9, 2, True, (7, OPEN)),
+    ((8, CLOSED), 9, 2, True, (8, CLOSED)),
+    ((4, CLOSED), 9, 2, False, (7, OPEN)),
+    ((7, OPEN), 9, 2, False, (7, OPEN)),
+    ((8, OPEN), 9, 2, False, (8, OPEN)),
+    # a tie at a CLOSED side price goes to the rival iff the side loses ties
+    ((5, CLOSED), 5, 0, False, (5, OPEN)),
+    ((5, CLOSED), 5, 0, True, (5, CLOSED)),
+    # no rival: the side price stands
+    ((0, OPEN), 0, 3, True, (0, OPEN)),
+    ((0, OPEN), 0, 0, False, (0, OPEN)),
+]
+
+
+@pytest.mark.parametrize("price, rival, companions, wins_ties, expected", TAKEOVER_CASES)
+def test_takeover_at_its_boundaries(price, rival, companions, wins_ties, expected):
+    assert algorithms.takeover(price, rival, companions, wins_ties) == expected
 
 
 class TestOracle:

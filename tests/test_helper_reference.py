@@ -25,9 +25,9 @@ from auctionlab.algorithms import (
     opposing_total,
     partition_rule,
     small_cap,
-    takeover_price,
     two_sided_thresholds,
     two_tier_rule,
+    with_probe,
 )
 from auctionlab.core import (
     EMPTY,
@@ -149,6 +149,24 @@ def ref_greedy_welfare(profile):
     return declared_welfare(greedy_allocate(profile), profile)
 
 
+def ref_takeover_price(price_of, welfare_of, profile, agent, rival, wins_ties):
+    if rival <= 0:
+        return price_of
+
+    def price(set_mask):
+        side_price = price_of(set_mask)
+        if side_price is None:
+            return None
+        floor = side_price[0]
+        winning = with_probe(profile, agent, Declaration(set_mask, floor + 1))
+        takeover = rival - (welfare_of(winning) - (floor + 1))
+        if wins_ties:
+            return (takeover, CLOSED) if takeover > floor else side_price
+        return (takeover, OPEN) if takeover >= floor else side_price
+
+    return price
+
+
 def ref_two_sided_thresholds(profile, agent, side_a, side_b):
     def priced(side):
         inside = ref_restrict(profile, side)
@@ -158,8 +176,12 @@ def ref_two_sided_thresholds(profile, agent, side_a, side_b):
         return inside, _greedy_price(accepted, agent, None), sum([b for b, _, _ in accepted])
 
     (a_profile, a_price, a_welfare), (b_profile, b_price, b_welfare) = priced(side_a), priced(side_b)
-    a_wins = takeover_price(a_price, ref_greedy_welfare, a_profile, agent, b_welfare, wins_ties=True)
-    b_wins = takeover_price(b_price, ref_greedy_welfare, b_profile, agent, a_welfare, wins_ties=False)
+    a_wins = ref_takeover_price(
+        a_price, ref_greedy_welfare, a_profile, agent, b_welfare, wins_ties=True
+    )
+    b_wins = ref_takeover_price(
+        b_price, ref_greedy_welfare, b_profile, agent, a_welfare, wins_ties=False
+    )
 
     def price_of(set_mask):
         if _holds(side_a, set_mask):
