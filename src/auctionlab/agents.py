@@ -13,7 +13,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import repeat
+from typing import Iterator, Sequence
 
 from .core import (EMPTY, Declaration, Profile, ValidationError, Valuation, bundle_key, full_mask,
                    randbelow, single_minded)
@@ -97,18 +98,31 @@ def best_response(
     return profile[i]
 
 
-def byzantine_bid(model: AgentModel, rng) -> Declaration:
-    """Uniform non-empty candidate bundle with a uniform bid in [0, true value]."""
+def byzantine_bid(model: AgentModel, rng) -> Iterator[Declaration]:
+    """The bidder's declarations, drawn one per `next`: a uniform non-empty
+    candidate bundle with a uniform bid in [0, true value].  Nothing is
+    drawn before the first `next`, and a bidder whose only candidate is
+    staying out draws nothing at all."""
     # candidate 0 is staying out, and each candidate bid is its set's true
     # value (EMPTY, bid 0, for a worthless set)
     n = len(model.candidate_bids)
     if n < 2:
-        return EMPTY
-    set_mask, value = model.candidate_bids[randbelow(rng, n - 1) + 1]
-    bid = randbelow(rng, value + 1)
-    if bid == 0:
-        return EMPTY
-    return Declaration(set_mask, bid)
+        yield from repeat(EMPTY)
+    # `randbelow(rng, n - 1) + 1`, then `randbelow(rng, value + 1)`, with
+    # the rule's getrandbits rejection loop inline
+    getrandbits = rng.getrandbits
+    sets, set_bits = n - 1, (n - 1).bit_length()
+    bids = [(set_mask, value + 1, (value + 1).bit_length())
+            for set_mask, value in model.candidate_bids[1:]]
+    while True:
+        k = getrandbits(set_bits)
+        while k >= sets:
+            k = getrandbits(set_bits)
+        set_mask, ceiling, bits = bids[k]
+        bid = getrandbits(bits)
+        while bid >= ceiling:
+            bid = getrandbits(bits)
+        yield EMPTY if bid == 0 else Declaration(set_mask, bid)
 
 
 def hindsight_totals(
@@ -146,87 +160,109 @@ def external_regret(
 
 
 class WeightedLearnerState:
-    """Multiplicative-weights state: positive float weights drive sampling.
-    A round's feedback is its non-zero utilities as `(k, float(u))` pairs."""
+    """Multiplicative-weights states of a run's MW learners: per learner its
+    slot in the round key, positive float weights that drive sampling, its
+    stream and its constants.  A round's feedback holds, per learner, its
+    non-zero utilities as `(k, float(u))` pairs."""
 
-    def __init__(self, n_candidates: int, u_max: int):
-        self.weights = [1.0] * n_candidates
+    def __init__(self, learners: Sequence[tuple[int, AgentModel, object]]):
+        self.models = [model for _, model, _ in learners]
+        self.weights = [[1.0] * len(model.candidate_bids) for model in self.models]
         self.rounds = 0
-        self.u_max = u_max
-        # 8 ln K of the rate sqrt(8 ln K / t); one candidate never learns
-        self._log_term = 8.0 * math.log(n_candidates) if n_candidates >= 2 else 0.0
+        self._draws = [(slot, weights, rng.random)
+                       for (slot, _, rng), weights in zip(learners, self.weights)]
+        # per learner that learns: its feedback index, weights, u_max and the
+        # 8 ln K of its rate sqrt(8 ln K / t); a zero rate (one candidate) or
+        # u_max leaves the weights as they are
+        self._rates = [(j, weights, model.valuation.max_value, 8.0 * math.log(len(weights)))
+                       for j, (model, weights) in enumerate(zip(self.models, self.weights))
+                       if model.valuation.max_value and len(weights) >= 2]
 
     @staticmethod
-    def feedback(utilities: Sequence) -> tuple[tuple[int, float], ...]:
-        return tuple((k, float(u)) for k, u in enumerate(utilities) if u)
+    def feedback(utilities: Sequence[Sequence]) -> tuple[tuple[tuple[int, float], ...], ...]:
+        return tuple(tuple((k, float(u)) for k, u in enumerate(vector) if u)
+                     for vector in utilities)
 
-    def choose(self, rng) -> int:
-        weights = self.weights
-        # Added left to right, as `sum()` adds floats before Python 3.12;
-        # 3.12's compensated `sum()` can round the total differently.
-        total = 0.0
-        for w in weights:
-            total += w
-        pick = rng.random() * total
-        acc = 0.0
-        for k, w in enumerate(weights):
-            acc += w
-            if pick < acc:
-                return k
-        return len(weights) - 1
+    def choose(self, key: list) -> None:
+        for slot, weights, random_draw in self._draws:
+            # Added left to right, as `sum()` adds floats before Python 3.12;
+            # 3.12's compensated `sum()` can round the total differently.
+            total = 0.0
+            for w in weights:
+                total += w
+            pick = random_draw() * total
+            acc = 0.0
+            k = 0
+            for w in weights:
+                acc += w
+                if pick < acc:
+                    break
+                k += 1
+            else:  # no running total exceeds the pick (every weight 0.0, say)
+                k -= 1
+            key[slot] = k
 
-    def update(self, gains: Sequence[tuple[int, float]]) -> None:
+    def update(self, feedback: Sequence[Sequence[tuple[int, float]]]) -> None:
         self.rounds += 1
-        scale = self.u_max
-        # a zero rate (one candidate) or scale leaves the weights as they are
-        if not (gains and scale and self._log_term):
-            return
-        eta = math.sqrt(self._log_term / self.rounds)
-        weights = self.weights
-        overflow = False
-        for k, fu in gains:
-            w = weights[k] = weights[k] * math.exp(eta * fu / scale)
-            overflow = overflow or w > 1e250
-        # Renormalize occasionally so long runs cannot overflow the floats.
-        # Every weight is at most 1e250 after an update, so only a weight
-        # changed in this one can pass it.
-        if overflow:
-            top = max(weights)
-            self.weights = [w / top for w in weights]
+        rounds, exp = self.rounds, math.exp
+        for j, weights, scale, log_term in self._rates:
+            eta = math.sqrt(log_term / rounds)
+            overflow = False
+            for k, fu in feedback[j]:
+                w = weights[k] = weights[k] * exp(eta * fu / scale)
+                if w > 1e250:
+                    overflow = True
+            # Renormalize occasionally so long runs cannot overflow the floats.
+            # Every weight is at most 1e250 after an update, so only a weight
+            # changed in this one can pass it.
+            if overflow:
+                top = max(weights)
+                weights[:] = [w / top for w in weights]
 
 
 class PerturbedLearnerState:
-    """Follow-the-perturbed-leader state: argmax of cumulative utility plus a
-    fresh uniform integer perturbation, ties to the smaller bundle."""
+    """Follow-the-perturbed-leader states of a run's FTPL learners: per
+    learner the argmax of cumulative utility plus a fresh uniform integer
+    perturbation, ties to the smaller bundle.  A round's feedback holds, per
+    learner, its utilities."""
 
-    def __init__(self, n_candidates: int, u_max: int):
-        self.cumulative = [0] * n_candidates
+    def __init__(self, learners: Sequence[tuple[int, AgentModel, object]]):
+        self.models = [model for _, model, _ in learners]
+        self.cumulative = [[0] * len(model.candidate_bids) for model in self.models]
         self.rounds = 0
-        self.u_max = u_max
+        self._draws = [(slot, cumulative, rng, model.valuation.max_value)
+                       for (slot, model, rng), cumulative in zip(learners, self.cumulative)]
 
     @staticmethod
-    def feedback(utilities: Sequence) -> Sequence:
+    def feedback(utilities: Sequence[Sequence]) -> Sequence[Sequence]:
         return utilities
 
-    def choose(self, rng) -> int:
-        width = math.ceil(math.sqrt(self.rounds + 1)) * self.u_max
-        best_k, best_score = 0, None
-        for k, c in enumerate(self.cumulative):
-            score = c + (randbelow(rng, width + 1) if width > 0 else 0)
-            if best_score is None or score > best_score:
-                best_k, best_score = k, score
-        return best_k
+    def choose(self, key: list) -> None:
+        spread = math.ceil(math.sqrt(self.rounds + 1))
+        for slot, cumulative, rng, u_max in self._draws:
+            width = spread * u_max
+            best_k, best_score = 0, None
+            for k, c in enumerate(cumulative):
+                score = c + (randbelow(rng, width + 1) if width > 0 else 0)
+                if best_score is None or score > best_score:
+                    best_k, best_score = k, score
+            key[slot] = best_k
 
-    def update(self, utilities: Sequence) -> None:
+    def update(self, feedback: Sequence[Sequence]) -> None:
         self.rounds += 1
-        for k, u in enumerate(utilities):
-            self.cumulative[k] += u
+        for cumulative, utilities in zip(self.cumulative, feedback):
+            for k, u in enumerate(utilities):
+                cumulative[k] += u
 
 
-def learner_state_for(model: AgentModel):
-    """A fresh learner state for a learner, None for any other behavior."""
-    if isinstance(model.behavior, WeightedLearner):
-        return WeightedLearnerState(len(model.candidate_bids), model.valuation.max_value)
-    if isinstance(model.behavior, PerturbedLearner):
-        return PerturbedLearnerState(len(model.candidate_bids), model.valuation.max_value)
-    return None
+def learner_states(agents: Sequence[AgentModel], rngs: Sequence) -> list:
+    """One state per learner kind present among `agents`, each holding every
+    learner of that kind with its slot (its position) and its stream."""
+    states = []
+    for behavior, kind in ((WeightedLearner, WeightedLearnerState),
+                           (PerturbedLearner, PerturbedLearnerState)):
+        learners = [(i, model, rngs[i]) for i, model in enumerate(agents)
+                    if isinstance(model.behavior, behavior)]
+        if learners:
+            states.append(kind(learners))
+    return states

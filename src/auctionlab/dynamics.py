@@ -8,9 +8,13 @@ sampling and byzantine policies), and one for non-empty starts.  Identical
 configs therefore produce bit-identical traces.  The order and coin streams
 feed nothing else, so a run draws both in full before its first round
 (`core.draws_below`, `Mechanism.draw_coins`); that consumes the same values
-in the same order as drawing them round by round.  Every uniform int goes
-through the one `core.randbelow` rule, which tests/test_core.py
-(`TestDrawIdentity`) pins draw for draw to the interpreter's `randrange`.
+in the same order as drawing them round by round.  A byzantine bidder's
+stream feeds nothing else either, so `agents.byzantine_bid` makes it an
+iterator of the bidder's declarations, drawn lazily, one per `next`.
+Every uniform int is drawn by the one `core.randbelow` rule, which
+tests/test_core.py (`TestDrawIdentity`) pins draw for draw to the
+interpreter's `randrange`; `core.draws_below` and the byzantine stream
+repeat its rejection loop inline, and tests pin each to the rule.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ from .agents import (
     WeightedLearner,
     best_response,
     byzantine_bid,
-    learner_state_for,
+    learner_states,
 )
 from .core import (EMPTY, Declaration, Outcome, Profile, ValidationError, declared_welfare,
                    draws_below, randbelow, social_welfare)
@@ -229,7 +233,8 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
     coins = mechanism.draw_coins(seeded_rng(config.seed, "coin"), n, rounds)
     byzantine = [isinstance(model.behavior, ByzantineBidder) for model in agents]
     # only byzantine bidders draw from their streams here
-    agent_rngs = {i: seeded_rng(config.seed, "agent", i) for i in range(n) if byzantine[i]}
+    streams = {i: byzantine_bid(agents[i], seeded_rng(config.seed, "agent", i))
+               for i in range(n) if byzantine[i]}
 
     profile = _starting_profile(config)
     keep_on_tie = config.keep_on_tie
@@ -241,7 +246,7 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
     for updater, coin in zip(updaters, coins):
         stored = False
         if byzantine[updater]:
-            new_decl = byzantine_bid(agents[updater], agent_rngs[updater])
+            new_decl = next(streams[updater])
         else:
             new_decl = responses.get(updater)
             if new_decl is None:
@@ -283,7 +288,10 @@ def run_best_response_dynamics(config: RunConfig) -> Trace:
 def run_regret_dynamics(config: RunConfig) -> Trace:
     """Every learner samples a candidate and submits its undominated bid
     simultaneously; after the round each learner receives the full
-    counterfactual utility vector against the just-played opponents."""
+    counterfactual utility vector against the just-played opponents.  Each
+    round makes one `choose` and one `update` call per learner kind, for
+    all learners of that kind, and draws one declaration per byzantine
+    bidder from its stream."""
     mechanism = config.mechanism
     agents = config.agents
     n = len(agents)
@@ -296,48 +304,53 @@ def run_regret_dynamics(config: RunConfig) -> Trace:
         return _agentless_trace(config)
     coins = mechanism.draw_coins(seeded_rng(config.seed, "coin"), n, config.rounds)
     agent_rngs = [seeded_rng(config.seed, "agent", i) for i in range(n)]
+    populations = learner_states(agents, agent_rngs)
+    # per slot: the learner's candidate bids, or None where the key holds a
+    # byzantine bidder's declaration, drawn from its stream (`byzantine_bid`
+    # is looked up here per run, so a wrapper installed on this module sees it)
+    bids = [None if isinstance(model.behavior, ByzantineBidder) else model.candidate_bids
+            for model in agents]
+    draws = [(i, byzantine_bid(agents[i], agent_rngs[i]).__next__)
+             for i, cands in enumerate(bids) if cands is None]
 
     # keyed by the learners' candidate indices and the byzantine bidders'
-    # declarations: the profile, each learner's prepared feedback and state
+    # declarations: the profile, each learner kind's feedback and state
     # indices by coin
     cache: dict = {}
-    # per agent: (learner state or None for a byzantine bidder, model, rng)
-    plan = [(learner_state_for(model), model, agent_rngs[i]) for i, model in enumerate(agents)]
-    learner_states = [state for state, _, _ in plan if state is not None]
 
     def state_of(key):
-        profile = tuple(
-            model.candidate_bids[k] if state is not None else k
-            for (state, model, _), k in zip(plan, key)
-        )
+        profile = tuple(k if cands is None else cands[k] for cands, k in zip(bids, key))
         feedback = [
-            state.feedback(mechanism.counterfactual_utilities(
-                model.index, model.candidate_bids, profile, model.valuation))
-            for state, model, _ in plan if state is not None
+            population.feedback([
+                mechanism.counterfactual_utilities(
+                    model.index, model.candidate_bids, profile, model.valuation)
+                for model in population.models
+            ])
+            for population in populations
         ]
         return profile, feedback, {}
 
+    choosers = [population.choose for population in populations]
+    updates = [population.update for population in populations]
+    key = [None] * n
     states, plays = [], []
     play = plays.append
     for coin in coins:
-        key = []
-        for state, model, rng in plan:
-            if state is not None:
-                key.append(state.choose(rng))
-            else:
-                # looked up per call, so a wrapper installed on this module sees it
-                key.append(byzantine_bid(model, rng))
-        key = tuple(key)
-        entry = cache.get(key)
+        for choose in choosers:
+            choose(key)
+        for i, draw in draws:
+            key[i] = draw()
+        round_key = tuple(key)
+        entry = cache.get(round_key)
         if entry is None:
-            entry = cache[key] = state_of(key)
+            entry = cache[round_key] = state_of(round_key)
         profile, feedback, by_coin = entry
         k = by_coin.get(coin)
         if k is None:
             k = by_coin[coin] = len(states)
             states.append(Step(profile, coin, *_round_result(mechanism, profile, coin, agents)))
-        for state, gains in zip(learner_states, feedback):
-            state.update(gains)
+        for update, gains in zip(updates, feedback):
+            update(gains)
         play(k)
     return Trace(mechanism, agents, states, plays, (ALL_AGENTS,) * len(plays))
 

@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -27,7 +28,7 @@ from auctionlab.agents import (
     AgentModel,
     PerturbedLearnerState,
     WeightedLearnerState,
-    learner_state_for,
+    learner_states,
 )
 from auctionlab.core import declared_welfare
 from auctionlab.dynamics import (
@@ -151,22 +152,21 @@ class TestByzantine:
         rng = seeded_rng(5, "byz")
         model = make_agent(0, cycle_types[0], ByzantineBidder())
         for _ in range(500):
-            d = byzantine_bid(model, rng)
+            d = next(byzantine_bid(model, rng))
             if not d.is_empty:
                 assert d.bid <= cycle_types[0].value_of(d.set_mask)
 
     def test_worthless_agent_stays_out(self):
         model = make_agent(0, Valuation(), ByzantineBidder())
         rng = seeded_rng(5, "byz-empty")
-        assert all(byzantine_bid(model, rng) is EMPTY for _ in range(20))
+        assert all(next(byzantine_bid(model, rng)) is EMPTY for _ in range(20))
 
     def test_seeded_reproducibility(self, cycle_types):
         model = make_agent(0, cycle_types[0], ByzantineBidder())
-        first = [byzantine_bid(model, seeded_rng(9, "byz-seq")) for _ in range(1)]
         runs = []
         for _ in range(2):
             rng = seeded_rng(9, "byz-seq")
-            runs.append([byzantine_bid(model, rng) for _ in range(50)])
+            runs.append([next(byzantine_bid(model, rng)) for _ in range(50)])
         assert runs[0] == runs[1]
 
 
@@ -200,7 +200,7 @@ class TestByzantineMatchesReference:
         for m, model in enumerate(self.models(cycle_types)):
             fast, slow = random.Random(m), random.Random(m)
             for _ in range(300):
-                got, want = byzantine_bid(model, fast), reference_byzantine_bid(model, slow)
+                got, want = next(byzantine_bid(model, fast)), reference_byzantine_bid(model, slow)
                 assert got == want
                 assert (got is EMPTY) == (want is EMPTY)
                 assert fast.getstate() == slow.getstate()
@@ -208,39 +208,77 @@ class TestByzantineMatchesReference:
     def test_zero_bid_is_the_empty_constant(self, cycle_types):
         model = make_agent(0, cycle_types[0], ByzantineBidder())
         rng = seeded_rng(5, "byz-zero")
-        zeros = [d for d in (byzantine_bid(model, rng) for _ in range(200)) if d.bid == 0]
+        zeros = [d for d in islice(byzantine_bid(model, rng), 200) if d.bid == 0]
         assert zeros and all(d is EMPTY for d in zeros)
+
+    def test_stream_matches_reference(self, cycle_types):
+        """One stream per bidder, drawn lazily: 500 draws give the reference's
+        declarations and leave the generator where the reference's 500 calls
+        leave it.  The worthless agent draws nothing, the zero-value
+        candidate draws its `getrandbits(1)` bid, and a zero bid is EMPTY."""
+        for m, model in enumerate(self.models(cycle_types)):
+            fast, slow = random.Random(m), random.Random(m)
+            start = fast.getstate()
+            stream = byzantine_bid(model, fast)
+            assert fast.getstate() == start  # nothing drawn before the first bid
+            want = [reference_byzantine_bid(model, slow) for _ in range(500)]
+            got = list(islice(stream, 500))
+            assert got == want
+            assert [d is EMPTY for d in got] == [d is EMPTY for d in want]
+            assert fast.getstate() == slow.getstate()
+            if len(model.candidate_bids) < 2:
+                assert fast.getstate() == start
+            else:
+                assert fast.getstate() != start
+
+
+def learner_model(k, u_max, behavior=WeightedLearner()):
+    """A learner with `k` candidate bids and largest value `u_max`, the two
+    numbers a learner state reads from its model."""
+    valuation = Valuation([(A, u_max)] if u_max else [])
+    return AgentModel(0, valuation, behavior, (EMPTY,) * k)
+
+
+def one_learner(kind, k, u_max, rng):
+    """A learner state holding one learner, in slot 0 of a one-slot key."""
+    behavior = WeightedLearner() if kind is WeightedLearnerState else PerturbedLearner()
+    return kind([(0, learner_model(k, u_max, behavior), rng)])
+
+
+def pick(state):
+    """The candidate the state's one learner chooses this round."""
+    key = [None]
+    state.choose(key)
+    return key[0]
 
 
 class TestWeightedLearner:
     def test_first_round_is_uniform(self):
-        state = WeightedLearnerState(4, u_max=10)
-        rng = seeded_rng(11, "mw-uniform")
+        state = one_learner(WeightedLearnerState, 4, 10, seeded_rng(11, "mw-uniform"))
         counts = [0] * 4
         for _ in range(20_000):
-            counts[state.choose(rng)] += 1
+            counts[pick(state)] += 1
         for c in counts:
             assert abs(c / 20_000 - 0.25) < 0.02
 
     def test_dominant_candidate_takes_over(self):
-        state = WeightedLearnerState(3, u_max=10)
-        rng = seeded_rng(13, "mw-dominant")
+        state = one_learner(WeightedLearnerState, 3, 10, seeded_rng(13, "mw-dominant"))
         window_freqs = []
         for window in range(6):
             hits = 0
             for _ in range(300):
-                k = state.choose(rng)
+                k = pick(state)
                 hits += k == 1
-                state.update(state.feedback([0, 10, 0]))
+                state.update(state.feedback([[0, 10, 0]]))
             window_freqs.append(hits / 300)
         assert window_freqs[-1] > 0.95
         assert all(b >= a - 0.05 for a, b in zip(window_freqs, window_freqs[1:]))
 
     def test_zero_rate_freezes_weights(self):
-        state = WeightedLearnerState(3, u_max=0)
+        state = one_learner(WeightedLearnerState, 3, 0, seeded_rng(0, "mw-frozen"))
         for _ in range(50):
-            state.update(state.feedback([0, 10, 3]))
-        assert state.weights == [1.0, 1.0, 1.0]
+            state.update(state.feedback([[0, 10, 3]]))
+        assert state.weights == [[1.0, 1.0, 1.0]]
         assert state.rounds == 50
 
     def test_total_is_added_left_to_right(self):
@@ -251,20 +289,25 @@ class TestWeightedLearner:
             def random(self):
                 return 1 - 2**-53
 
-        state = WeightedLearnerState(3, u_max=1)
-        state.weights = [1e16, 1.0, 1.0]
-        assert state.choose(TopDraw()) == 0
+        state = one_learner(WeightedLearnerState, 3, 1, TopDraw())
+        state.weights[0][:] = [1e16, 1.0, 1.0]
+        assert pick(state) == 0
+        # a pick no running total exceeds (here every weight underflowed to
+        # 0.0) falls to the last candidate
+        state.weights[0][:] = [0.0, 0.0, 0.0]
+        assert pick(state) == 2
 
     def test_weights_stay_positive_and_finite(self):
-        state = WeightedLearnerState(2, u_max=1)
+        state = one_learner(WeightedLearnerState, 2, 1, seeded_rng(0, "mw-finite"))
         for _ in range(5000):
-            state.update(state.feedback([1, 0]))
-        assert all(w > 0 and w != float("inf") for w in state.weights)
+            state.update(state.feedback([[1, 0]]))
+        assert all(w > 0 and w != float("inf") for w in state.weights[0])
 
 
 class ReferenceWeightedLearnerState:
-    """`WeightedLearnerState` as first written, counting renormalisations:
-    the faster class must give the same weights and picks, float for float."""
+    """`WeightedLearnerState` as first written, for one learner, counting
+    renormalisations: the population state must give the same weights and
+    picks, float for float."""
 
     def __init__(self, n_candidates, u_max):
         self.weights = [1.0] * n_candidates
@@ -329,38 +372,38 @@ class TestWeightedLearnerMatchesReference:
         ids=["ints", "fractions", "k1", "u-max-0", "renormalise"],
     )
     def test_same_weights_and_picks(self, k, u_max, draw, rounds, renormalises):
-        fast = WeightedLearnerState(k, u_max)
+        fast = one_learner(WeightedLearnerState, k, u_max, seeded_rng(53, "mw-ref"))
         slow = ReferenceWeightedLearnerState(k, u_max)
-        rng_fast, rng_slow = seeded_rng(53, "mw-ref"), seeded_rng(53, "mw-ref")
+        rng_slow = seeded_rng(53, "mw-ref")
         data = random.Random(k * 1000 + u_max)
         for _ in range(rounds):
-            assert fast.choose(rng_fast) == slow.choose(rng_slow)
+            assert pick(fast) == slow.choose(rng_slow)
             utilities = getattr(self, draw)(data, k, u_max)
-            fast.update(fast.feedback(utilities))
+            fast.update(fast.feedback([utilities]))
             slow.update(utilities)
-            assert fast.weights == slow.weights
+            assert fast.weights == [slow.weights]
         assert (slow.renormalised > 0) == renormalises
 
 
 class TestPerturbedLearner:
     def test_zero_spread_picks_first_candidate(self):
-        state = PerturbedLearnerState(3, u_max=0)
-        rng = seeded_rng(17, "fpl-zero")
-        assert state.choose(rng) == 0
+        state = one_learner(PerturbedLearnerState, 3, 0, seeded_rng(17, "fpl-zero"))
+        assert pick(state) == 0
 
     def test_large_lead_dominates_perturbation(self):
-        state = PerturbedLearnerState(2, u_max=4)
-        state.cumulative = [0, 1000]
+        state = one_learner(PerturbedLearnerState, 2, 4, seeded_rng(19, "fpl-lead"))
+        state.cumulative[0][:] = [0, 1000]
         state.rounds = 4  # spread = ceil(sqrt(5)) * 4 = 12 << lead
-        rng = seeded_rng(19, "fpl-lead")
-        assert all(state.choose(rng) == 1 for _ in range(100))
+        assert all(pick(state) == 1 for _ in range(100))
 
     def test_learner_state_factory(self, cycle_types):
-        mw = make_agent(0, cycle_types[0], WeightedLearner())
-        fpl = make_agent(0, cycle_types[0], PerturbedLearner())
-        assert isinstance(learner_state_for(mw), WeightedLearnerState)
-        assert isinstance(learner_state_for(fpl), PerturbedLearnerState)
-        assert learner_state_for(make_agent(0, cycle_types[0], ByzantineBidder())) is None
+        behaviors = [WeightedLearner(), ByzantineBidder(), PerturbedLearner(), WeightedLearner()]
+        agents = [make_agent(i, cycle_types[i], b) for i, b in enumerate(behaviors)]
+        rngs = [seeded_rng(i, "factory") for i in range(4)]
+        mw, fpl = learner_states(agents, rngs)
+        assert isinstance(mw, WeightedLearnerState) and mw.models == [agents[0], agents[3]]
+        assert isinstance(fpl, PerturbedLearnerState) and fpl.models == [agents[2]]
+        assert learner_states(agents[1:2], rngs) == []
 
     def test_regret_vanishes_on_toy_run(self, cycle_types, cycle_mechanism):
         agents = [

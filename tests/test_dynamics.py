@@ -17,7 +17,7 @@ from auctionlab import (
     separated_flags,
 )
 from auctionlab import dynamics
-from auctionlab.agents import best_response, byzantine_bid, learner_state_for
+from auctionlab.agents import best_response
 from auctionlab.dynamics import (
     ALL_AGENTS,
     RunConfig,
@@ -33,6 +33,7 @@ from auctionlab.generate import random_types
 from auctionlab.mechanisms import COIN_NONE, Coin
 
 from conftest import A, B, C, D
+from test_engine_reference import ref_byzantine_bid, ref_learner_state_for
 
 
 def best_response_agents(types, mechanism):
@@ -416,15 +417,16 @@ class TestStateCache:
         agents = [make_agent(i, t, behavior, mech) for i, t in enumerate(types[:3])]
         agents.append(make_agent(3, types[3], ByzantineBidder(), mech))
         cfg = RunConfig(mechanism=mech, agents=agents, rounds=600, seed=11)
-        # replay the run without caches: same streams, fresh learner states fed
-        # the dense utilities through the same conversion
+        # replay the run without caches: same streams, the reference copies of
+        # the per-learner states (fed the dense utilities through their own
+        # conversion) and of the one-call byzantine bid
         rngs = [seeded_rng(cfg.seed, "agent", i) for i in range(len(agents))]
-        learners = {i: learner_state_for(agents[i]) for i in range(3)}
+        learners = {i: ref_learner_state_for(agents[i]) for i in range(3)}
         seen_fraction = False
         for record in run_regret_dynamics(cfg).records:
             expected = [
                 agents[i].candidate_bids[learners[i].choose(rngs[i])] if i in learners
-                else byzantine_bid(agents[i], rngs[i])
+                else ref_byzantine_bid(agents[i], rngs[i])
                 for i in range(len(agents))
             ]
             assert list(record.profile) == expected

@@ -1,9 +1,9 @@
-"""The best-response engine against its earlier round-by-round form, the
-best response against its earlier Fraction form, and the invariant that
-lets the engine reuse a mover's response.
+"""The round engines against their earlier forms, the best response
+against its earlier Fraction form, and the invariant that lets the
+best-response engine reuse a mover's response.
 
-`ref_run_best_response_dynamics` is the engine's earlier body and
-`ref_best_response` is `agents.best_response`'s, copied verbatim; only
+`ref_run_best_response_dynamics` is the best-response engine's earlier body
+and `ref_best_response` is `agents.best_response`'s, copied verbatim; only
 their names carry the `ref_` prefix, and the reference engine calls
 `ref_best_response`.  `best_response` now compares the integer numerators
 of `Mechanism.scaled_utilities` where `ref_best_response` compares the
@@ -12,31 +12,49 @@ its round loop once the profile has settled, stores a mover's new bid as
 its best response at the profile it moved to, builds agent streams for
 byzantine bidders only, and replays a settled tail of one coin in one step;
 none of that may change a trace.
+
+`ref_run_regret_dynamics` is the regret engine's per-learner body, with
+`ref_WeightedLearnerState`, `ref_PerturbedLearnerState`,
+`ref_learner_state_for` and `ref_byzantine_bid` copied verbatim in the same
+way; both reference engines draw byzantine bids through
+`ref_byzantine_bid`, one call per bid.  The regret engine now runs each
+learner kind as one state for all its learners and draws byzantine bids
+from one lazy stream per bidder; that may not change a trace either.
 """
+import math
 import random
 import sys
 from fractions import Fraction
 from itertools import cycle, islice
+from typing import Sequence
 
 import pytest
 
 from auctionlab import (
+    EMPTY,
     BestResponder,
     ByzantineBidder,
+    Declaration,
     FilteredGreedyMechanism,
     GrandBundleMechanism,
+    PerturbedLearner,
     RuleMechanism,
+    ValidationError,
+    Valuation,
+    WeightedLearner,
     full_mask,
     greedy_rule,
     make_agent,
     partition_rule,
     two_tier_rule,
+    undominated_bid,
 )
 from auctionlab import dynamics
-from auctionlab.agents import best_response, byzantine_bid
+from auctionlab.agents import AgentModel, best_response
 from auctionlab.algorithms import AllocationRule, greedy_allocate, small_cap
-from auctionlab.core import draws_below
+from auctionlab.core import draws_below, randbelow
 from auctionlab.dynamics import (
+    ALL_AGENTS,
     RunConfig,
     Step,
     Trace,
@@ -96,7 +114,7 @@ def ref_run_best_response_dynamics(config: RunConfig) -> Trace:
     play = plays.append
     for updater, coin in zip(updaters, coins):
         if byzantine[updater]:
-            new_decl = byzantine_bid(agents[updater], agent_rngs[updater])
+            new_decl = ref_byzantine_bid(agents[updater], agent_rngs[updater])
         else:
             new_decl = responses.get(updater)
             if new_decl is None:
@@ -115,6 +133,169 @@ def ref_run_best_response_dynamics(config: RunConfig) -> Trace:
             states.append(Step(profile, coin, *_round_result(mechanism, profile, coin, agents)))
         play(k)
     return Trace(mechanism, agents, states, plays, updaters)
+
+
+def ref_byzantine_bid(model: AgentModel, rng) -> Declaration:
+    """Uniform non-empty candidate bundle with a uniform bid in [0, true value]."""
+    # candidate 0 is staying out, and each candidate bid is its set's true
+    # value (EMPTY, bid 0, for a worthless set)
+    n = len(model.candidate_bids)
+    if n < 2:
+        return EMPTY
+    set_mask, value = model.candidate_bids[randbelow(rng, n - 1) + 1]
+    bid = randbelow(rng, value + 1)
+    if bid == 0:
+        return EMPTY
+    return Declaration(set_mask, bid)
+
+
+class ref_WeightedLearnerState:
+    """Multiplicative-weights state: positive float weights drive sampling.
+    A round's feedback is its non-zero utilities as `(k, float(u))` pairs."""
+
+    def __init__(self, n_candidates: int, u_max: int):
+        self.weights = [1.0] * n_candidates
+        self.rounds = 0
+        self.u_max = u_max
+        # 8 ln K of the rate sqrt(8 ln K / t); one candidate never learns
+        self._log_term = 8.0 * math.log(n_candidates) if n_candidates >= 2 else 0.0
+
+    @staticmethod
+    def feedback(utilities: Sequence) -> tuple[tuple[int, float], ...]:
+        return tuple((k, float(u)) for k, u in enumerate(utilities) if u)
+
+    def choose(self, rng) -> int:
+        weights = self.weights
+        # Added left to right, as `sum()` adds floats before Python 3.12;
+        # 3.12's compensated `sum()` can round the total differently.
+        total = 0.0
+        for w in weights:
+            total += w
+        pick = rng.random() * total
+        acc = 0.0
+        for k, w in enumerate(weights):
+            acc += w
+            if pick < acc:
+                return k
+        return len(weights) - 1
+
+    def update(self, gains: Sequence[tuple[int, float]]) -> None:
+        self.rounds += 1
+        scale = self.u_max
+        # a zero rate (one candidate) or scale leaves the weights as they are
+        if not (gains and scale and self._log_term):
+            return
+        eta = math.sqrt(self._log_term / self.rounds)
+        weights = self.weights
+        overflow = False
+        for k, fu in gains:
+            w = weights[k] = weights[k] * math.exp(eta * fu / scale)
+            overflow = overflow or w > 1e250
+        # Renormalize occasionally so long runs cannot overflow the floats.
+        # Every weight is at most 1e250 after an update, so only a weight
+        # changed in this one can pass it.
+        if overflow:
+            top = max(weights)
+            self.weights = [w / top for w in weights]
+
+
+class ref_PerturbedLearnerState:
+    """Follow-the-perturbed-leader state: argmax of cumulative utility plus a
+    fresh uniform integer perturbation, ties to the smaller bundle."""
+
+    def __init__(self, n_candidates: int, u_max: int):
+        self.cumulative = [0] * n_candidates
+        self.rounds = 0
+        self.u_max = u_max
+
+    @staticmethod
+    def feedback(utilities: Sequence) -> Sequence:
+        return utilities
+
+    def choose(self, rng) -> int:
+        width = math.ceil(math.sqrt(self.rounds + 1)) * self.u_max
+        best_k, best_score = 0, None
+        for k, c in enumerate(self.cumulative):
+            score = c + (randbelow(rng, width + 1) if width > 0 else 0)
+            if best_score is None or score > best_score:
+                best_k, best_score = k, score
+        return best_k
+
+    def update(self, utilities: Sequence) -> None:
+        self.rounds += 1
+        for k, u in enumerate(utilities):
+            self.cumulative[k] += u
+
+
+def ref_learner_state_for(model: AgentModel):
+    """A fresh learner state for a learner, None for any other behavior."""
+    if isinstance(model.behavior, WeightedLearner):
+        return ref_WeightedLearnerState(len(model.candidate_bids), model.valuation.max_value)
+    if isinstance(model.behavior, PerturbedLearner):
+        return ref_PerturbedLearnerState(len(model.candidate_bids), model.valuation.max_value)
+    return None
+
+
+def ref_run_regret_dynamics(config: RunConfig) -> Trace:
+    """Every learner samples a candidate and submits its undominated bid
+    simultaneously; after the round each learner receives the full
+    counterfactual utility vector against the just-played opponents."""
+    mechanism = config.mechanism
+    agents = config.agents
+    n = len(agents)
+    for field, default in (("scripted_order", None), ("initial_profile", None),
+                           ("keep_on_tie", True), ("empty_start", True)):
+        if getattr(config, field) != default:  # only best-response dynamics reads it
+            raise ValidationError("regret dynamics does not use it", arg=field)
+    _check_behaviors(agents, "regret")
+    if n == 0:
+        return _agentless_trace(config)
+    coins = mechanism.draw_coins(seeded_rng(config.seed, "coin"), n, config.rounds)
+    agent_rngs = [seeded_rng(config.seed, "agent", i) for i in range(n)]
+
+    # keyed by the learners' candidate indices and the byzantine bidders'
+    # declarations: the profile, each learner's prepared feedback and state
+    # indices by coin
+    cache: dict = {}
+    # per agent: (learner state or None for a byzantine bidder, model, rng)
+    plan = [(ref_learner_state_for(model), model, agent_rngs[i]) for i, model in enumerate(agents)]
+    learner_states = [state for state, _, _ in plan if state is not None]
+
+    def state_of(key):
+        profile = tuple(
+            model.candidate_bids[k] if state is not None else k
+            for (state, model, _), k in zip(plan, key)
+        )
+        feedback = [
+            state.feedback(mechanism.counterfactual_utilities(
+                model.index, model.candidate_bids, profile, model.valuation))
+            for state, model, _ in plan if state is not None
+        ]
+        return profile, feedback, {}
+
+    states, plays = [], []
+    play = plays.append
+    for coin in coins:
+        key = []
+        for state, model, rng in plan:
+            if state is not None:
+                key.append(state.choose(rng))
+            else:
+                # looked up per call, so a wrapper installed on this module sees it
+                key.append(ref_byzantine_bid(model, rng))
+        key = tuple(key)
+        entry = cache.get(key)
+        if entry is None:
+            entry = cache[key] = state_of(key)
+        profile, feedback, by_coin = entry
+        k = by_coin.get(coin)
+        if k is None:
+            k = by_coin[coin] = len(states)
+            states.append(Step(profile, coin, *_round_result(mechanism, profile, coin, agents)))
+        for state, gains in zip(learner_states, feedback):
+            state.update(gains)
+        play(k)
+    return Trace(mechanism, agents, states, plays, (ALL_AGENTS,) * len(plays))
 
 
 # -- seeded configs ---------------------------------------------------------
@@ -308,3 +489,120 @@ def test_best_response_matches_its_fraction_form():
                     tie_decided += kept != moved
     assert sizes == set(range(1, 7))
     assert moves > 0 and tie_decided > 0
+
+
+# -- the regret engine against its per-learner form ---------------------------
+
+REGRET_KINDS = ("greedy", "filtered-lottery", "grand")
+MIXES = {"mw": (WeightedLearner(),), "fpl": (PerturbedLearner(),),
+         "mw+fpl": (WeightedLearner(), PerturbedLearner())}
+
+
+def regret_mechanism(rng, kind, m):
+    """Greedy with s = 2, filtered greedy with a lottery, or the grand
+    bundle with gamma > 0, on `m` items, and the largest set its bidders
+    want."""
+    if kind == "greedy":
+        return RuleMechanism(greedy_rule(2), m), 2
+    if kind == "filtered-lottery":
+        return FilteredGreedyMechanism(m, rng.randint(1, 3), Fraction(1, 16)), 3
+    return GrandBundleMechanism(m, rng.choice([Fraction(1, 100), Fraction(1, 4)])), small_cap(m)
+
+
+def same_regret_run(config):
+    """The regret engine's trace, asserted equal to the reference's."""
+    trace = dynamics.run_regret_dynamics(config)
+    expected = ref_run_regret_dynamics(config)
+    where = (config.mechanism.name, [type(a.behavior).__name__ for a in config.agents],
+             config.seed)
+    assert trace.states == expected.states, where
+    assert trace.plays == expected.plays, where
+    assert trace.updaters == expected.updaters, where
+    return trace
+
+
+def test_regret_engine_matches_per_learner_reference():
+    """Every mechanism kind under every learner mix with 0-2 byzantine
+    bidders: 1-5 agents and 1-600 rounds.  Under the grand bundle the
+    trembling coin varies between rounds."""
+    rng = random.Random("regret-reference")
+    varied_coins = 0
+    for k in range(2 * len(REGRET_KINDS) * len(MIXES) * 3):
+        kind = REGRET_KINDS[k % 3]
+        behaviors = MIXES[tuple(MIXES)[k // 3 % 3]]
+        n_byzantine = k // 9 % 3
+        m = rng.randint(3, 7)
+        mechanism, max_size = regret_mechanism(rng, kind, m)
+        n = rng.randint(max(1, n_byzantine), 5)
+        types = random_types(rng, n, m, max_atoms=3, max_value=24, max_size=max_size,
+                             grand_prob=0.3 if kind == "grand" else 0.0)
+        byzantine = set(rng.sample(range(n), n_byzantine))
+        agents = [make_agent(i, t, ByzantineBidder() if i in byzantine
+                             else behaviors[i % len(behaviors)], mechanism)
+                  for i, t in enumerate(types)]
+        config = RunConfig(mechanism=mechanism, agents=agents, rounds=rng.randint(1, 600),
+                           seed=rng.randrange(1 << 32))
+        trace = same_regret_run(config)
+        varied_coins += len({step.coin for step in trace.states}) > 1
+    assert varied_coins > 0
+
+
+@pytest.mark.parametrize("behavior", [WeightedLearner(), PerturbedLearner()],
+                         ids=["mw", "fpl"])
+def test_regret_engine_matches_reference_with_learners_that_cannot_learn(behavior):
+    """A learner with one candidate and a worthless learner (u_max = 0)
+    with three, beside learners of both kinds and a byzantine bidder."""
+    rng = random.Random(f"regret-edge:{type(behavior).__name__}")
+    for kind in REGRET_KINDS:
+        m = 6
+        mechanism, max_size = regret_mechanism(rng, kind, m)
+        types = random_types(rng, 4, m, max_atoms=3, max_value=24, max_size=max_size,
+                             grand_prob=0.3)
+        agents = [make_agent(0, types[0], behavior, mechanism),
+                  make_agent(1, types[1], WeightedLearner(), mechanism),
+                  make_agent(2, types[2], PerturbedLearner(), mechanism),
+                  make_agent(3, Valuation(), behavior, mechanism)]
+        worthless = Valuation()
+        agents.append(AgentModel(4, worthless, behavior,
+                                 tuple(undominated_bid(worthless, c) for c in (0, 1, 6))))
+        agents.append(make_agent(5, types[3], ByzantineBidder(), mechanism))
+        assert len(agents[3].candidate_bids) == 1
+        assert agents[4].valuation.max_value == 0 and len(agents[4].candidate_bids) == 3
+        same_regret_run(RunConfig(mechanism=mechanism, agents=agents, rounds=500,
+                                  seed=rng.randrange(1 << 32)))
+
+
+def test_regret_engine_matches_reference_through_renormalisation(monkeypatch):
+    """A learner alone on its items earns its full value on every set, so
+    its weights pass 1e250 within the run and are renormalised."""
+    renormalised = []
+
+    class CountingState(ref_WeightedLearnerState):
+        def update(self, gains):
+            weights = self.weights
+            super().update(gains)
+            if self.weights is not weights:
+                renormalised.append(self.rounds)
+
+    monkeypatch.setattr(sys.modules[__name__], "ref_WeightedLearnerState", CountingState)
+    mechanism = RuleMechanism(greedy_rule(2), 6)
+    alone = Valuation([(0b1, 20), (0b10, 20), (0b100, 20), (0b11, 20)])
+    rivals = [Valuation([(0b1000, 9), (0b10000, 7)]), Valuation([(0b11000, 12), (0b100000, 5)])]
+    agents = [make_agent(0, alone, WeightedLearner(), mechanism),
+              make_agent(1, rivals[0], WeightedLearner(), mechanism),
+              make_agent(2, rivals[1], ByzantineBidder(), mechanism)]
+    same_regret_run(RunConfig(mechanism=mechanism, agents=agents, rounds=8000, seed=5))
+    assert renormalised
+
+
+def test_regret_engine_matches_reference_at_low_state_reuse():
+    """Four byzantine bidders among six agents over 9,000 rounds: almost
+    every round plays a state of its own."""
+    rng = random.Random("regret-low-reuse")
+    mechanism = RuleMechanism(greedy_rule(2), 8)
+    types = random_types(rng, 6, 8, max_atoms=3, max_value=32, max_size=2)
+    agents = [make_agent(i, t, ByzantineBidder() if i >= 2 else WeightedLearner(), mechanism)
+              for i, t in enumerate(types)]
+    trace = same_regret_run(RunConfig(mechanism=mechanism, agents=agents, rounds=9000,
+                                      seed=rng.randrange(1 << 32)))
+    assert len(trace.states) > 8000

@@ -18,8 +18,8 @@ def _tracer_module():
     return module
 
 
-def _traced_run(tmp_path, scenario):
-    """The tracer after `auctionlab run <scenario> --replicas 1`."""
+def _traced(run):
+    """The tracer after `run()`, called with the tracer installed."""
     tracing = _tracer_module()
     tracer = tracing.Tracer()
     package = SimpleNamespace(
@@ -28,11 +28,20 @@ def _traced_run(tmp_path, scenario):
     )
     tracing.install(tracer, package)
     try:
-        argv = ["run", scenario, "--replicas", "1", "--out-dir", str(tmp_path)]
-        assert cli.main(argv) == 0
+        run()
     finally:
         tracer.uninstall()
     return tracer
+
+
+def _traced_run(tmp_path, scenario):
+    """The tracer after `auctionlab run <scenario> --replicas 1`."""
+    argv = ["run", scenario, "--replicas", "1", "--out-dir", str(tmp_path)]
+
+    def run():
+        assert cli.main(argv) == 0
+
+    return _traced(run)
 
 
 def test_tracer_records_replicas_checks_and_export(tmp_path):
@@ -45,9 +54,23 @@ def test_tracer_counts_every_learner_and_byzantine_call(tmp_path):
     tracer = _traced_run(tmp_path, "byzantine-mix")
     experiment = cli.load_experiment("byzantine-mix")
     rounds = experiment.dynamics_spec["rounds"]
-    learners = experiment.behaviors.count("mw")
+    assert set(experiment.behaviors) == {"mw", "byzantine"}
     byzantine = experiment.behaviors.count("byzantine")
-    assert learners and byzantine
-    assert tracer.calls["agents.learner_choose"] == rounds * learners
-    assert tracer.calls["agents.learner_update"] == rounds * learners
-    assert tracer.counts["agents.byzantine_bid"] == rounds * byzantine
+    # one MW state runs every learner of the run, once per round, and each
+    # byzantine bidder draws its bids from one stream per run
+    assert tracer.calls["agents.learner_choose"] == rounds
+    assert tracer.calls["agents.learner_update"] == rounds
+    assert tracer.counts["agents.byzantine_bid"] == byzantine
+
+
+def test_tracer_counts_one_call_per_learner_kind_per_round(cycle_types, cycle_mechanism):
+    behaviors = [agents.WeightedLearner(), agents.PerturbedLearner(), agents.WeightedLearner(),
+                 agents.ByzantineBidder()]
+    models = [agents.make_agent(i, t, b, cycle_mechanism)
+              for i, (t, b) in enumerate(zip(cycle_types, behaviors))]
+    rounds = 300
+    config = dynamics.RunConfig(mechanism=cycle_mechanism, agents=models, rounds=rounds, seed=3)
+    tracer = _traced(lambda: dynamics.run_regret_dynamics(config))
+    assert tracer.calls["agents.learner_choose"] == 2 * rounds
+    assert tracer.calls["agents.learner_update"] == 2 * rounds
+    assert tracer.counts["agents.byzantine_bid"] == 1
